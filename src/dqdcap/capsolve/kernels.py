@@ -2,23 +2,37 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from ..constants import EPS0
 
 _TINY = 1e-300
+BLOCK_PANELS = 256  # source panels per block; corner nodes are shared within a block
+_TILE = 1 << 14  # target x node values per kernel evaluation (128 kB per array)
 
 
 class AssemblyError(RuntimeError):
     """Mesh cannot be assembled into a collocation system."""
 
 
+def _corner_term(u, v, z):
+    """Corner antiderivative of 1/r over a rectangle, at in-plane offsets u, v and height |z|.
+
+        F(u, v) = u ln(v + r) + v ln(u + r) - |z| atan2(u v, |z| r)
+    stays finite at the centroid (self term) and on the panel plane.
+    """
+    r = np.sqrt(u * u + v * v + z * z)
+    return (u * np.log(np.maximum(v + r, _TINY))
+            + v * np.log(np.maximum(u + r, _TINY))
+            - z * np.arctan2(u * v, z * r))
+
+
 def rect_integral(corner, edge_u, edge_v, points):
     """Integral of 1/|x - x'| over one rectangle, for each field point x.
 
-    Uses the standard corner-sum antiderivative
-        F(u, v) = u ln(v + r) + v ln(u + r) - |z| atan2(u v, |z| r)
-    which stays finite at the centroid (self term) and on the panel plane.
+    The signed corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term.
     """
     a = np.linalg.norm(edge_u)
     b = np.linalg.norm(edge_v)
@@ -33,25 +47,86 @@ def rect_integral(corner, edge_u, edge_v, points):
     total = 0.0
     for u, su in ((xi, 1.0), (xi - a, -1.0)):
         for v, sv in ((eta, 1.0), (eta - b, -1.0)):
-            r = np.sqrt(u * u + v * v + zz * zz)
-            term = (u * np.log(np.maximum(v + r, _TINY))
-                    + v * np.log(np.maximum(u + r, _TINY))
-                    - zz * np.arctan2(u * v, zz * r))
-            total = total + su * sv * term
+            total = total + su * sv * _corner_term(u, v, zz)
     return total
 
 
-def potential_block(mesh, target_points, source_idx, epsilon_r):
-    """Dense block: potential at target_points per unit total charge on each source panel."""
-    corners = mesh.corners
-    areas = mesh.areas
+def _bits(rows):
+    """Rows of floats as rows of their exact bit patterns, for np.unique."""
+    return np.ascontiguousarray(rows).view(np.int64)
+
+
+def _frame_groups(quads):
+    """Split a block of panels by frame, and find each frame's shared corner nodes.
+
+    Yields (uhat, vhat, panels, nodes, inc): the unit edge directions, the
+    block positions of the panels in that frame, their unique corner points,
+    and each panel's four corner indices into nodes.  Frames and points are
+    compared on their exact float bits, so panels on one box face share
+    their nodes and nothing else is assumed about the mesh.
+    """
+    eu = quads[:, 1] - quads[:, 0]
+    ev = quads[:, 3] - quads[:, 0]
+    frames = np.concatenate([eu / np.linalg.norm(eu, axis=1)[:, None],
+                             ev / np.linalg.norm(ev, axis=1)[:, None]], axis=1)
+    _, first, frame_of = np.unique(_bits(frames), axis=0,
+                                   return_index=True, return_inverse=True)
+    frame_of = frame_of.reshape(-1)
+    for f, j in enumerate(first):
+        panels = np.flatnonzero(frame_of == f)
+        points = quads[panels].reshape(-1, 3)
+        _, at, inverse = np.unique(_bits(points), axis=0,
+                                   return_index=True, return_inverse=True)
+        yield frames[j, :3], frames[j, 3:], panels, points[at], inverse.reshape(-1, 4)
+
+
+def _dot(rel, e):
+    """Elementwise rel[0]*e[0] + rel[1]*e[1] + rel[2]*e[2], skipping exact zeros and ones."""
+    terms = [r if c == 1.0 else r * c for r, c in zip(rel, e) if c != 0.0]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
+    """Write potential_block(mesh, target_points, source_idx, epsilon_r) into out.
+
+    The corner term is evaluated once per (target, shared corner node) in
+    row tiles of about _TILE values; every value depends only on its target
+    and node, so the result does not depend on the blocking or tiling.
+    """
     pref = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
+    tx, ty, tz = (np.ascontiguousarray(target_points[:, k, None]) for k in range(3))
+    m = len(target_points)
+    for s in range(0, len(source_idx), BLOCK_PANELS):
+        idx = source_idx[s:s + BLOCK_PANELS]
+        cols = out[:, s:s + len(idx)]
+        scale = pref / mesh.areas[idx]
+        for uhat, vhat, panels, nodes, inc in _frame_groups(mesh.corners[idx]):
+            what = np.cross(uhat, vhat)
+            px, py, pz = nodes.T
+            step = max(1, _TILE // len(nodes))
+            for r in range(0, m, step):
+                rel = (tx[r:r + step] - px, ty[r:r + step] - py, tz[r:r + step] - pz)
+                f = _corner_term(_dot(rel, uhat), _dot(rel, vhat), np.abs(_dot(rel, what)))
+                # the +1/-1 corner incidence, summed in the fixed order 0, 3, 1, 2
+                cols[r:r + step, panels] = (f[:, inc[:, 0]] - f[:, inc[:, 3]]
+                                            - f[:, inc[:, 1]] + f[:, inc[:, 2]]) * scale[panels]
+
+
+def potential_block(mesh, target_points, source_idx, epsilon_r):
+    """Dense block: potential at target_points per unit total charge on each source panel.
+
+    Evaluates the corner term once per shared corner node of each block of
+    BLOCK_PANELS source panels; each column equals the per-panel corner sum
+    of rect_integral up to rounding, and is bitwise independent of the
+    blocking.
+    """
+    target_points = np.asarray(target_points, dtype=np.float64)
+    source_idx = np.asarray(source_idx)
     block = np.empty((len(target_points), len(source_idx)))
-    for col, j in enumerate(source_idx):
-        quad = corners[j]
-        block[:, col] = rect_integral(
-            quad[0], quad[1] - quad[0], quad[3] - quad[0], target_points
-        ) * (pref / areas[j])
+    _fill_block(mesh, target_points, source_idx, epsilon_r, block)
     return block
 
 
@@ -69,24 +144,28 @@ def check_distinct_centroids(centroids, tol=1e-12):
 
 
 def assemble_system(mesh, epsilon_r, jobs=1):
-    """Full collocation matrix: volts at panel centroids per unit panel charge."""
+    """Full collocation matrix: volts at panel centroids per unit panel charge.
+
+    The matrix is Fortran-ordered, so LU can factor it in place, and filled
+    in place by column chunks of BLOCK_PANELS, in a loop or on a pool of
+    `jobs` threads; the result does not depend on `jobs`.
+    """
     n = mesh.n_panels
     if n == 0:
         raise AssemblyError("empty mesh")
     centroids = mesh.centroids
     check_distinct_centroids(centroids)
-    A = np.empty((n, n))
-    cols = np.arange(n)
+    A = np.empty((n, n), order="F")
+
+    def fill(start):
+        stop = min(start + BLOCK_PANELS, n)
+        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop])
+
+    starts = range(0, n, BLOCK_PANELS)
     if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(cols, jobs * 4)
-
-        def fill(chunk):
-            A[:, chunk] = potential_block(mesh, centroids, chunk, epsilon_r)
-
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            list(ex.map(fill, [c for c in chunks if len(c)]))
+            list(ex.map(fill, starts))
     else:
-        A[:, :] = potential_block(mesh, centroids, cols, epsilon_r)
+        for start in starts:
+            fill(start)
     return A

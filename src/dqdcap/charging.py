@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import AF, Q_E
+from .constants import AF, OFFDIAG_TOL, Q_E
 
 GATES = ("SL", "SR", "g1", "g2")
 TARGETS = ("d1", "d2", "i1", "i2")
@@ -147,8 +147,8 @@ def reduce_caps(maxwell, roles=None) -> ModelCaps:
     """Map a Maxwell matrix onto the circuit-model capacitances.
 
     Csum_t = M[t][t]; couplings are the negated off-diagonals.  Small
-    positive off-diagonals (numerical noise within 1e-3 of the diagonal
-    scale) clip to zero coupling; larger ones are an error.
+    positive off-diagonals (numerical noise within OFFDIAG_TOL of the
+    diagonal scale) clip to zero coupling; larger ones are an error.
     """
     roles = roles if roles is not None else maxwell.roles
     if not roles:
@@ -164,7 +164,7 @@ def reduce_caps(maxwell, roles=None) -> ModelCaps:
 
     m = maxwell.entries
     names = list(maxwell.conductor_names)
-    tol = 1e-3 * float(np.abs(np.diag(m)).max())
+    tol = OFFDIAG_TOL * float(np.abs(np.diag(m)).max())
 
     def idx(role):
         return names.index(by_role[role])

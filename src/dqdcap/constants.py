@@ -6,20 +6,7 @@ EPS0 = 8.8541878128e-12  # vacuum permittivity, F/m
 NM = 1e-9  # nm -> m
 AF = 1e-18  # aF -> F
 MV = 1e-3  # mV -> V
-MEV = 6.241509074460763e21  # J -> meV
 
-
-def nm_to_m(x):
-    return x * NM
-
-
-def m_to_nm(x):
-    return x / NM
-
-
-def f_to_af(x):
-    return x / AF
-
-
-def af_to_f(x):
-    return x * AF
+# positive Maxwell off-diagonals up to this fraction of the largest diagonal
+# are numerical noise; larger ones are an error
+OFFDIAG_TOL = 1e-3

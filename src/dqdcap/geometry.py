@@ -43,10 +43,6 @@ class Box:
     def center_nm(self):
         return tuple(m + 0.5 * d for m, d in zip(self.min_nm, self.dims_nm))
 
-    def surface_area_nm2(self):
-        a, b, c = self.dims_nm
-        return 2.0 * (a * b + b * c + a * c)
-
 
 @dataclass(frozen=True)
 class DeviceSpec:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from dqdcap.capsolve import (
     solve_accelerated,
     solve_dense,
 )
+from dqdcap.capsolve import kernels
 from dqdcap.capsolve.tree import eval_basis, moment_basis
 from dqdcap.constants import AF, EPS0, NM
 from dqdcap.geometry import PanelMesh, concat_meshes, mesh_device, plate_pair_mesh, sphere_mesh
@@ -90,11 +92,68 @@ class TestKernel:
         with pytest.raises(AssemblyError):
             assemble_system(mesh, 1.0)
 
-    def test_jobs_bitwise_deterministic(self):
+    def test_jobs_bitwise_deterministic(self, monkeypatch):
+        """Bitwise equal for any job count and any column chunk size."""
         mesh = mesh_device(build_reference_device(), 16.0)
         a1 = assemble_system(mesh, 6.0, jobs=1)
         a2 = assemble_system(mesh, 6.0, jobs=4)
         assert np.array_equal(a1, a2)
+        monkeypatch.setattr(kernels, "BLOCK_PANELS", 100)
+        assert np.array_equal(a1, assemble_system(mesh, 6.0, jobs=1))
+        assert np.array_equal(a1, assemble_system(mesh, 6.0, jobs=4))
+
+
+def loop_potential_block(mesh, target_points, source_idx, epsilon_r):
+    """Reference for potential_block: one rect_integral per source panel."""
+    pref = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
+    areas = mesh.areas
+    block = np.empty((len(target_points), len(source_idx)))
+    for col, j in enumerate(source_idx):
+        quad = mesh.corners[j]
+        block[:, col] = rect_integral(
+            quad[0], quad[1] - quad[0], quad[3] - quad[0], target_points
+        ) * (pref / areas[j])
+    return block
+
+
+class TestSharedNodeKernel:
+    """potential_block against the per-panel rect_integral loop it replaces."""
+
+    @pytest.mark.parametrize("mesh", [
+        mesh_device(build_reference_device(), 16.0),
+        sphere_mesh(10.0, 8),
+        plate_pair_mesh(100.0, 5.0, 5.0),
+    ], ids=["reference_h16", "sphere", "plates"])
+    def test_matches_per_panel_loop(self, mesh):
+        idx = np.arange(mesh.n_panels)
+        got = potential_block(mesh, mesh.centroids, idx, 6.0)
+        want = loop_potential_block(mesh, mesh.centroids, idx, 6.0)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+        assert np.array_equal(assemble_system(mesh, 6.0), got)
+
+    def test_arbitrary_source_subset_and_targets(self):
+        mesh = mesh_device(build_reference_device(), 16.0)
+        rng = np.random.default_rng(3)
+        idx = rng.permutation(mesh.n_panels)[:300]
+        targets = mesh.centroids[rng.permutation(mesh.n_panels)[:200]] + 1e-9
+        got = potential_block(mesh, targets, idx, 6.0)
+        want = loop_potential_block(mesh, targets, idx, 6.0)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_maxwell_matches_loop_assembled_solve(self, monkeypatch):
+        spec = build_reference_device()
+        mesh = mesh_device(spec, 16.0)
+        opts = SolveOptions(epsilon_r=6.0)
+        got = solve_dense(mesh, opts, roles=spec.roles)
+
+        def loop_assemble(mesh, epsilon_r, jobs=1):
+            c = mesh.centroids
+            return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r)
+
+        solve_module = importlib.import_module("dqdcap.capsolve.solve")
+        monkeypatch.setattr(solve_module, "assemble_system", loop_assemble)
+        want = solve_dense(mesh, opts, roles=spec.roles)
+        assert np.all(np.abs(got.entries - want.entries) <= 1e-9 * np.abs(want.entries))
 
 
 class TestMultipoleBasis:

@@ -110,6 +110,13 @@ def test_reproducible_outputs(workdir):
     assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
 
 
+def test_extract_is_byte_reproducible(workdir):
+    for out in ("a.json", "b.json"):
+        assert run(["extract", "--geometry", "reference_device.json",
+                    "--out", out, "--h-max", "18"]) == 0
+    assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+
+
 def test_compare_report(workdir):
     assert run(["extract", "--geometry", "reference_device.json",
                 "--out", "caps.json", "--h-max", "16"]) == 0
