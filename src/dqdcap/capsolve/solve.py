@@ -1,4 +1,4 @@
-"""Maxwell capacitance extraction: dense direct and multipole-accelerated modes."""
+"""Maxwell capacitance extraction: dense direct and ACA-accelerated modes."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ class SolverError(RuntimeError):
 class SolveOptions:
     mode: str = "dense"  # "dense" | "accelerated"
     epsilon_r: float = 1.0
-    p: int = 3  # order 2 cannot hold 1% on the smallest device mutuals
     mac_ratio: float = 0.5
     krylov_tol: float = 1e-6
     leaf_size: int = 32
@@ -39,7 +38,7 @@ class SolveOptions:
             raise ValueError("mac_ratio must lie in (0, 1)")
         if not 0.0 < self.krylov_tol < 1.0:
             raise ValueError("krylov_tol must lie in (0, 1)")
-        if self.p < 0 or self.leaf_size < 1 or self.epsilon_r <= 0:
+        if self.leaf_size < 1 or self.epsilon_r <= 0:
             raise ValueError("invalid solver options")
 
 
@@ -127,7 +126,7 @@ def solve_dense(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellM
     x = linalg.lu_solve((lu, piv), rhs)
     raw = agg @ x
     info_d = {
-        "mode": "dense", "p": opts.p, "mac_ratio": opts.mac_ratio,
+        "mode": "dense", "mac_ratio": opts.mac_ratio,
         "tol": opts.krylov_tol, "n_panels": n, "rcond": float(rcond),
     }
     return _finalize(raw, mesh.conductor_names, info_d, roles)
@@ -141,9 +140,7 @@ class _AcceleratedOperator:
         check_distinct_centroids(centroids)
         root, leaves = build_octree(mesh, opts.leaf_size)
         far_lists, near_lists = interaction_lists(root, leaves, opts.mac_ratio)
-        self.eval_m, self.mom_m = build_far_operators(
-            mesh, leaves, far_lists, opts.p, opts.epsilon_r
-        )
+        self.eval_m, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
 
         # invert near lists to one exact column block per source leaf
         targets_by_leaf = {}
@@ -226,7 +223,7 @@ def solve_accelerated(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> Ma
         xs = [solve_one(k) for k in ks]
     raw = agg @ np.stack(xs, axis=1)
     info_d = {
-        "mode": "accelerated", "p": opts.p, "mac_ratio": opts.mac_ratio,
+        "mode": "accelerated", "mac_ratio": opts.mac_ratio,
         "tol": opts.krylov_tol, "n_panels": mesh.n_panels,
         "gmres_iterations": iters.tolist(), "n_leaves": op.n_leaves,
     }

@@ -1,23 +1,24 @@
-"""Octree partitioning and cluster-to-point multipole operators.
+"""Octree partitioning and cluster-to-point far-field operators.
 
-Far field uses solid-harmonic cluster expansions of order p, admitted by the
-acceptance rule  r_source + r_target < mac_ratio * (distance between centers),
-which guarantees the pointwise criterion radius < mac_ratio * distance for
-every evaluation point in the target cluster.  Near field stays exact.
+A source node is admitted for a target leaf by the acceptance rule
+r_source + r_target < mac_ratio * (distance between centers).  The block of
+all far targets of one source node against its panels is approximated by
+adaptive cross approximation with partial pivoting (ACA; Bebendorf 2000): a
+sum of rank-one terms, each an exact row and an exact column of the
+collocation matrix minus the terms before it.  Rows and columns come from
+the same corner antiderivative as the exact near field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.special import sph_harm_y
 
 from ..constants import EPS0
+from .kernels import _corner_term
 
-# 2x2 tensor Gauss rule on the unit square (exact for cubics)
-_G0 = (3.0 - np.sqrt(3.0)) / 6.0
-_G1 = (3.0 + np.sqrt(3.0)) / 6.0
-_GAUSS_ST = ((_G0, _G0), (_G0, _G1), (_G1, _G0), (_G1, _G1))
+ACA_TOL = 1e-4  # a rank-one term is small below ACA_TOL x the block's Frobenius norm
+ACA_SMALL_STEPS = 2  # stop after this many small terms in a row; one alone is not robust
 
 
 class Node:
@@ -29,7 +30,7 @@ class Node:
         self.panels = None  # leaf panel indices
         self.children = []
         self.radius = 0.0
-        self.slot = -1  # moment slot, assigned to far-field sources only
+        self.slot = -1  # position among the far-field source nodes
 
     @property
     def is_leaf(self):
@@ -100,132 +101,121 @@ def interaction_lists(root, leaves, mac_ratio):
     return far_lists, near_lists
 
 
-def _real_block_count(p):
-    return (p + 1) * (p + 1)
-
-
-def _harmonic_angles(offsets):
-    r = np.linalg.norm(offsets, axis=1)
-    safe = np.where(r > 0, r, 1.0)
-    theta = np.arccos(np.clip(offsets[:, 2] / safe, -1.0, 1.0))
-    phi = np.arctan2(offsets[:, 1], offsets[:, 0])
-    return r, theta, phi
-
-
-def moment_basis(offsets, p):
-    """Real-packed source basis: rows are points, K=(p+1)^2 columns.
-
-    Column layout per degree l: (l,0), then (Re, Im) pairs for m=1..l.
-    Paired with eval_basis, a point charge q at offset d contributes
-    q/(4 pi eps |x - d|) to a target at offset x from the same center.
-    """
-    r, theta, phi = _harmonic_angles(offsets)
-    out = np.empty((len(offsets), _real_block_count(p)))
-    col = 0
-    for l in range(p + 1):
-        pref = 4.0 * np.pi / (2 * l + 1) * r**l
-        y0 = sph_harm_y(l, 0, theta, phi)
-        out[:, col] = pref * y0.real
-        col += 1
-        for m in range(1, l + 1):
-            y = sph_harm_y(l, m, theta, phi)
-            out[:, col] = 2.0 * pref * y.real
-            out[:, col + 1] = 2.0 * pref * y.imag
-            col += 2
-    return out
-
-
-def eval_basis(offsets, p, epsilon_r):
-    """Real-packed target basis matching moment_basis; includes 1/(4 pi eps).
-
-    Pairing: sum over +-m equals 2 Re(M E) = (2 pref ReY_s) ReE + (2 pref
-    ImY_s) ImE, so both eval columns carry plain Re/Im of Y(target)/r^(l+1).
-    """
-    r, theta, phi = _harmonic_angles(offsets)
-    scale = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
-    out = np.empty((len(offsets), _real_block_count(p)))
-    col = 0
-    for l in range(p + 1):
-        pref = scale / r ** (l + 1)
-        y0 = sph_harm_y(l, 0, theta, phi)
-        out[:, col] = pref * y0.real
-        col += 1
-        for m in range(1, l + 1):
-            y = sph_harm_y(l, m, theta, phi)
-            out[:, col] = pref * y.real
-            out[:, col + 1] = pref * y.imag
-            col += 2
-    return out
-
-
-def _gauss_points(mesh, panel_idx):
-    """2x2 Gauss quadrature points on each panel, weights 1/4 of unit charge."""
-    c0 = mesh.corners[panel_idx, 0]
-    eu = mesh.corners[panel_idx, 1] - c0
-    ev = mesh.corners[panel_idx, 3] - c0
-    pts = np.empty((len(panel_idx), 4, 3))
-    for k, (s, t) in enumerate(_GAUSS_ST):
-        pts[:, k, :] = c0 + s * eu + t * ev
-    return pts
-
-
-def _collect_panels(node, out):
+def _subtree_panels(node):
     if node.is_leaf:
-        out.append(node.panels)
-    else:
-        for ch in node.children:
-            _collect_panels(ch, out)
+        return node.panels
+    return np.concatenate([_subtree_panels(ch) for ch in node.children])
 
 
-def build_far_operators(mesh, leaves, far_lists, p, epsilon_r):
-    """Sparse far-field factorization: potentials = E @ (Mom @ charges)."""
-    K = _real_block_count(p)
-    active = []
-    for far in far_lists:
+def _panel_sums(proj, u_off, v_off, w_off):
+    """Panel integrals of 1/r as signed corner sums F(c0) - F(c1) + F(c2) - F(c3).
+
+    proj (3, m) holds field points projected on panel frames (uhat, vhat,
+    what); u_off and v_off (4, m) or (4, 1) hold the panel corners projected
+    on the same frames, w_off (m,) or a scalar the panel planes.
+    """
+    f = _corner_term(proj[0] - u_off, proj[1] - v_off, np.abs(proj[2] - w_off))
+    return f[0] - f[3] - f[1] + f[2]
+
+
+def _cross_approximation(row, col, n_rows, n_cols):
+    """Partially pivoted ACA of an n_rows x n_cols block from its exact rows and columns.
+
+    Returns U (k, n_rows) and V (k, n_cols) with block ~= U.T @ V.  Each
+    term takes the next row where the last column is largest, and its column
+    where that row's residual is largest; it stops after ACA_SMALL_STEPS
+    terms in a row below ACA_TOL times the running Frobenius estimate.
+    """
+    U = np.empty((8, n_rows))
+    V = np.empty((8, n_cols))
+    row_free = np.ones(n_rows, dtype=bool)
+    col_used = np.zeros(n_cols, dtype=bool)
+    k = small = 0
+    norm2 = 0.0
+    i = 0
+    while small < ACA_SMALL_STEPS and k < min(n_rows, n_cols) and row_free[i]:
+        row_free[i] = False
+        r = row(i) - U[:k, i] @ V[:k]
+        a = np.abs(r)
+        a[col_used] = -1.0
+        j = int(np.argmax(a))
+        if a[j] <= 0.0:  # the residual vanishes on the pivot row: nothing left to add
+            break
+        v = r / r[j]
+        u = col(j) - V[:k, j] @ U[:k]
+        col_used[j] = True
+        if k == len(U):
+            U = np.concatenate([U, np.empty_like(U)])
+            V = np.concatenate([V, np.empty_like(V)])
+        uu, vv = u @ u, v @ v
+        norm2 += uu * vv + 2.0 * (U[:k] @ u) @ (V[:k] @ v)
+        U[k], V[k] = u, v
+        k += 1
+        small = small + 1 if uu * vv <= ACA_TOL * ACA_TOL * norm2 else 0
+        a = np.abs(u)
+        a[~row_free] = -1.0
+        i = int(np.argmax(a))
+    return U[:k], V[:k]
+
+
+def build_far_operators(mesh, leaves, far_lists, epsilon_r):
+    """Sparse far-field factorization: potentials = E @ (M @ charges).
+
+    Each source node admitted by some target leaf gets one cross
+    approximation U.T @ V of its far targets against its subtree panels;
+    V fills rows of M and U the matching columns of E.
+    """
+    active, targets = [], []
+    for leaf, far in zip(leaves, far_lists):
         for node in far:
             if node.slot < 0:
                 node.slot = len(active)
                 active.append(node)
+                targets.append([])
+            targets[node.slot].append(leaf.panels)
 
     n = mesh.n_panels
     if not active:
-        empty = sparse.csr_matrix((n, 0))
-        return empty, sparse.csr_matrix((0, n))
+        return sparse.csr_matrix((n, 0)), sparse.csr_matrix((0, n))
 
-    # moments: subtree panels sampled at Gauss points about each node center
-    rows, cols, vals = [], [], []
-    for node in active:
-        chunks = []
-        _collect_panels(node, chunks)
-        idx = np.concatenate(chunks)
-        gp = _gauss_points(mesh, idx)  # (m, 4, 3)
-        basis = moment_basis((gp - node.center).reshape(-1, 3), p)
-        basis = 0.25 * basis.reshape(len(idx), 4, K).sum(axis=1)
-        r0 = node.slot * K
-        rows.append((r0 + np.arange(K))[None, :].repeat(len(idx), axis=0).ravel())
-        cols.append(idx[:, None].repeat(K, axis=1).ravel())
-        vals.append(basis.ravel())
-    mom = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(active) * K, n),
-    )
-
-    # evaluation: target centroids against each admitted source node
+    corners = mesh.corners
+    edges = corners[:, [1, 3]] - corners[:, :1]
+    uv = edges / np.linalg.norm(edges, axis=2)[:, :, None]
+    frames = np.concatenate([uv, np.cross(uv[:, 0], uv[:, 1])[:, None]], axis=1)  # uhat, vhat, what
+    scale = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r * mesh.areas)
     centroids = mesh.centroids
-    targets_per_slot = [[] for _ in active]
-    for leaf, far in zip(leaves, far_lists):
-        for node in far:
-            targets_per_slot[node.slot].append(leaf.panels)
-    rows, cols, vals = [], [], []
-    for node, tchunks in zip(active, targets_per_slot):
-        tidx = np.concatenate(tchunks)
-        basis = eval_basis(centroids[tidx] - node.center, p, epsilon_r)
-        c0 = node.slot * K
-        rows.append(tidx[:, None].repeat(K, axis=1).ravel())
-        cols.append((c0 + np.arange(K))[None, :].repeat(len(tidx), axis=0).ravel())
-        vals.append(basis.ravel())
-    ev = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, len(active) * K),
-    )
-    return ev, mom
+
+    e_blocks, m_blocks = [], []
+    for node, chunks in zip(active, targets):
+        idx = _subtree_panels(node)
+        tidx = np.concatenate(chunks)
+        # coordinates relative to the node center, so far values keep their digits
+        fr = frames[idx]
+        rel = corners[idx] - node.center
+        u_off, v_off = np.einsum("pax,pcx->acp", fr[:, :2], rel)
+        w_off = np.einsum("px,px->p", fr[:, 2], rel[:, 0])
+        fr_stack = np.ascontiguousarray(fr.transpose(1, 0, 2)).reshape(-1, 3)
+        sc = scale[idx]
+        tpts = centroids[tidx] - node.center
+        tpts_t = np.ascontiguousarray(tpts.T)
+
+        def row(i):
+            proj = (fr_stack @ tpts[i]).reshape(3, -1)
+            return _panel_sums(proj, u_off, v_off, w_off) * sc
+
+        def col(j):
+            proj = fr[j] @ tpts_t
+            return _panel_sums(proj, u_off[:, j, None], v_off[:, j, None], w_off[j]) * sc[j]
+
+        U, V = _cross_approximation(row, col, len(tidx), len(idx))
+        e_blocks.append((tidx, U))
+        m_blocks.append((idx, V))
+    return _stack_rows(e_blocks, n).T.tocsr(), _stack_rows(m_blocks, n)
+
+
+def _stack_rows(blocks, n):
+    """CSR matrix of the rows of each (index, W) block, W's columns placed at index."""
+    ptr = np.cumsum([0] + [len(index) for index, w in blocks for _ in range(len(w))])
+    vals = np.concatenate([w.ravel() for _, w in blocks])
+    cols = np.concatenate([np.tile(index, len(w)) for index, w in blocks])
+    return sparse.csr_matrix((vals, cols, ptr), shape=(len(ptr) - 1, n))

@@ -38,7 +38,11 @@ _RANGE_RE = re.compile(r"^-\d+(\.\d+)?(:-?\d+(\.\d+)?){0,2}$")
 
 
 class CliError(ValueError):
-    pass
+    """A bad input file or value: exit code 1."""
+
+
+class UsageError(CliError):
+    """A bad flag or environment value: exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -115,10 +119,21 @@ def _join_range_args(argv):
 
 
 def _solver_options(args, epsilon_r):
-    return SolveOptions(
-        mode=args.mode, epsilon_r=epsilon_r, p=args.p,
-        mac_ratio=args.mac_ratio, krylov_tol=args.tol, leaf_size=args.leaf_size,
-    )
+    try:
+        return SolveOptions(
+            mode=args.mode, epsilon_r=epsilon_r,
+            mac_ratio=args.mac_ratio, krylov_tol=args.tol, leaf_size=args.leaf_size,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _check_solver_flags(args):
+    """Reject bad solver flags and a bad $DQDCAP_JOBS before any input is read."""
+    if not args.h_max > 0:
+        raise UsageError(f"--h-max must be positive, got {args.h_max:g}")
+    _solver_options(args, 1.0 if args.epsilon_r is None else args.epsilon_r)
+    _jobs(args)
 
 
 def _add_solver_flags(sub):
@@ -126,7 +141,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--h-max", type=float, default=10.0, help="max panel edge, nm")
     sub.add_argument("--epsilon-r", type=float, default=None,
                      help="override the device relative permittivity")
-    sub.add_argument("--p", type=int, default=3, help="multipole expansion order")
     sub.add_argument("--mac-ratio", type=float, default=0.5)
     sub.add_argument("--tol", type=float, default=1e-6, help="Krylov relative residual")
     sub.add_argument("--leaf-size", type=int, default=32)
@@ -137,21 +151,42 @@ def _add_solver_flags(sub):
 def _jobs(args):
     if args.jobs is not None:
         return max(1, args.jobs)
-    return max(1, int(os.environ.get(JOBS_ENV, "1")))
+    text = os.environ.get(JOBS_ENV, "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise UsageError(f"${JOBS_ENV} must be an integer, got {text!r}") from None
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise CliError(f"{path} is not valid JSON ({e})") from None
+
+
+def _load_maxwell(path, obj):
+    try:
+        return MaxwellMatrix.from_json(obj)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(f"{path} is not a valid Maxwell JSON ({e!r})") from None
 
 
 def _load_caps(path):
     """Accept either a MaxwellMatrix JSON (with roles) or a ModelCaps JSON."""
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
-    if "entries_aF" in obj:
-        maxwell = MaxwellMatrix.from_json(obj)
+    obj = _read_json(path)
+    if isinstance(obj, dict) and "entries_aF" in obj:
+        maxwell = _load_maxwell(path, obj)
         return reduce_caps(maxwell), maxwell
-    return ModelCaps.from_json(obj), None
+    if isinstance(obj, dict) and "Csum_d1" in obj:
+        return ModelCaps.from_json(obj), None
+    raise CliError(f"{path} is neither a Maxwell JSON nor a ModelCaps JSON")
 
 
 def _cmd_extract(args, argv):
     t0 = time.perf_counter()
+    _check_solver_flags(args)
     spec = load_device(args.geometry)
     if args.epsilon_r is not None:
         spec = replace(spec, epsilon_r=args.epsilon_r)
@@ -225,6 +260,7 @@ def _write_sweep_csv(path, sweep, axis_fields):
 
 def _cmd_sweep_misalign(args, argv):
     t0 = time.perf_counter()
+    _check_solver_flags(args)
     spec = load_device(args.geometry)
     dx = parse_range(args.dx)
     dy = parse_range(args.dy)
@@ -243,6 +279,7 @@ def _cmd_sweep_misalign(args, argv):
 
 def _cmd_sweep_dotsize(args, argv):
     t0 = time.perf_counter()
+    _check_solver_flags(args)
     spec = load_device(args.geometry)
     sweep = dotsize_sweep(spec, parse_range(args.r),
                           opts=_solver_options(args, spec.epsilon_r),
@@ -267,10 +304,8 @@ def _cmd_validate(args, argv):
 
 def _cmd_compare(args, argv):
     t0 = time.perf_counter()
-    with open(args.caps, "r", encoding="utf-8") as f:
-        maxwell = MaxwellMatrix.from_json(json.load(f))
-    with open(args.measured, "r", encoding="utf-8") as f:
-        measured = json.load(f)
+    maxwell = _load_maxwell(args.caps, _read_json(args.caps))
+    measured = _read_json(args.measured)
     report = compare_report(maxwell, measured)
     header = f"{'pair':<10} {'calc aF':>9} {'meas aF':>9} {'sd':>6} {'dev/sd':>7} {'period mV':>10}"
     print(header)
@@ -348,6 +383,9 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (DeviceError, ChargingError, SolverError, AssemblyError,
             AnalysisError, CliError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,10 +12,7 @@ C_SLd1/C_SRd2 ratio at one.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
-from .geometry import Box, DeviceSpec, loads_device, validate_device
+from .geometry import Box, DeviceSpec, dumps_device, validate_device
 
 LAYOUT = {
     "dot_sep": 100.0,          # centre-to-centre, nm
@@ -44,9 +41,8 @@ def _rot(lo, hi):
     return (-hi, -lo)
 
 
-def build_reference_device(epsilon_r: float = 6.0, air_gap_nm: float = 0.0,
-                           **overrides) -> DeviceSpec:
-    p = {**LAYOUT, **overrides}
+def build_reference_device(epsilon_r: float = 6.0, air_gap_nm: float = 0.0) -> DeviceSpec:
+    p = LAYOUT
     half_sep = p["dot_sep"] / 2.0
     r = p["dot_r"]
     dot_dims = (r, r, r / 4.0)
@@ -106,16 +102,5 @@ def build_reference_device(epsilon_r: float = 6.0, air_gap_nm: float = 0.0,
 
 
 def reference_device_json() -> str:
-    from .geometry import dumps_device
-
+    """The device file of build_reference_device(); data/reference_device.json is a copy."""
     return dumps_device(build_reference_device())
-
-
-def load_packaged_device(name: str = "reference_device.json") -> DeviceSpec:
-    text = resources.files("dqdcap.data").joinpath(name).read_text()
-    return loads_device(text)
-
-
-def load_packaged_json(name: str):
-    text = resources.files("dqdcap.data").joinpath(name).read_text()
-    return json.loads(text)

@@ -18,7 +18,8 @@ from dqdcap.capsolve import (
     solve_dense,
 )
 from dqdcap.capsolve import kernels
-from dqdcap.capsolve.tree import eval_basis, moment_basis
+from dqdcap.capsolve.solve import _AcceleratedOperator
+from dqdcap.capsolve.tree import _cross_approximation
 from dqdcap.constants import AF, EPS0, NM
 from dqdcap.geometry import PanelMesh, concat_meshes, mesh_device, plate_pair_mesh, sphere_mesh
 from dqdcap.reference import build_reference_device
@@ -156,27 +157,48 @@ class TestSharedNodeKernel:
         assert np.all(np.abs(got.entries - want.entries) <= 1e-9 * np.abs(want.entries))
 
 
-class TestMultipoleBasis:
-    def test_expansion_converges_with_order(self):
-        rng = np.random.default_rng(7)
-        n = 25
-        meds = {}
-        for p in (1, 2, 3):
-            errs = []
-            for _ in range(30):
-                d = rng.standard_normal((n, 3))
-                rho = rng.uniform(0.2, 1.0, n)[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True)
-                q = rng.standard_normal(n)
-                tdir = rng.standard_normal(3)
-                target = 4.0 * tdir / np.linalg.norm(tdir)
-                exact = sum(qi / (4 * np.pi * EPS0 * np.linalg.norm(target - ri))
-                            for qi, ri in zip(q, rho))
-                mom = (moment_basis(rho, p) * q[:, None]).sum(axis=0)
-                approx = (eval_basis(target[None, :], p, 1.0) @ mom)[0]
-                errs.append(abs(approx - exact) * (4 * np.pi * EPS0 * 4.0) / np.abs(q).sum())
-            meds[p] = np.median(errs)
-        assert meds[1] > 3.0 * meds[2] > 9.0 * meds[3]
-        assert meds[2] < 0.25 ** 3
+FAR_FIELD_MESHES = {
+    "reference_h16": (lambda: mesh_device(build_reference_device(), 16.0), 6.0),
+    "sphere": (lambda: sphere_mesh(10.0, 16), 1.0),
+    "plates": (lambda: plate_pair_mesh(100.0, 5.0, 3.0), 1.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FAR_FIELD_MESHES))
+def operator_and_dense(request):
+    make_mesh, eps = FAR_FIELD_MESHES[request.param]
+    mesh = make_mesh()
+    op = _AcceleratedOperator(mesh, SolveOptions(mode="accelerated", epsilon_r=eps))
+    return op, assemble_system(mesh, eps)
+
+
+class TestCrossApproximationFarField:
+    """The accelerated operator against the dense collocation matrix it approximates."""
+
+    def test_matvec_matches_dense(self, operator_and_dense):
+        op, dense = operator_and_dense
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            q = rng.standard_normal(op.n)
+            want = dense @ q
+            assert np.linalg.norm(op.matvec(q) - want) <= 1e-4 * np.linalg.norm(want)
+
+    def test_far_entries_match_dense(self, operator_and_dense):
+        op, dense = operator_and_dense
+        far = (op.eval_m @ op.mom_m).toarray()
+        far_only = op.near.toarray() == 0
+        assert far_only.any()
+        # near and far cover every (target, source) pair exactly once
+        assert np.array_equal(far != 0, far_only)
+        rel = np.abs(far[far_only] - dense[far_only]) / np.abs(dense[far_only])
+        assert rel.max() <= 5e-3
+
+    def test_low_rank_block_is_reproduced(self):
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+        U, V = _cross_approximation(lambda i: block[i], lambda j: block[:, j], 40, 30)
+        assert len(U) <= 3 + 2
+        assert np.abs(U.T @ V - block).max() <= 1e-12 * np.abs(block).max()
 
 
 class TestSolveDense:
@@ -289,7 +311,7 @@ class TestMaxwellSerialization:
         assert again.conductor_names == m.conductor_names
         assert np.allclose(again.entries, m.entries, rtol=1e-15)
         assert again.roles == m.roles
-        for key in ("mode", "p", "mac_ratio", "tol"):
+        for key in ("mode", "mac_ratio", "tol"):
             assert key in again.solver
 
     def test_bad_options_rejected(self):

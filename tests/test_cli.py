@@ -43,7 +43,7 @@ def test_extract_stability_induced_charge_pipeline(workdir):
     assert len(caps["conductor_names"]) == 9
     assert len(caps["entries_aF"]) == 9
     assert caps["roles"]["d1"] == "d1"
-    for key in ("mode", "p", "mac_ratio", "tol"):
+    for key in ("mode", "mac_ratio", "tol"):
         assert key in caps["solver"]
     manifest = json.loads((workdir / "caps.json.manifest.json").read_text())
     assert manifest["outputs"] == ["caps.json"]
@@ -144,3 +144,33 @@ def test_jobs_env_default(workdir, monkeypatch):
     monkeypatch.setenv("DQDCAP_JOBS", "3")
     assert run(["extract", "--geometry", "reference_device.json",
                 "--out", "caps.json", "--h-max", "18"]) == 0
+
+
+EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json", "--h-max", "18"]
+
+
+@pytest.mark.parametrize("argv, env, code, message", [
+    (EXTRACT + ["--mac-ratio", "2"], None, 2, "mac_ratio"),
+    (EXTRACT + ["--h-max", "0"], None, 2, "--h-max"),
+    (EXTRACT + ["--tol", "2"], None, 2, "krylov_tol"),
+    (EXTRACT, "x", 2, "DQDCAP_JOBS"),
+    (["sweep-dotsize", "--geometry", "reference_device.json", "--out", "s.csv",
+      "--h-max", "-1"], None, 2, "--h-max"),
+    (["stability", "--caps", "broken.json", "--out-prefix", "diag"], None, 1, "not valid JSON"),
+    (["induced-charge", "--caps", "broken.json", "--out", "dq.json"], None, 1, "not valid JSON"),
+    (["compare", "--caps", "broken.json", "--measured", "reference_measured.json",
+      "--out", "report.json"], None, 1, "not valid JSON"),
+    (["stability", "--caps", "reference_device.json", "--out-prefix", "diag"], None, 1,
+     "neither a Maxwell JSON nor a ModelCaps JSON"),
+], ids=["mac-ratio", "h-max-zero", "tol", "jobs-env", "sweep-h-max", "stability-bad-json",
+        "induced-charge-bad-json", "compare-bad-json", "stability-device-file"])
+def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, code, message):
+    (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
+    if env is not None:
+        monkeypatch.setenv("DQDCAP_JOBS", env)
+    before = set(workdir.iterdir())
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert set(workdir.iterdir()) == before

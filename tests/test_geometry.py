@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dqdcap.geometry import (
     sphere_mesh,
     transform_dots,
 )
-from dqdcap.reference import build_reference_device
+from dqdcap.reference import build_reference_device, reference_device_json
 
 MINIMAL = json.dumps({
     "boxes": [
@@ -81,6 +82,10 @@ class TestLoadDevice:
         again = loads_device(dumps_device(spec))
         assert again.groups == spec.groups
         assert again.boxes == spec.boxes
+
+    def test_packaged_reference_device_is_built_one(self):
+        packaged = resources.files("dqdcap.data").joinpath("reference_device.json")
+        assert packaged.read_bytes() == reference_device_json().encode("utf-8")
 
 
 class TestTransformDots:
