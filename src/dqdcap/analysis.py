@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .capsolve import AssemblyError, SolveOptions, SolverError, solve
+from .capsolve import AssemblyError, DenseFactor, SolveOptions, SolverError, solve
 from .charging import (
     ChargingError,
     ModelCaps,
@@ -156,39 +156,55 @@ def _theta_deg(dv_sl, dv_sr):
     return 90.0 - math.degrees(math.atan(dv_sl / dv_sr))
 
 
+def _edge_crossings(ga, gb, va, vb, step):
+    """Degeneracy crossings on the grid edges from (ga, va) to (gb, vb).
+
+    The line x <-> x+1 sits where g = -step * (x + 1/2), and g is linear over
+    bias space, so each edge has the exact affine root for every line between
+    its end labels.  Returns the lines k and the crossing points, edges in
+    row-major order and k rising within an edge.
+    """
+    la = _stable_from_continuous(-ga / step)
+    lb = _stable_from_continuous(-gb / step)
+    ka, kb = np.minimum(la, lb), np.maximum(la, lb)
+    edges = np.nonzero(kb > ka)
+    n = (kb - ka)[edges]
+    k = np.repeat(ka[edges], n) + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    c = step * (k + 0.5)
+    f0 = np.repeat(ga[edges], n) + c
+    f1 = np.repeat(gb[edges], n) + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f0 / (f0 - f1)
+    keep = (f0 != f1) & (t >= 0.0) & (t <= 1.0)
+    t = t[keep, None]
+    pa = np.repeat(va[edges], n, axis=0)[keep]
+    pb = np.repeat(vb[edges], n, axis=0)[keep]
+    return k[keep], (1 - t) * pa + t * pb
+
+
+def _crossing_points(g, v, step):
+    """Crossing points of the grid edges by line k, as {k: (m, 2) array}.
+
+    Within a line the first-axis edges come first, then the second-axis
+    edges, each in row-major order.
+    """
+    k_a, pts_a = _edge_crossings(g[:-1, :], g[1:, :], v[:-1, :], v[1:, :], step)
+    k_b, pts_b = _edge_crossings(g[:, :-1], g[:, 1:], v[:, :-1], v[:, 1:], step)
+    ks = np.concatenate([k_a, k_b])
+    order = np.argsort(ks, kind="stable")
+    lines, starts = np.unique(ks[order], return_index=True)
+    return dict(zip(lines.tolist(), np.split(np.concatenate([pts_a, pts_b])[order], starts[1:])))
+
+
 def _diagram_on_grid(caps, axis_sl, axis_sr, gmap, kappa) -> StabilityDiagram:
     vsl, vsr = np.meshgrid(axis_sl, axis_sr, indexing="ij")
     g = gmap[0] * vsl + gmap[1] * vsr
     xhat = -g / (Q_E * kappa)
     grid = _stable_from_continuous(xhat)
-
-    # degeneracy x <-> x+1 sits where g = -q_e * kappa * (x + 1/2); g is linear
-    # over bias space, so each grid-edge crossing has the exact affine root
-    points: dict[int, list] = {}
-
-    def collect(ga, gb, va, vb):
-        la, lb = grid_labels(ga), grid_labels(gb)
-        ka, kb = np.minimum(la, lb), np.maximum(la, lb)
-        for idx in zip(*np.nonzero(kb > ka)):
-            for k in range(int(ka[idx]), int(kb[idx])):
-                f0 = ga[idx] + Q_E * kappa * (k + 0.5)
-                f1 = gb[idx] + Q_E * kappa * (k + 0.5)
-                if f0 == f1:
-                    continue
-                t = f0 / (f0 - f1)
-                if 0.0 <= t <= 1.0:
-                    points.setdefault(k, []).append((1 - t) * va[idx] + t * vb[idx])
-
-    def grid_labels(gv):
-        return _stable_from_continuous(-gv / (Q_E * kappa))
-
-    v = np.stack([vsl, vsr], axis=-1)
-    collect(g[:-1, :], g[1:, :], v[:-1, :], v[1:, :])
-    collect(g[:, :-1], g[:, 1:], v[:, :-1], v[:, 1:])
+    points = _crossing_points(g, np.stack([vsl, vsr], axis=-1), Q_E * kappa)
 
     boundaries = []
-    for k in sorted(points):
-        pts = np.asarray(points[k])
+    for k, pts in sorted(points.items()):
         if len(pts) < 2:
             continue
         _, direction, res, p0, p1 = _fit_line(pts)
@@ -235,10 +251,34 @@ def _axis_values(lo, hi, step):
     return [lo + i * step for i in range(n)]
 
 
-def _cell_metrics(spec, dx, dy, r_nm, opts, h_max_nm, diagram_n):
+def _cell_solver(spec, opts, h_max_nm, jobs):
+    """The Maxwell solve of one sweep cell, as a function of (mesh, roles).
+
+    A sweep moves only the two dots.  In dense mode the device without them
+    is meshed, assembled and factored once here, and each cell then solves
+    for its dot panels only (DenseFactor.maxwell).  A static block that
+    cannot be factored fails every cell with its reason.  The accelerated
+    mode, and a device with nothing but the dots, solve every cell in full.
+    """
+    dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
+    static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
+    if opts.mode != "dense" or not static.boxes:
+        return lambda mesh, roles: solve(mesh, opts, roles=roles)
+    try:
+        return DenseFactor(mesh_device(static, h_max_nm), opts, jobs=jobs).maxwell
+    except (AssemblyError, SolverError) as e:
+        kind, reason = type(e), str(e)
+
+        def failed(mesh, roles):
+            raise kind(reason)
+
+        return failed
+
+
+def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm, diagram_n):
     moved = transform_dots(spec, dx, dy, r_nm)
     mesh = mesh_device(moved, h_max_nm)
-    maxwell = solve(mesh, opts, roles=moved.roles)
+    maxwell = maxwell_of(mesh, moved.roles)
     caps = reduce_caps(maxwell, moved.roles)
     diag = stability_diagram(caps, n=diagram_n)
     row = {
@@ -307,8 +347,11 @@ def misalign_sweep(spec, dx_range=(-90.0, 90.0), dy_range=(-50.0, 50.0), step=10
     if not cells:
         raise AnalysisError("empty misalignment ranges")
 
+    maxwell_of = _cell_solver(spec, opts, h_max_nm, jobs)
+
     def worker(cell):
-        return _cell_metrics(spec, cell["dx_nm"], cell["dy_nm"], r_nm, opts, h_max_nm, diagram_n)
+        return _cell_metrics(spec, cell["dx_nm"], cell["dy_nm"], r_nm, maxwell_of,
+                             h_max_nm, diagram_n)
 
     return _run_cells("misalign", cells, worker, jobs)
 
@@ -321,8 +364,10 @@ def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), opts=None,
         raise AnalysisError("dot sizes must be positive")
     cells = [{"R_nm": float(r)} for r in r_list]
 
+    maxwell_of = _cell_solver(spec, opts, h_max_nm, jobs)
+
     def worker(cell):
-        return _cell_metrics(spec, 0.0, 0.0, cell["R_nm"], opts, h_max_nm, diagram_n)
+        return _cell_metrics(spec, 0.0, 0.0, cell["R_nm"], maxwell_of, h_max_nm, diagram_n)
 
     return _run_cells("dotsize", cells, worker, jobs)
 

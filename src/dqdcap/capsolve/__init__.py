@@ -1,6 +1,7 @@
 from .kernels import AssemblyError, assemble_system, potential_block, rect_integral
 from .solve import (
     DENSE_PANEL_GUARD,
+    DenseFactor,
     MaxwellMatrix,
     SolveOptions,
     SolverError,
@@ -10,7 +11,7 @@ from .solve import (
 )
 
 __all__ = [
-    "AssemblyError", "DENSE_PANEL_GUARD", "MaxwellMatrix", "SolveOptions",
+    "AssemblyError", "DENSE_PANEL_GUARD", "DenseFactor", "MaxwellMatrix", "SolveOptions",
     "SolverError", "assemble_system", "potential_block", "rect_integral",
     "solve", "solve_accelerated", "solve_dense",
 ]

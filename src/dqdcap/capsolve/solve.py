@@ -108,28 +108,91 @@ def _conductor_rhs(mesh):
     return rhs, agg
 
 
-def solve_dense(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellMatrix:
-    if opts.mode != "dense":
-        raise ValueError("solve_dense requires opts.mode == 'dense'")
+def _check_dense_size(mesh):
     n = mesh.n_panels
     if n == 0:
         raise AssemblyError("empty mesh")
     if n > DENSE_PANEL_GUARD:
         raise SolverError(f"{n} panels exceeds the dense-mode guard of {DENSE_PANEL_GUARD}")
-    A = assemble_system(mesh, opts.epsilon_r, jobs=jobs)  # Fortran order: factored in place
-    anorm = linalg.lapack.dlange("1", A)
-    lu, piv = linalg.lu_factor(A, overwrite_a=True)
+
+
+def _lu(a):
+    """LU-factor a in place and reject it when it is ill-conditioned; returns (lu, piv, rcond)."""
+    anorm = linalg.lapack.dlange("1", a)
+    lu, piv = linalg.lu_factor(a, overwrite_a=True)
     rcond, info = linalg.lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or rcond < 1e-14:
         raise SolverError(f"ill-conditioned collocation system (rcond ~ {rcond:.2e})")
-    rhs, agg = _conductor_rhs(mesh)
-    x = linalg.lu_solve((lu, piv), rhs)
-    raw = agg @ x
-    info_d = {
-        "mode": "dense", "mac_ratio": opts.mac_ratio,
-        "tol": opts.krylov_tol, "n_panels": n, "rcond": float(rcond),
-    }
-    return _finalize(raw, mesh.conductor_names, info_d, roles)
+    return lu, piv, float(rcond)
+
+
+def _lu_solve(lu, piv, b):
+    # LAPACK getrs shifts piv in place while it runs, so concurrent solves on
+    # one factor would see a half-shifted pivot vector: each call gets a copy
+    return linalg.lu_solve((lu, piv.copy()), b)
+
+
+class DenseFactor:
+    """LU factor of the collocation matrix of a fixed panel set: the static block.
+
+    maxwell(mesh) extracts the Maxwell matrix of a mesh that holds these
+    panels, bitwise unchanged, plus the panels of conductors the static block
+    does not have (the moving panels).  With A_ss the static block and
+    Z = A_ss^-1 b_s, it assembles only the strips A_sd, A_ds and A_dd and
+    eliminates the k moving panels through the k x k Schur complement
+        S = A_dd - A_ds Y,  Y = A_ss^-1 A_sd,
+        x_d = S^-1 (b_d - A_ds Z),  x_s = Z - Y x_d.
+    A mesh without moving panels is the plain dense solve.  maxwell may run
+    on several threads at once.
+    """
+
+    def __init__(self, mesh, opts: SolveOptions, jobs: int = 1):
+        if opts.mode != "dense":
+            raise ValueError("a dense factor requires opts.mode == 'dense'")
+        _check_dense_size(mesh)
+        A = assemble_system(mesh, opts.epsilon_r, jobs=jobs)  # Fortran order: factored in place
+        self.lu, self.piv, self.rcond = _lu(A)
+        self.mesh = mesh
+        self.opts = opts
+        self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh)[0])
+
+    def maxwell(self, mesh, roles=None) -> MaxwellMatrix:
+        _check_dense_size(mesh)
+        names = mesh.conductor_names
+        missing = [c for c in self.mesh.conductor_names if c not in names]
+        if missing:
+            raise SolverError(f"mesh lacks the static conductors {missing}")
+        remap = np.array([names.index(c) for c in self.mesh.conductor_names], dtype=np.int64)
+        static = np.isin(mesh.cond_ids, remap)
+        s_idx, d_idx = np.flatnonzero(static), np.flatnonzero(~static)
+        if not (np.array_equal(mesh.cond_ids[s_idx], remap[self.mesh.cond_ids])
+                and mesh.corners[s_idx].tobytes() == self.mesh.corners.tobytes()):
+            raise SolverError("the mesh's static panels differ from the factored static block")
+        centroids = mesh.centroids
+        check_distinct_centroids(centroids)
+        rhs, agg = _conductor_rhs(mesh)
+        z = np.zeros((len(s_idx), mesh.n_cond))
+        z[:, remap] = self.z
+        info_d = {
+            "mode": "dense", "mac_ratio": self.opts.mac_ratio,
+            "tol": self.opts.krylov_tol, "n_panels": mesh.n_panels, "rcond": self.rcond,
+        }
+        x = np.empty((mesh.n_panels, mesh.n_cond))
+        if len(d_idx):
+            eps = self.opts.epsilon_r
+            a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
+            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps)
+            y = _lu_solve(self.lu, self.piv, a_sd)
+            s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
+            lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
+            x[d_idx] = linalg.lu_solve((lu_s, piv_s), rhs[d_idx] - a_ds @ z)
+            z = z - y @ x[d_idx]
+        x[s_idx] = z
+        return _finalize(agg @ x, names, info_d, roles)
+
+
+def solve_dense(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellMatrix:
+    return DenseFactor(mesh, opts, jobs=jobs).maxwell(mesh, roles)
 
 
 class _AcceleratedOperator:

@@ -22,7 +22,7 @@ ACA_SMALL_STEPS = 2  # stop after this many small terms in a row; one alone is n
 
 
 class Node:
-    __slots__ = ("center", "half", "panels", "children", "radius", "slot")
+    __slots__ = ("center", "half", "panels", "children", "radius")
 
     def __init__(self, center, half):
         self.center = center
@@ -30,7 +30,6 @@ class Node:
         self.panels = None  # leaf panel indices
         self.children = []
         self.radius = 0.0
-        self.slot = -1  # position among the far-field source nodes
 
     @property
     def is_leaf(self):
@@ -165,14 +164,15 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     approximation U.T @ V of its far targets against its subtree panels;
     V fills rows of M and U the matching columns of E.
     """
+    slots = {}  # id(node) -> position among the active source nodes
     active, targets = [], []
     for leaf, far in zip(leaves, far_lists):
         for node in far:
-            if node.slot < 0:
-                node.slot = len(active)
+            slot = slots.setdefault(id(node), len(active))
+            if slot == len(active):
                 active.append(node)
                 targets.append([])
-            targets[node.slot].append(leaf.panels)
+            targets[slot].append(leaf.panels)
 
     n = mesh.n_panels
     if not active:

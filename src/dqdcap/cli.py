@@ -4,12 +4,15 @@ All file outputs use fixed 9-significant-digit float formatting so identical
 inputs and options reproduce byte-identical CSV/JSON artifacts.  Every run
 writes a manifest (<output>.manifest.json, written last) listing the command,
 input hashes, options and output files; the manifest carries the wall time
-and is the one file excluded from byte-identical reproducibility.
+and is the one file excluded from byte-identical reproducibility.  Output
+paths are checked before any input is read, and every file is written through
+a temporary file renamed into place, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -61,8 +64,48 @@ def _round_floats(obj):
     return obj
 
 
+def _tmp_path(path):
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+
+
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Write path through a temporary file beside it, renamed into place on success.
+
+    A failed write removes the temporary file, so it leaves no partial output
+    and any earlier file at path intact.
+    """
+    tmp = _tmp_path(path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _check_writable(*paths):
+    """Reject an output that cannot be written, before any input is read or solved."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path}: it is a directory")
+        probe = _tmp_path(path)
+        try:
+            open(probe, "w").close()
+            os.remove(probe)
+        except OSError as e:
+            raise UsageError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _manifest_path(out_path):
+    return f"{out_path}.manifest.json"
+
+
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         json.dump(_round_floats(obj), f, indent=2)
         f.write("\n")
 
@@ -85,7 +128,7 @@ def _write_manifest(out_path, argv, inputs, options, outputs, t0):
         "wall_time_s": time.perf_counter() - t0,
         "outputs": [str(p) for p in outputs],
     }
-    _write_json(f"{out_path}.manifest.json", manifest)
+    _write_json(_manifest_path(out_path), manifest)
 
 
 def parse_range(text):
@@ -184,12 +227,19 @@ def _load_caps(path):
     raise CliError(f"{path} is neither a Maxwell JSON nor a ModelCaps JSON")
 
 
-def _cmd_extract(args, argv):
-    t0 = time.perf_counter()
-    _check_solver_flags(args)
+def _load_spec(args):
+    """The device file, with --epsilon-r applied."""
     spec = load_device(args.geometry)
     if args.epsilon_r is not None:
         spec = replace(spec, epsilon_r=args.epsilon_r)
+    return spec
+
+
+def _cmd_extract(args, argv):
+    t0 = time.perf_counter()
+    _check_solver_flags(args)
+    _check_writable(args.out, _manifest_path(args.out))
+    spec = _load_spec(args)
     if args.air_gap_nm is not None:
         spec = spec.with_air_gap(args.air_gap_nm)
     mesh = mesh_device(spec, args.h_max)
@@ -204,19 +254,20 @@ def _cmd_extract(args, argv):
 
 def _cmd_stability(args, argv):
     t0 = time.perf_counter()
+    grid_path = f"{args.out_prefix}_grid.csv"
+    lines_path = f"{args.out_prefix}_boundaries.json"
+    _check_writable(grid_path, lines_path, _manifest_path(args.out_prefix))
     caps, _ = _load_caps(args.caps)
     ranges = None
     if args.window_mv is not None:
         w = abs(args.window_mv) * MV
         ranges = ((-w, w), (-w, w))
     diag = stability_diagram(caps, v_ranges=ranges, n=args.n)
-    grid_path = f"{args.out_prefix}_grid.csv"
-    with open(grid_path, "w", encoding="utf-8") as f:
+    with _atomic_open(grid_path) as f:
         f.write("v_sl_mV,v_sr_mV,x\n")
         for i, vsl in enumerate(diag.v_sl):
             for j, vsr in enumerate(diag.v_sr):
                 f.write(f"{_fmt(vsl / MV)},{_fmt(vsr / MV)},{diag.grid[i, j]}\n")
-    lines_path = f"{args.out_prefix}_boundaries.json"
     metrics = {
         "dV_SL_mV": diag.dv_sl / MV if diag.dv_sl else None,
         "dV_SR_mV": diag.dv_sr / MV if diag.dv_sr else None,
@@ -234,6 +285,8 @@ def _cmd_stability(args, argv):
 
 def _cmd_induced_charge(args, argv):
     t0 = time.perf_counter()
+    if args.out:
+        _check_writable(args.out, _manifest_path(args.out))
     caps, _ = _load_caps(args.caps)
     dq = delta_q(caps)
     result = {"delta_q_e": dq, "oracle_delta_q_e": delta_q_oracle(caps)}
@@ -249,7 +302,7 @@ _SWEEP_FIELDS = ("C_SLd1_aF", "C_SRd2_aF", "dV_SL_mV", "dV_SR_mV",
 
 
 def _write_sweep_csv(path, sweep, axis_fields):
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         f.write(",".join(axis_fields + _SWEEP_FIELDS + ("status",)) + "\n")
         for row in sweep.rows:
             cells = [_fmt(row[a]) for a in axis_fields]
@@ -261,7 +314,8 @@ def _write_sweep_csv(path, sweep, axis_fields):
 def _cmd_sweep_misalign(args, argv):
     t0 = time.perf_counter()
     _check_solver_flags(args)
-    spec = load_device(args.geometry)
+    _check_writable(args.out, _manifest_path(args.out))
+    spec = _load_spec(args)
     dx = parse_range(args.dx)
     dy = parse_range(args.dy)
     opts = _solver_options(args, spec.epsilon_r)
@@ -280,7 +334,8 @@ def _cmd_sweep_misalign(args, argv):
 def _cmd_sweep_dotsize(args, argv):
     t0 = time.perf_counter()
     _check_solver_flags(args)
-    spec = load_device(args.geometry)
+    _check_writable(args.out, _manifest_path(args.out))
+    spec = _load_spec(args)
     sweep = dotsize_sweep(spec, parse_range(args.r),
                           opts=_solver_options(args, spec.epsilon_r),
                           h_max_nm=args.h_max, jobs=_jobs(args), diagram_n=args.n)
@@ -304,6 +359,8 @@ def _cmd_validate(args, argv):
 
 def _cmd_compare(args, argv):
     t0 = time.perf_counter()
+    if args.out:
+        _check_writable(args.out, _manifest_path(args.out))
     maxwell = _load_maxwell(args.caps, _read_json(args.caps))
     measured = _read_json(args.measured)
     report = compare_report(maxwell, measured)

@@ -1,3 +1,5 @@
+import importlib
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,10 @@ import pytest
 
 from dqdcap.analysis import (
     AnalysisError,
+    _cell_solver,
+    _crossing_points,
+    _grid_terms,
+    _stable_from_continuous,
     compare_report,
     coulomb_period,
     dotsize_sweep,
@@ -13,9 +19,11 @@ from dqdcap.analysis import (
     stability_diagram,
     transfer_metrics,
 )
-from dqdcap.capsolve import MaxwellMatrix, SolveOptions
+from dqdcap.capsolve import MaxwellMatrix, SolveOptions, solve_dense
+from dqdcap.capsolve import solve as capsolve_solve
 from dqdcap.charging import Bias, ModelCaps, config_energy, stable_config
 from dqdcap.constants import AF, MV, Q_E
+from dqdcap.geometry import loads_device, mesh_device, transform_dots
 from dqdcap.reference import build_reference_device
 from dqdcap.validation import random_model_caps
 
@@ -86,6 +94,61 @@ class TestStabilityDiagram:
     def test_min_grid_size(self):
         with pytest.raises(AnalysisError):
             stability_diagram(toy_caps(), n=1)
+
+
+def loop_crossing_points(g, v, step):
+    """Reference for _crossing_points: one grid edge and one line k at a time."""
+    points = {}
+
+    def labels(gv):
+        return _stable_from_continuous(-gv / step)
+
+    def collect(ga, gb, va, vb):
+        la, lb = labels(ga), labels(gb)
+        ka, kb = np.minimum(la, lb), np.maximum(la, lb)
+        for idx in zip(*np.nonzero(kb > ka)):
+            for k in range(int(ka[idx]), int(kb[idx])):
+                f0 = ga[idx] + step * (k + 0.5)
+                f1 = gb[idx] + step * (k + 0.5)
+                if f0 == f1:
+                    continue
+                t = f0 / (f0 - f1)
+                if 0.0 <= t <= 1.0:
+                    points.setdefault(k, []).append((1 - t) * va[idx] + t * vb[idx])
+
+    collect(g[:-1, :], g[1:, :], v[:-1, :], v[1:, :])
+    collect(g[:, :-1], g[:, 1:], v[:, :-1], v[:, 1:])
+    return {k: np.asarray(pts) for k, pts in points.items()}
+
+
+class TestCrossingPoints:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("half_width, n", [(0.05, 41), (0.4, 101), (2.0, 201)])
+    def test_bitwise_equal_to_edge_loop(self, seed, half_width, n):
+        caps = random_model_caps(np.random.default_rng(seed), island=bool(seed % 2))
+        gmap, kappa = _grid_terms(caps)
+        axis_sl = np.linspace(-half_width, 0.7 * half_width, n)
+        axis_sr = np.linspace(-0.6 * half_width, half_width, n + 3)
+        vsl, vsr = np.meshgrid(axis_sl, axis_sr, indexing="ij")
+        g = gmap[0] * vsl + gmap[1] * vsr
+        v = np.stack([vsl, vsr], axis=-1)
+        got = _crossing_points(g, v, Q_E * kappa)
+        want = loop_crossing_points(g, v, Q_E * kappa)
+        assert list(got) == sorted(want)
+        for k, pts in want.items():
+            assert got[k].shape == pts.shape
+            assert got[k].tobytes() == pts.tobytes()
+
+    def test_toy_caps_with_many_lines(self):
+        gmap, kappa = _grid_terms(toy_caps())
+        axis = np.linspace(-1.0, 1.0, 151)
+        vsl, vsr = np.meshgrid(axis, axis, indexing="ij")
+        g = gmap[0] * vsl + gmap[1] * vsr
+        v = np.stack([vsl, vsr], axis=-1)
+        got = _crossing_points(g, v, Q_E * kappa)
+        want = loop_crossing_points(g, v, Q_E * kappa)
+        assert len(want) > 10 and list(got) == sorted(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 class TestTransferMetrics:
@@ -205,6 +268,60 @@ class TestSweeps:
             dotsize_sweep(spec, (), h_max_nm=16.0)
         with pytest.raises(AnalysisError):
             dotsize_sweep(spec, (-5.0,), h_max_nm=16.0)
+
+
+DOTS_ONLY = {"boxes": [
+    {"name": "dot1", "group": "d1", "role": "d1",
+     "min_nm": [-70, -20, -30], "dims_nm": [40, 40, 10]},
+    {"name": "dot2", "group": "d2", "role": "d2",
+     "min_nm": [30, -20, -30], "dims_nm": [40, 40, 10]},
+]}
+
+
+class TestStaticBlockSweep:
+    """Dense sweeps factor the device without its dots once and solve each cell's dot panels."""
+
+    @pytest.mark.parametrize("h, cells", [
+        (16.0, [(-90.0, -50.0, 40.0), (30.0, 0.0, 40.0), (60.0, 40.0, 40.0),
+                (0.0, 0.0, 20.0), (0.0, 0.0, 50.0)]),
+        (10.0, [(-40.0, 20.0, 40.0), (0.0, 0.0, 20.0), (0.0, 0.0, 50.0)]),
+    ])
+    def test_cells_match_full_solve(self, h, cells):
+        spec = build_reference_device()
+        opts = SolveOptions(epsilon_r=spec.epsilon_r)
+        maxwell_of = _cell_solver(spec, opts, h, 1)
+        for dx, dy, r in cells:
+            moved = transform_dots(spec, dx, dy, r)
+            mesh = mesh_device(moved, h)
+            got = maxwell_of(mesh, moved.roles)
+            want = solve_dense(mesh, opts, roles=moved.roles)
+            assert got.conductor_names == want.conductor_names
+            rel = np.abs(got.entries - want.entries) / np.abs(want.entries)
+            assert rel.max() <= 1e-9, (dx, dy, r)
+
+    def test_accelerated_mode_solves_each_cell(self):
+        spec = build_reference_device()
+        opts = SolveOptions(mode="accelerated", epsilon_r=spec.epsilon_r)
+        moved = transform_dots(spec, 20.0, 0.0, 40.0)
+        mesh = mesh_device(moved, 16.0)
+        got = _cell_solver(spec, opts, 16.0, 1)(mesh, moved.roles)
+        assert np.array_equal(got.entries, capsolve_solve(mesh, opts, roles=moved.roles).entries)
+
+    def test_dots_only_device_sweeps(self):
+        spec = loads_device(json.dumps(DOTS_ONLY))
+        sweep = misalign_sweep(spec, (-10.0, 10.0), (0.0, 0.0), 10.0,
+                               opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0, diagram_n=51)
+        assert [r["status"] for r in sweep.rows] == ["ok"] * 3
+        sizes = dotsize_sweep(spec, (20.0, 30.0), h_max_nm=16.0, diagram_n=51)
+        assert [r["status"] for r in sizes.rows] == ["ok"] * 2
+
+    def test_unfactorable_static_block_fails_every_cell(self, monkeypatch):
+        solve_module = importlib.import_module("dqdcap.capsolve.solve")
+        monkeypatch.setattr(solve_module, "DENSE_PANEL_GUARD", 1000)  # static block: 1132 panels
+        sweep = _tiny_sweep()
+        errors = {r.get("error") for r in sweep.rows}
+        assert [r["status"] for r in sweep.rows] == ["failed"] * 3
+        assert len(errors) == 1 and "guard of 1000" in errors.pop()
 
 
 class TestEstimateMisalignment:

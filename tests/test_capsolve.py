@@ -1,5 +1,8 @@
 import importlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from scipy.integrate import dblquad
 
 from dqdcap.capsolve import (
     AssemblyError,
+    DenseFactor,
     MaxwellMatrix,
     SolveOptions,
     SolverError,
@@ -19,9 +23,21 @@ from dqdcap.capsolve import (
 )
 from dqdcap.capsolve import kernels
 from dqdcap.capsolve.solve import _AcceleratedOperator
-from dqdcap.capsolve.tree import _cross_approximation
+from dqdcap.capsolve.tree import (
+    _cross_approximation,
+    build_far_operators,
+    build_octree,
+    interaction_lists,
+)
 from dqdcap.constants import AF, EPS0, NM
-from dqdcap.geometry import PanelMesh, concat_meshes, mesh_device, plate_pair_mesh, sphere_mesh
+from dqdcap.geometry import (
+    PanelMesh,
+    concat_meshes,
+    mesh_device,
+    plate_pair_mesh,
+    sphere_mesh,
+    transform_dots,
+)
 from dqdcap.reference import build_reference_device
 
 
@@ -193,12 +209,83 @@ class TestCrossApproximationFarField:
         rel = np.abs(far[far_only] - dense[far_only]) / np.abs(dense[far_only])
         assert rel.max() <= 5e-3
 
+    def test_far_operators_rebuild_on_one_tree(self):
+        mesh = mesh_device(build_reference_device(), 16.0)
+        root, leaves = build_octree(mesh, 32)
+        far_lists, _ = interaction_lists(root, leaves, 0.5)
+        e1, m1 = build_far_operators(mesh, leaves, far_lists, 6.0)
+        e2, m2 = build_far_operators(mesh, leaves, far_lists, 6.0)
+        assert e1.shape[1] > 0 and e1.nnz > 0
+        assert e1.shape == e2.shape and m1.shape == m2.shape
+        assert (e1 != e2).nnz == 0 and (m1 != m2).nnz == 0
+
     def test_low_rank_block_is_reproduced(self):
         rng = np.random.default_rng(5)
         block = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
         U, V = _cross_approximation(lambda i: block[i], lambda j: block[:, j], 40, 30)
         assert len(U) <= 3 + 2
         assert np.abs(U.T @ V - block).max() <= 1e-12 * np.abs(block).max()
+
+
+def without_dots(spec):
+    dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
+    return replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
+
+
+@pytest.fixture(scope="module")
+def static_h16():
+    """The reference device and its static block factored at h = 16."""
+    spec = build_reference_device()
+    opts = SolveOptions(epsilon_r=spec.epsilon_r)
+    return spec, DenseFactor(mesh_device(without_dots(spec), 16.0), opts)
+
+
+class TestDenseFactor:
+    """Block elimination of the moving (dot) panels against a factored static block."""
+
+    def test_dots_declared_first(self):
+        spec = build_reference_device()
+        dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
+        spec = replace(spec, boxes=tuple(sorted(spec.boxes, key=lambda b: b.group not in dots)))
+        assert spec.boxes[0].group in dots and spec.boxes[1].group in dots
+        opts = SolveOptions(epsilon_r=spec.epsilon_r)
+        factor = DenseFactor(mesh_device(without_dots(spec), 16.0), opts)
+        moved = transform_dots(spec, -30.0, 20.0, 30.0)
+        mesh = mesh_device(moved, 16.0)
+        got = factor.maxwell(mesh, roles=moved.roles)
+        want = solve_dense(mesh, opts, roles=moved.roles)
+        assert got.conductor_names == want.conductor_names
+        assert np.abs(got.entries - want.entries).max() <= 1e-9 * np.abs(want.entries).min()
+
+    def test_changed_static_panels_are_rejected(self, static_h16):
+        spec, factor = static_h16
+        lifted = spec.with_air_gap(1.0)  # moves every surface box up by 1 nm
+        with pytest.raises(SolverError, match="static panels"):
+            factor.maxwell(mesh_device(lifted, 16.0))
+        with pytest.raises(SolverError, match="static panels"):
+            factor.maxwell(mesh_device(spec, 12.0))
+        no_island = replace(spec, boxes=tuple(b for b in spec.boxes if b.role != "i1"))
+        with pytest.raises(SolverError, match="lacks the static conductors"):
+            factor.maxwell(mesh_device(no_island, 16.0))
+
+    def test_concurrent_solves_equal_serial_bitwise(self, static_h16):
+        """One shared factor on 4 threads: each LU solve needs its own pivot vector."""
+        spec, factor = static_h16
+        cells = [transform_dots(spec, dx, dy, 40.0)
+                 for dx in (-60.0, -30.0, 0.0, 30.0, 60.0, 90.0) for dy in (-40.0, 0.0, 40.0)]
+        meshes = [(mesh_device(moved, 16.0), moved.roles) for moved in cells]
+        serial = [factor.maxwell(mesh, roles).entries for mesh, roles in meshes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                futures = [ex.submit(factor.maxwell, mesh, roles) for mesh, roles in meshes]
+                threaded = [f.result(timeout=120).entries for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == 18
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
 
 
 class TestSolveDense:

@@ -162,8 +162,17 @@ EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json
       "--out", "report.json"], None, 1, "not valid JSON"),
     (["stability", "--caps", "reference_device.json", "--out-prefix", "diag"], None, 1,
      "neither a Maxwell JSON nor a ModelCaps JSON"),
+    (["extract", "--geometry", "reference_device.json", "--out", "no_dir/caps.json"], None, 2,
+     "cannot write no_dir/caps.json"),
+    (["sweep-misalign", "--geometry", "reference_device.json", "--out", "no_dir/s.csv"], None, 2,
+     "cannot write no_dir/s.csv"),
+    (["extract", "--geometry", "reference_device.json", "--out", "."], None, 2,
+     "cannot write .: it is a directory"),
+    (["stability", "--caps", "reference_device.json", "--out-prefix", "no_dir/diag"], None, 2,
+     "cannot write no_dir/diag_grid.csv"),
 ], ids=["mac-ratio", "h-max-zero", "tol", "jobs-env", "sweep-h-max", "stability-bad-json",
-        "induced-charge-bad-json", "compare-bad-json", "stability-device-file"])
+        "induced-charge-bad-json", "compare-bad-json", "stability-device-file",
+        "extract-no-out-dir", "sweep-no-out-dir", "extract-out-is-dir", "stability-no-out-dir"])
 def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     if env is not None:
@@ -174,3 +183,46 @@ def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, co
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert set(workdir.iterdir()) == before
+
+
+def test_failed_write_leaves_no_partial_file(workdir, monkeypatch):
+    from dqdcap import cli
+
+    (workdir / "sizes.csv").write_text("earlier run\n")
+    before = set(workdir.iterdir())
+    calls = [0]
+    fmt = cli._fmt
+
+    def failing_fmt(x):
+        calls[0] += 1
+        if calls[0] > 4:  # fails inside the second CSV row
+            raise RuntimeError("disk full")
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run(["sweep-dotsize", "--geometry", "reference_device.json", "--out", "sizes.csv",
+             "--r", "30:40:10", "--h-max", "18", "--n", "51"])
+    assert calls[0] > 4
+    assert set(workdir.iterdir()) == before
+    assert (workdir / "sizes.csv").read_text() == "earlier run\n"
+
+
+def test_sweeps_apply_epsilon_r(workdir, monkeypatch):
+    from dqdcap import cli
+
+    rows = []
+    sweep = cli.dotsize_sweep
+
+    def recording_sweep(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        rows.append(result.rows[0])
+        return result
+
+    monkeypatch.setattr(cli, "dotsize_sweep", recording_sweep)
+    for out, extra in (("eps6.csv", []), ("eps1.csv", ["--epsilon-r", "1"])):
+        assert run(["sweep-dotsize", "--geometry", "reference_device.json", "--out", out,
+                    "--r", "40", "--h-max", "18", "--n", "51", *extra]) == 0
+    default, vacuum = rows
+    assert default["status"] == vacuum["status"] == "ok"
+    assert vacuum["C_SLd1_aF"] == pytest.approx(default["C_SLd1_aF"] / 6.0, rel=1e-9)
