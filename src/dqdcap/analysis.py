@@ -14,6 +14,7 @@ from .charging import (
     ModelCaps,
     compensate,
     delta_q,
+    integer_minimizer,
     reduce_caps,
 )
 from .constants import AF, MV, Q_E
@@ -82,16 +83,6 @@ def _grid_terms(caps: ModelCaps):
     kappa = float(s @ w @ s)
     gmap = s @ w @ caps.gate_block(island=False) @ _compensation_map(caps)  # (2,)
     return gmap, kappa
-
-
-def _stable_from_continuous(xhat):
-    """Integer minimizer of the x-quadratic; half-integer ties round toward zero."""
-    lo = np.floor(xhat)
-    frac = xhat - lo
-    up = frac > 0.5
-    tie = frac == 0.5
-    x = lo + up
-    return np.where(tie, np.where(lo >= 0, lo, lo + 1), x).astype(int)
 
 
 def _axis_spacing(intercepts):
@@ -164,8 +155,8 @@ def _edge_crossings(ga, gb, va, vb, step):
     its end labels.  Returns the lines k and the crossing points, edges in
     row-major order and k rising within an edge.
     """
-    la = _stable_from_continuous(-ga / step)
-    lb = _stable_from_continuous(-gb / step)
+    la = integer_minimizer(-ga / step)
+    lb = integer_minimizer(-gb / step)
     ka, kb = np.minimum(la, lb), np.maximum(la, lb)
     edges = np.nonzero(kb > ka)
     n = (kb - ka)[edges]
@@ -200,7 +191,7 @@ def _diagram_on_grid(caps, axis_sl, axis_sr, gmap, kappa) -> StabilityDiagram:
     vsl, vsr = np.meshgrid(axis_sl, axis_sr, indexing="ij")
     g = gmap[0] * vsl + gmap[1] * vsr
     xhat = -g / (Q_E * kappa)
-    grid = _stable_from_continuous(xhat)
+    grid = integer_minimizer(xhat)
     points = _crossing_points(g, np.stack([vsl, vsr], axis=-1), Q_E * kappa)
 
     boundaries = []
@@ -244,11 +235,6 @@ class SweepMap:
 
     def ok_rows(self):
         return [r for r in self.rows if r["status"] == "ok"]
-
-
-def _axis_values(lo, hi, step):
-    n = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(n)]
 
 
 def _cell_solver(spec, opts, h_max_nm, jobs):
@@ -329,23 +315,19 @@ def _fill_db(sweep: SweepMap):
         r["dV_SL_dB"] = 20.0 * math.log10(v / ref) if (ref and v) else None
 
 
-def misalign_sweep(spec, dx_range=(-90.0, 90.0), dy_range=(-50.0, 50.0), step=10.0,
-                   opts=None, h_max_nm=10.0, jobs=1, diagram_n=201,
-                   r_nm=None, dy_step=None) -> SweepMap:
-    """Solve the device over a (dx, dy) misalignment grid and record transfer metrics.
+def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=10.0, jobs=1,
+                   diagram_n=201, r_nm=None) -> SweepMap:
+    """Solve the device over the (dx, dy) misalignment grid and record transfer metrics.
 
-    Failed cells are reported with status "failed" and never interpolated.
+    Cells run over dx_list, then dy_list within each dx.  Failed cells are
+    reported with status "failed" and never interpolated.
     """
     opts = opts or SolveOptions(epsilon_r=spec.epsilon_r)
     if r_nm is None:
         r_nm = spec.boxes[[b.role for b in spec.boxes].index("d1")].dims_nm[0]
-    cells = [
-        {"dx_nm": dx, "dy_nm": dy}
-        for dx in _axis_values(*dx_range, step)
-        for dy in _axis_values(*dy_range, dy_step if dy_step is not None else step)
-    ]
+    cells = [{"dx_nm": float(dx), "dy_nm": float(dy)} for dx in dx_list for dy in dy_list]
     if not cells:
-        raise AnalysisError("empty misalignment ranges")
+        raise AnalysisError("empty misalignment grid")
 
     maxwell_of = _cell_solver(spec, opts, h_max_nm, jobs)
 

@@ -23,9 +23,6 @@ from .constants import AF, OFFDIAG_TOL, Q_E
 GATES = ("SL", "SR", "g1", "g2")
 TARGETS = ("d1", "d2", "i1", "i2")
 
-X_RANGE_GUARD = 2 ** 20
-BISECT_TOL_V = 1e-6
-
 
 class ChargingError(ValueError):
     pass
@@ -192,40 +189,23 @@ def reduce_caps(maxwell, roles=None) -> ModelCaps:
     return ModelCaps(targets, cmat, gates)
 
 
-def compensate(v_sl, v_sr, caps: ModelCaps, mode: str = "approximate"):
+def compensate(v_sl, v_sr, caps: ModelCaps):
     """Compensation-gate voltages holding the island induced charge constant.
 
-    Approximate mode neglects the cross couplings of each compensation gate
-    to the opposite island; exact mode solves the 2x2 system including them.
+    Each compensation gate cancels the S-gate drive on its own island; its
+    cross coupling to the opposite island is neglected.
     """
-    if mode not in ("approximate", "exact"):
-        raise ChargingError(f"unknown compensation mode {mode!r}")
-    has1, has2 = caps.has("i1"), caps.has("i2")
-    if not has1 and not has2:
-        return (0.0, 0.0)
-    drive = {}
-    for isl in ("i1", "i2"):
-        if caps.has(isl):
-            drive[isl] = caps.gate(isl, "SL") * v_sl + caps.gate(isl, "SR") * v_sr
-    own = {"i1": "g1", "i2": "g2"}
-    for isl, g in own.items():
-        if caps.has(isl) and caps.gate(isl, g) <= 0:
-            raise ChargingError(f"compensation requires C_{g}{isl} > 0")
-
-    if mode == "approximate" or has1 != has2:
-        v_g1 = -drive["i1"] / caps.gate("i1", "g1") if has1 else 0.0
-        v_g2 = -drive["i2"] / caps.gate("i2", "g2") if has2 else 0.0
-        return (v_g1, v_g2)
-
-    a = np.array([
-        [caps.gate("i1", "g1"), caps.gate("i1", "g2")],
-        [caps.gate("i2", "g1"), caps.gate("i2", "g2")],
-    ])
-    b = -np.array([drive["i1"], drive["i2"]])
-    if abs(np.linalg.det(a)) <= 1e-12 * max(float(np.abs(a).max()) ** 2, 1e-300):
-        raise ChargingError("singular compensation system in exact mode")
-    v = np.linalg.solve(a, b)
-    return (float(v[0]), float(v[1]))
+    volts = []
+    for island, gate in (("i1", "g1"), ("i2", "g2")):
+        if not caps.has(island):
+            volts.append(0.0)
+            continue
+        own = caps.gate(island, gate)
+        if own <= 0:
+            raise ChargingError(f"compensation requires C_{gate}{island} > 0")
+        drive = caps.gate(island, "SL") * v_sl + caps.gate(island, "SR") * v_sr
+        volts.append(-drive / own)
+    return tuple(volts)
 
 
 def excess_vector(x: int, y=None):
@@ -247,45 +227,36 @@ def config_energy(caps: ModelCaps, bias: Bias, x: int, y=None) -> float:
         raise ChargingError("capacitance matrix is singular") from None
 
 
-def _energy_terms(caps: ModelCaps, bias: Bias, island: bool):
-    """(qt, C) for vectorized energy evaluation over many configurations."""
-    c = caps.energy_matrix(island)
-    qt = caps.gate_block(island) @ np.asarray(bias.vector)
-    return qt, c
+def integer_minimizer(xhat):
+    """Integer minimizer of a 1-D quadratic with continuous minimizer xhat.
 
-
-def _best_x(caps, bias, half):
-    xs = np.arange(-half, half + 1)
-    qt, c = _energy_terms(caps, bias, island=False)
-    q = qt[None, :] - Q_E * np.stack([-xs, xs], axis=1).astype(float)
-    e = 0.5 * np.einsum("ij,ij->i", q, np.linalg.solve(c, q.T).T)
-    emin = e.min()
-    ties = xs[e == emin]
-    best = ties[np.lexsort((ties, np.abs(ties)))][0]
-    return int(best), emin
+    Works elementwise; half-integer ties round toward zero, i.e. to the
+    smaller |x| of the two degenerate configurations.
+    """
+    lo = np.floor(xhat)
+    frac = xhat - lo
+    up = frac > 0.5
+    tie = frac == 0.5
+    x = lo + up
+    return np.where(tie, np.where(lo >= 0, lo, lo + 1), x).astype(int)
 
 
 def stable_config(caps: ModelCaps, v_sl: float, v_sr: float) -> int:
     """Minimum-energy transfer count x at the given S-gate bias.
 
-    SETs are taken as compensated; ties resolve to the smallest |x|, then
-    the smallest x.  The search range doubles while the minimizer sits on
-    its boundary.
+    SETs are taken as compensated.  E_x is quadratic in x with continuous
+    minimizer s^T C^-1 Qtilde / (q_e s^T C^-1 s), s = (-1, 1); x is that
+    value rounded, ties to the smallest |x|.
     """
-    v_g1, v_g2 = compensate(v_sl, v_sr, caps)
-    bias = Bias(v_sl, v_sr, v_g1, v_g2)
-    half = 3
-    while True:
-        best, _ = _best_x(caps, bias, half)
-        if abs(best) < half:
-            return best
-        half *= 2
-        if half > X_RANGE_GUARD:
-            raise ChargingError("stable configuration search diverged (|x| > 2^20)")
+    bias = Bias(v_sl, v_sr, *compensate(v_sl, v_sr, caps))
+    qt = caps.gate_block(island=False) @ np.asarray(bias.vector)
+    s = excess_vector(1)
+    ws = np.linalg.solve(caps.energy_matrix(island=False), s)
+    return int(integer_minimizer((ws @ qt) / (Q_E * (ws @ s))))
 
 
-def _bisect_affine(f, t_lo, t_hi, tol_t):
-    """Bisection followed by one secant step (exact for affine residuals)."""
+def _affine_root(f, t_lo, t_hi):
+    """Root of an affine f on [t_lo, t_hi]: one secant step through the ends."""
     f_lo, f_hi = f(t_lo), f(t_hi)
     if f_lo == 0.0:
         return t_lo
@@ -293,58 +264,44 @@ def _bisect_affine(f, t_lo, t_hi, tol_t):
         return t_hi
     if (f_lo > 0) == (f_hi > 0):
         raise ChargingError("no sign change on the bias segment")
-    while t_hi - t_lo > tol_t:
-        mid = 0.5 * (t_lo + t_hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (f_lo > 0):
-            t_lo, f_lo = mid, fm
-        else:
-            t_hi, f_hi = mid, fm
     return t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
 
 
 def degeneracy_bias(caps: ModelCaps, ray, x: int) -> float:
     """Root t* of E_x = E_{x+1} along the segment bias0 + t * direction, t in [0, 1].
 
-    Bisection to 1e-6 V with a final secant polish; the energy difference is
-    affine along any bias segment, so the polished root is exact to rounding.
+    The energy difference is affine along any bias segment, so the secant
+    through the segment ends is the exact root, to rounding.
     """
     bias0, direction = ray
     d = np.asarray(direction.vector if isinstance(direction, Bias) else direction, dtype=float)
     b0 = np.asarray(bias0.vector)
-    scale = np.abs(d).max()
-    if scale == 0:
+    if not d.any():
         raise ChargingError("degeneracy ray has zero direction")
 
     def f(t):
         b = Bias(*(b0 + t * d))
         return config_energy(caps, b, x) - config_energy(caps, b, x + 1)
 
-    return _bisect_affine(f, 0.0, 1.0, BISECT_TOL_V / scale)
+    return _affine_root(f, 0.0, 1.0)
 
 
-def polarization(x: int) -> int:
-    """Double-dot polarization P = 2x."""
-    return 2 * x
+def _island_row(caps: ModelCaps):
+    """C^-1 e_3: the SET1-island column of the inverse 3x3 capacitance matrix."""
+    e3 = np.zeros(3)
+    e3[2] = 1.0
+    return np.linalg.solve(caps.energy_matrix(island=True), e3)
 
 
 def _best_y(caps, bias, x):
-    """Minimum-energy island configuration at fixed dot configuration."""
-    half = 3
-    qt, c = _energy_terms(caps, bias, island=True)
-    while True:
-        ys = np.arange(-half, half + 1)
-        q = qt[None, :] - Q_E * np.stack(
-            [np.full_like(ys, -x), np.full_like(ys, x), ys], axis=1).astype(float)
-        e = 0.5 * np.einsum("ij,ij->i", q, np.linalg.solve(c, q.T).T)
-        best = ys[np.lexsort((ys, np.abs(ys), e))][0]
-        if abs(best) < half:
-            return int(best)
-        half *= 2
-        if half > X_RANGE_GUARD:
-            raise ChargingError("island configuration search diverged")
+    """Minimum-energy island configuration at fixed dot configuration x.
+
+    With a = Qtilde - q_e (-x, x, 0) the continuous minimizer is
+    e_3^T C^-1 a / (q_e (C^-1)_33), rounded with ties to the smallest |y|.
+    """
+    a = caps.gate_block(island=True) @ np.asarray(bias.vector) - Q_E * excess_vector(x, 0)
+    w = _island_row(caps)
+    return int(integer_minimizer((w @ a) / (Q_E * w[2])))
 
 
 def _transfer_points(caps, base: Bias, gate: str, x: int, v_range) -> list[float]:
@@ -373,7 +330,7 @@ def _transfer_points(caps, base: Bias, gate: str, x: int, v_range) -> list[float
             b = bias_at(v)
             return config_energy(caps, b, x, y_a) - config_energy(caps, b, x, y_b)
 
-        points.append(_bisect_affine(f, lo, hi, BISECT_TOL_V))
+        points.append(_affine_root(f, lo, hi))
     return sorted(points)
 
 
@@ -390,13 +347,9 @@ def set_transfer_points(caps: ModelCaps, v_sl, v_sr, v_g2, x: int, vg1_range) ->
 
 def _island_lever(caps: ModelCaps, gate: str):
     """d yhat / d V_gate: how fast the continuous island minimizer moves."""
-    c = caps.energy_matrix(island=True)
-    e3 = np.zeros(3)
-    e3[2] = 1.0
-    w = np.linalg.solve(c, e3)
-    denom = Q_E * w[2]
+    w = _island_row(caps)
     g_col = caps.gate_block(island=True)[:, GATES.index(gate)]
-    return float(w @ g_col) / denom
+    return float(w @ g_col) / (Q_E * w[2])
 
 
 def delta_q_oracle(caps: ModelCaps) -> float:

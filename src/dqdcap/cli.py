@@ -316,14 +316,9 @@ def _cmd_sweep_misalign(args, argv):
     _check_solver_flags(args)
     _check_writable(args.out, _manifest_path(args.out))
     spec = _load_spec(args)
-    dx = parse_range(args.dx)
-    dy = parse_range(args.dy)
-    opts = _solver_options(args, spec.epsilon_r)
-    sweep = misalign_sweep(
-        spec, (dx[0], dx[-1]), (dy[0], dy[-1]),
-        step=dx[1] - dx[0] if len(dx) > 1 else 1.0,
-        dy_step=dy[1] - dy[0] if len(dy) > 1 else 1.0,
-        opts=opts, h_max_nm=args.h_max, jobs=_jobs(args), diagram_n=args.n)
+    sweep = misalign_sweep(spec, parse_range(args.dx), parse_range(args.dy),
+                           opts=_solver_options(args, spec.epsilon_r),
+                           h_max_nm=args.h_max, jobs=_jobs(args), diagram_n=args.n)
     _write_sweep_csv(args.out, sweep, ("dx_nm", "dy_nm"))
     failed = sum(1 for r in sweep.rows if r["status"] != "ok")
     print(f"wrote {args.out}: {len(sweep.rows)} cells, {failed} failed")

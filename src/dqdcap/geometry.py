@@ -334,6 +334,8 @@ def mesh_device(spec: DeviceSpec, h_max_nm: float) -> PanelMesh:
     """
     if h_max_nm <= 0:
         raise ValueError("h_max must be positive")
+    if not spec.boxes:
+        raise DeviceError("device has no boxes to mesh")
     groups = spec.groups
     gid = {g: i for i, g in enumerate(groups)}
     all_corners, all_ids = [], []

@@ -10,7 +10,6 @@ from dqdcap.analysis import (
     _cell_solver,
     _crossing_points,
     _grid_terms,
-    _stable_from_continuous,
     compare_report,
     coulomb_period,
     dotsize_sweep,
@@ -21,7 +20,7 @@ from dqdcap.analysis import (
 )
 from dqdcap.capsolve import MaxwellMatrix, SolveOptions, solve_dense
 from dqdcap.capsolve import solve as capsolve_solve
-from dqdcap.charging import Bias, ModelCaps, config_energy, stable_config
+from dqdcap.charging import Bias, ModelCaps, config_energy, integer_minimizer, stable_config
 from dqdcap.constants import AF, MV, Q_E
 from dqdcap.geometry import loads_device, mesh_device, transform_dots
 from dqdcap.reference import build_reference_device
@@ -101,7 +100,7 @@ def loop_crossing_points(g, v, step):
     points = {}
 
     def labels(gv):
-        return _stable_from_continuous(-gv / step)
+        return integer_minimizer(-gv / step)
 
     def collect(ga, gb, va, vb):
         la, lb = labels(ga), labels(gb)
@@ -198,7 +197,7 @@ class TestCoulombPeriod:
 def _tiny_sweep(jobs=1):
     spec = build_reference_device()
     opts = SolveOptions(epsilon_r=spec.epsilon_r)
-    return misalign_sweep(spec, (-20.0, 20.0), (0.0, 0.0), 20.0,
+    return misalign_sweep(spec, [-20.0, 0.0, 20.0], [0.0],
                           opts=opts, h_max_nm=16.0, jobs=jobs, diagram_n=101)
 
 
@@ -246,7 +245,7 @@ class TestSweeps:
         ]}
         spec = loads_device(json.dumps(cfg))
         # dx = -40 drives dot1 into the buried marker: that cell must fail
-        sweep = misalign_sweep(spec, (-40.0, 0.0), (0.0, 0.0), 40.0,
+        sweep = misalign_sweep(spec, [-40.0, 0.0], [0.0],
                                opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0,
                                diagram_n=51)
         statuses = [r["status"] for r in sweep.rows]
@@ -309,7 +308,7 @@ class TestStaticBlockSweep:
 
     def test_dots_only_device_sweeps(self):
         spec = loads_device(json.dumps(DOTS_ONLY))
-        sweep = misalign_sweep(spec, (-10.0, 10.0), (0.0, 0.0), 10.0,
+        sweep = misalign_sweep(spec, [-10.0, 0.0, 10.0], [0.0],
                                opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0, diagram_n=51)
         assert [r["status"] for r in sweep.rows] == ["ok"] * 3
         sizes = dotsize_sweep(spec, (20.0, 30.0), h_max_nm=16.0, diagram_n=51)

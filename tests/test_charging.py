@@ -6,12 +6,14 @@ from dqdcap.charging import (
     Bias,
     ChargingError,
     ModelCaps,
+    _affine_root,
+    _best_y,
     compensate,
     config_energy,
     degeneracy_bias,
     delta_q,
     delta_q_oracle,
-    polarization,
+    integer_minimizer,
     reduce_caps,
     set_transfer_points,
     stable_config,
@@ -91,11 +93,6 @@ class TestCompensate:
     def test_zero_bias_gives_zero(self):
         assert compensate(0.0, 0.0, island_caps()) == (0.0, 0.0)
 
-    def test_exact_equals_approximate_without_cross_couplings(self):
-        caps = island_caps()
-        assert compensate(0.01, 0.02, caps, "exact") == \
-            pytest.approx(compensate(0.01, 0.02, caps, "approximate"))
-
     def test_no_islands_is_noop(self):
         assert compensate(0.5, -0.5, toy_caps()) == (0.0, 0.0)
 
@@ -120,16 +117,6 @@ class TestCompensate:
             v_g1, v_g2 = compensate(v_sl, v_sr, caps)
             qt = caps.gates @ np.array([v_sl, v_sr, v_g1, v_g2])
             assert abs(qt[2]) < 1e-30 and abs(qt[3]) < 1e-30
-
-    def test_singular_exact_system_rejected(self):
-        cmat = np.diag([10.0, 10.0, 8.0, 8.0]) * AF
-        gates = np.zeros((4, 4))
-        gates[2, 0] = gates[3, 0] = 1.0 * AF
-        gates[2, 2], gates[2, 3] = 2.0 * AF, 2.0 * AF
-        gates[3, 2], gates[3, 3] = 2.0 * AF, 2.0 * AF
-        caps = ModelCaps(("d1", "d2", "i1", "i2"), cmat, gates)
-        with pytest.raises(ChargingError, match="singular"):
-            compensate(0.01, 0.0, caps, "exact")
 
 
 class TestConfigEnergy:
@@ -191,8 +178,29 @@ class TestStableConfig:
         caps = toy_caps()
         v = -40.0 * Q_E / AF  # dozens of electrons transferred
         x = stable_config(caps, v, -v)
-        assert x > 3  # started range was [-3, 3]
+        assert x > 3
         assert x == brute_force_stable_config(caps, v, -v, half=200)
+
+    def test_closed_form_matches_brute_force_at_large_x(self):
+        # E_x is convex in x, so a scan whose minimizer lies inside its range
+        # has found the global minimum; biases up to 3 V reach |x| ~ 40
+        rng = np.random.default_rng(7)
+        largest = 0
+        for _ in range(200):
+            caps = random_model_caps(rng, island=bool(rng.integers(0, 2)))
+            v_sl, v_sr = rng.uniform(-3.0, 3.0, 2)
+            x = stable_config(caps, v_sl, v_sr)
+            assert x == brute_force_stable_config(caps, v_sl, v_sr, half=abs(x) + 3)
+            largest = max(largest, abs(x))
+        assert largest >= 35
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_exact_tie_matches_brute_force(self, k):
+        # the toy's x = k <-> k + 1 degeneracy on the antidiagonal; both
+        # ties resolve to x = 0, the smaller |x|
+        caps = toy_caps()
+        v = -(2 * k + 1) * Q_E / (2.0 * AF)
+        assert stable_config(caps, v, -v) == brute_force_stable_config(caps, v, -v) == 0
 
     def test_stability_interval_contiguous_along_ray(self):
         rng = np.random.default_rng(3)
@@ -203,6 +211,42 @@ class TestStableConfig:
             for x in set(xs):
                 idx = [i for i, v in enumerate(xs) if v == x]
                 assert idx == list(range(idx[0], idx[-1] + 1))
+
+
+class TestIntegerMinimizer:
+    def test_rounds_to_nearest_with_ties_toward_zero(self):
+        xhat = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 0.49, 0.51, -0.51, 41.7, -41.2])
+        assert integer_minimizer(xhat).tolist() == [-2, -1, 0, 0, 1, 2, 0, 1, -1, 42, -41]
+
+
+class TestIslandMinimizer:
+    def test_matches_exhaustive_y_scan(self):
+        # convex in y: a scan with an interior minimizer is exhaustive
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            caps = random_model_caps(rng)
+            bias = Bias(*rng.uniform(-1.0, 1.0, 4))
+            x = int(rng.integers(-3, 4))
+            y = _best_y(caps, bias, x)
+            half = abs(y) + 3
+            scan = min((config_energy(caps, bias, x, k), abs(k), k)
+                       for k in range(-half, half + 1))
+            assert y == scan[2]
+
+    @pytest.mark.parametrize("v_g1", [Q_E, -Q_E])
+    def test_half_integer_yhat_rounds_toward_zero(self, v_g1):
+        # island decoupled from the dots, C_g1i1 = 1/2: yhat = V_g1 C_g1i1 / q_e
+        # = +-1/2 exactly (unit-scale capacitances keep every product exact)
+        cmat = np.diag([2.0, 2.0, 4.0])
+        cmat[0, 1] = cmat[1, 0] = -1.0
+        gates = np.zeros((3, 4))
+        gates[2, 2] = 0.5
+        caps = ModelCaps(("d1", "d2", "i1"), cmat, gates)
+        bias = Bias(0.0, 0.0, v_g1, 0.0)
+        assert _best_y(caps, bias, 0) == 0
+        energies = [config_energy(caps, bias, 0, y) for y in (-1, 0, 1)]
+        assert energies[1] == min(energies)
+        assert energies.count(energies[1]) == 2
 
 
 class TestDegeneracyBias:
@@ -242,11 +286,21 @@ class TestDegeneracyBias:
         with pytest.raises(ChargingError, match="sign change"):
             degeneracy_bias(toy_caps(), (Bias(), (0.001, -0.001, 0.0, 0.0)), 0)
 
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ChargingError, match="zero direction"):
+            degeneracy_bias(toy_caps(), (Bias(), (0.0, 0.0, 0.0, 0.0)), 0)
 
-class TestPolarization:
-    @pytest.mark.parametrize("x,p", [(0, 0), (1, 2), (-3, -6)])
-    def test_values(self, x, p):
-        assert polarization(x) == p
+    def test_affine_root_is_one_secant_step(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 3.0 * t - 1.0
+
+        assert _affine_root(f, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert calls == [0.0, 1.0]
+        assert _affine_root(lambda t: t - 2.0, 2.0, 5.0) == 2.0
+        assert _affine_root(lambda t: t - 5.0, 2.0, 5.0) == 5.0
 
 
 class TestTransferPoints:

@@ -117,6 +117,26 @@ def test_extract_is_byte_reproducible(workdir):
     assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv, outputs", [
+    (["stability", "--caps", "caps.json", "--out-prefix", "{}", "--n", "51"],
+     ["{}_grid.csv", "{}_boundaries.json"]),
+    (["induced-charge", "--caps", "caps.json", "--out", "{}.json"], ["{}.json"]),
+    (["compare", "--caps", "caps.json", "--measured", "reference_measured.json",
+      "--out", "{}.json"], ["{}.json"]),
+    (["sweep-misalign", "--geometry", "reference_device.json", "--out", "{}.csv",
+      "--dx", "-20:20:20", "--dy", "0", "--h-max", "18", "--n", "51", "--jobs", "2"],
+     ["{}.csv"]),
+], ids=["stability", "induced-charge", "compare", "sweep-misalign"])
+def test_artifacts_are_byte_reproducible(workdir, argv, outputs):
+    assert run(["extract", "--geometry", "reference_device.json",
+                "--out", "caps.json", "--h-max", "18"]) == 0
+    for tag in ("a", "b"):
+        assert run([arg.format(tag) for arg in argv]) == 0
+    for name in outputs:
+        a, b = (workdir / name.format(tag) for tag in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes(), name
+
+
 def test_compare_report(workdir):
     assert run(["extract", "--geometry", "reference_device.json",
                 "--out", "caps.json", "--h-max", "16"]) == 0

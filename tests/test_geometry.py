@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -181,6 +182,11 @@ class TestMeshDevice:
         mesh = mesh_device(build_reference_device(), 10.0)
         dots = np.einsum("ij,ij->i", mesh.edge_u, mesh.edge_v)
         assert np.abs(dots).max() <= 1e-9 * (mesh.areas.max())
+
+    def test_spec_without_boxes_rejected(self):
+        spec = replace(build_reference_device(), boxes=())
+        with pytest.raises(DeviceError, match="no boxes"):
+            mesh_device(spec, 10.0)
 
 
 class TestFastcapFormat:
