@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from ..constants import AF, OFFDIAG_TOL
 from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
@@ -240,51 +238,171 @@ class _AcceleratedOperator:
         self.n_leaves = len(leaves)
 
     def matvec(self, q):
+        """A @ q for one vector or an n x k block; a block product equals its k matvecs bitwise."""
         return self.near @ q + self.eval_m @ (self.mom_m @ q)
 
-    def as_linear_operators(self):
-        a = LinearOperator((self.n, self.n), matvec=self.matvec)
-        m = LinearOperator((self.n, self.n), matvec=lambda x: self.precond @ x)
-        return a, m
+
+_EPS = np.finfo(np.float64).eps
+_lartg = linalg.get_lapack_funcs("lartg", dtype=np.float64)
+
+
+class _Column:
+    """One right-hand side of gmres: scipy's restarted GMRES state, x0 = 0, atol = 0."""
+
+    def __init__(self, b, mb, rtol, restart):
+        self.b = b
+        self.bnrm2 = np.linalg.norm(b)
+        self.atol = float(rtol) * float(self.bnrm2)
+        self.x = np.zeros(len(b))
+        self.v = np.empty((restart + 1, len(b)))
+        self.h = np.zeros((restart, restart + 1))
+        self.givens = np.zeros((restart, 2))
+        self.ptol_max_factor = 1.0
+        self.ptol = np.linalg.norm(mb) * min(self.ptol_max_factor, self.atol / self.bnrm2)
+        self.presid = 0.0
+        self.rnorm = self.bnrm2
+        self.iterations = 0
+
+    def start_cycle(self, z):
+        """Start an Arnoldi cycle from the preconditioned residual z."""
+        self.v[0] = z
+        tmp = np.linalg.norm(self.v[0])
+        self.v[0] *= (1 / tmp)
+        self.s = np.zeros(len(self.v))
+        self.s[0] = tmp
+        self.col = 0
+        self.breakdown = False
+
+    def step(self, w):
+        """One Arnoldi step on w = M A v[col]; returns False when the inner loop stops."""
+        col, v, h, g, s = self.col, self.v, self.h, self.givens, self.s
+        # modified Gram-Schmidt
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):
+            tmp = np.dot(v[k], w)
+            h[col, k] = tmp
+            w -= tmp * v[k]
+        h1 = np.linalg.norm(w)
+        h[col, col + 1] = h1
+        v[col + 1] = w
+        if h1 <= _EPS * h0:  # exact solution
+            h[col, col + 1] = 0
+            self.breakdown = True
+        else:
+            v[col + 1] *= (1 / h1)
+        # past Givens rotations, then the current one, on h and s
+        for k in range(col):
+            c, sn = g[k, 0], g[k, 1]
+            n0, n1 = h[col, [k, k + 1]]
+            h[col, [k, k + 1]] = [c * n0 + sn * n1, -sn * n0 + c * n1]
+        c, sn, mag = _lartg(h[col, col], h[col, col + 1])
+        g[col] = [c, sn]
+        h[col, [col, col + 1]] = mag, 0
+        tmp = -sn * s[col]
+        s[[col, col + 1]] = [c * s[col], tmp]
+        self.presid = np.abs(tmp)
+        self.iterations += 1
+        if self.presid <= self.ptol or self.breakdown or col + 1 == len(h):
+            return False
+        self.col += 1
+        return True
+
+    def update_x(self):
+        """Add the cycle's correction: back-substitute the rotated Hessenberg system."""
+        col, h = self.col, self.h
+        if h[col, col] == 0:
+            self.s[col] = 0
+        y = np.zeros([col + 1])
+        y[:] = self.s[:col + 1]
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                tmp = y[k]
+                y[:k] -= tmp * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        self.x += y @ self.v[:col + 1, :]
+
+    def restart(self, r):
+        """Take the true residual r = b - A x; returns True when another cycle is due."""
+        self.rnorm = np.linalg.norm(r)
+        if self.rnorm <= self.atol or self.breakdown:
+            return False
+        if self.presid <= self.ptol:  # inner loop passed but outer did not
+            self.ptol_max_factor = max(_EPS, 0.25 * self.ptol_max_factor)
+        else:
+            self.ptol_max_factor = min(1.0, 1.5 * self.ptol_max_factor)
+        self.ptol = self.presid * min(self.ptol_max_factor, self.atol / self.rnorm)
+        return True
+
+
+def gmres(apply_a, apply_m, B, rtol, restart, max_cycles):
+    """Left-preconditioned restarted GMRES on every column of B, in lockstep.
+
+    Each column runs scipy.sparse.linalg.gmres(A, b, rtol=rtol, atol=0,
+    restart=restart, maxiter=max_cycles, M=M) step for step, with its own
+    Arnoldi basis, Hessenberg matrix, Givens rotations and inner tolerance,
+    and in scipy's arithmetic order.  The columns share the operator calls:
+    each Arnoldi step applies apply_a and then apply_m once to the n x m
+    block of the columns whose inner loop still runs, and each restart
+    takes the residuals of the columns still unconverged in one product.
+    With operators whose block product equals its column products bitwise
+    (sparse CSR products do), every column equals scipy's result bitwise
+    and does not depend on the other columns.
+
+    Returns (X, iterations per column, relative residuals |b - A x| / |b|).
+    """
+    n, k = B.shape
+    restart = min(restart, n)
+    X = np.zeros((n, k))
+    iters = np.zeros(k, dtype=np.int64)
+    res = np.zeros(k)
+    todo = [j for j in range(k) if B[:, j].any()]  # b = 0 gives x = 0
+    mb = apply_m(B[:, todo]) if todo else None
+    cols = {j: _Column(B[:, j].copy(), mb[:, i], rtol, restart) for i, j in enumerate(todo)}
+    # z: the preconditioned residual of each column that starts another cycle
+    z = {j: mb[:, i] for i, j in enumerate(todo) if not cols[j].bnrm2 < cols[j].atol}
+    for _ in range(max_cycles):
+        if not z:
+            break
+        active = list(z)
+        for j in active:
+            cols[j].start_cycle(z[j])
+        live = active
+        while live:
+            w = apply_m(apply_a(np.stack([cols[j].v[cols[j].col] for j in live], axis=1)))
+            # each column works on its own contiguous copy, as scipy does
+            live = [j for i, j in enumerate(live) if cols[j].step(w[:, i].copy())]
+        for j in active:
+            cols[j].update_x()
+        ax = apply_a(np.stack([cols[j].x for j in active], axis=1))
+        r = {j: cols[j].b - ax[:, i] for i, j in enumerate(active)}
+        r = {j: rj for j, rj in r.items() if cols[j].restart(rj)}
+        z = dict(zip(r, apply_m(np.stack(list(r.values()), axis=1)).T)) if r else {}
+    for j, c in cols.items():
+        X[:, j] = c.x
+        iters[j] = c.iterations
+        res[j] = c.rnorm / c.bnrm2
+    return X, iters, res
 
 
 def solve_accelerated(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellMatrix:
+    """One lockstep GMRES over all conductors; jobs is accepted for solve() and ignored."""
     if opts.mode != "accelerated":
         raise ValueError("solve_accelerated requires opts.mode == 'accelerated'")
     if mesh.n_panels == 0:
         raise AssemblyError("empty mesh")
     op = _AcceleratedOperator(mesh, opts)
-    a_op, m_op = op.as_linear_operators()
     rhs, agg = _conductor_rhs(mesh)
     cycles = max(1, math.ceil(GMRES_ITER_CAP / GMRES_RESTART))
-    iters = np.zeros(mesh.n_cond, dtype=int)
-
-    def solve_one(k):
-        b = rhs[:, k]
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
-        x, info = gmres(a_op, b, rtol=opts.krylov_tol, atol=0.0,
-                        restart=GMRES_RESTART, maxiter=cycles, M=m_op,
-                        callback=cb, callback_type="pr_norm")
-        if info != 0:
-            res = np.linalg.norm(b - op.matvec(x)) / np.linalg.norm(b)
-            raise SolverError(
-                f"GMRES failed to reach {opts.krylov_tol} within "
-                f"{GMRES_ITER_CAP} iterations (relative residual {res:.3e})"
-            )
-        iters[k] = count[0]
-        return x
-
-    ks = range(mesh.n_cond)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            xs = list(ex.map(solve_one, ks))
-    else:
-        xs = [solve_one(k) for k in ks]
-    raw = agg @ np.stack(xs, axis=1)
+    x, iters, res = gmres(op.matvec, lambda q: op.precond @ q, rhs,
+                          opts.krylov_tol, GMRES_RESTART, cycles)
+    if not np.all(res <= opts.krylov_tol):
+        raise SolverError(
+            f"GMRES failed to reach {opts.krylov_tol} within "
+            f"{GMRES_ITER_CAP} iterations (relative residual {res.max():.3e})"
+        )
+    raw = agg @ x
     info_d = {
         "mode": "accelerated", "mac_ratio": opts.mac_ratio,
         "tol": opts.krylov_tol, "n_panels": mesh.n_panels,

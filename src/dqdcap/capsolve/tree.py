@@ -11,6 +11,8 @@ the same corner antiderivative as the exact near field.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 
@@ -88,8 +90,8 @@ def interaction_lists(root, leaves, mac_ratio):
         stack = [root]
         while stack:
             node = stack.pop()
-            d = float(np.linalg.norm(node.center - leaf.center))
-            if node.radius + leaf.radius < mac_ratio * d:
+            d = node.center - leaf.center
+            if node.radius + leaf.radius < mac_ratio * math.sqrt(d.dot(d)):
                 far.append(node)
             elif node.is_leaf:
                 near.append(node)

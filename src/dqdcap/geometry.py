@@ -231,13 +231,15 @@ class PanelMesh:
         self.conductor_names = list(conductor_names)
         if self.corners.shape != (len(self.cond_ids), 4, 3):
             raise ValueError("corners must have shape (n_panels, 4, 3)")
-        self.corners.flags.writeable = False
-        self.cond_ids.flags.writeable = False
+        u, v = self.edge_u, self.edge_v
+        # computed once, as the kernels look them up for every block of panels
+        self.centroids = self.corners.mean(axis=1)
+        self.areas = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        for a in (self.corners, self.cond_ids, self.centroids, self.areas):
+            a.flags.writeable = False
         if check and len(self.cond_ids):
-            u, v = self.edge_u, self.edge_v
             dots = np.abs(np.einsum("ij,ij->i", u, v))
-            scale = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            if np.any(scale <= 0) or np.any(dots > 1e-9 * scale):
+            if np.any(self.areas <= 0) or np.any(dots > 1e-9 * self.areas):
                 raise ValueError("panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)")
 
     @property
@@ -259,14 +261,6 @@ class PanelMesh:
     @property
     def edge_v(self) -> np.ndarray:
         return self.corners[:, 3, :] - self.corners[:, 0, :]
-
-    @property
-    def centroids(self) -> np.ndarray:
-        return self.corners.mean(axis=1)
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.linalg.norm(self.edge_u, axis=1) * np.linalg.norm(self.edge_v, axis=1)
 
     def panel_count(self) -> dict[str, int]:
         counts = np.bincount(self.cond_ids, minlength=self.n_cond)

@@ -39,12 +39,19 @@ def random_model_caps(rng, island=True):
 
 
 def brute_force_stable_config(caps, v_sl, v_sr, half=10):
+    """Minimum-energy x by scanning |x| <= half, doubling half until the minimizer is interior.
+
+    The energy is convex in x, so a minimizer inside the scan is global.
+    """
     v_g1, v_g2 = compensate(v_sl, v_sr, caps)
     bias = Bias(v_sl, v_sr, v_g1, v_g2)
-    best = min(
-        (config_energy(caps, bias, x), abs(x), x) for x in range(-half, half + 1)
-    )
-    return best[2]
+    while True:
+        best = min(
+            (config_energy(caps, bias, x), abs(x), x) for x in range(-half, half + 1)
+        )
+        if abs(best[2]) < half:
+            return best[2]
+        half *= 2
 
 
 def run_validation(rng_seed=20240817):

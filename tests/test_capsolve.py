@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import gmres as scipy_gmres
 
 from dqdcap.capsolve import (
     AssemblyError,
@@ -22,7 +24,7 @@ from dqdcap.capsolve import (
     solve_dense,
 )
 from dqdcap.capsolve import kernels
-from dqdcap.capsolve.solve import _AcceleratedOperator
+from dqdcap.capsolve.solve import GMRES_RESTART, _AcceleratedOperator, _conductor_rhs, gmres
 from dqdcap.capsolve.tree import (
     _cross_approximation,
     build_far_operators,
@@ -225,6 +227,120 @@ class TestCrossApproximationFarField:
         U, V = _cross_approximation(lambda i: block[i], lambda j: block[:, j], 40, 30)
         assert len(U) <= 3 + 2
         assert np.abs(U.T @ V - block).max() <= 1e-12 * np.abs(block).max()
+
+
+def norm_rule_lists(root, leaves, mac_ratio):
+    """interaction_lists with the distance taken by np.linalg.norm."""
+    far_lists, near_lists = [], []
+    for leaf in leaves:
+        far, near = [], []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            d = float(np.linalg.norm(node.center - leaf.center))
+            if node.radius + leaf.radius < mac_ratio * d:
+                far.append(node)
+            elif node.is_leaf:
+                near.append(node)
+            else:
+                stack.extend(reversed(node.children))
+        far_lists.append(far)
+        near_lists.append(near)
+    return far_lists, near_lists
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: mesh_device(build_reference_device(), 16.0),
+    lambda: plate_pair_mesh(100.0, 5.0, 3.0),
+], ids=["reference_h16", "plates"])
+def test_interaction_lists_match_norm_rule(make_mesh):
+    root, leaves = build_octree(make_mesh(), 32)
+    for mac in (0.3, 0.5, 0.8):
+        got = interaction_lists(root, leaves, mac)
+        want = norm_rule_lists(root, leaves, mac)
+        for got_lists, want_lists in zip(got, want):
+            assert [[id(x) for x in lst] for lst in got_lists] == \
+                [[id(x) for x in lst] for lst in want_lists]
+
+
+def scipy_columns(op, B, tol, restart, cycles):
+    """scipy.sparse.linalg.gmres on each column of B: (X, iteration counts)."""
+    a = LinearOperator((op.n, op.n), matvec=op.matvec)
+    m = LinearOperator((op.n, op.n), matvec=lambda x: op.precond @ x)
+    xs, iters = [], []
+    for k in range(B.shape[1]):
+        count = [0]
+
+        def cb(_):
+            count[0] += 1
+
+        x, info = scipy_gmres(a, B[:, k], rtol=tol, atol=0.0, restart=restart,
+                              maxiter=cycles, M=m, callback=cb, callback_type="pr_norm")
+        assert info == 0
+        xs.append(x)
+        iters.append(count[0])
+    return np.stack(xs, axis=1), iters
+
+
+def lockstep(op, B, tol, restart, cycles):
+    return gmres(op.matvec, lambda q: op.precond @ q, B, tol, restart, cycles)
+
+
+def op_and_rhs(mesh, eps):
+    op = _AcceleratedOperator(mesh, SolveOptions(mode="accelerated", epsilon_r=eps))
+    return op, _conductor_rhs(mesh)[0]
+
+
+@pytest.fixture(scope="module")
+def reference_operator():
+    return op_and_rhs(mesh_device(build_reference_device(), 16.0), 6.0)
+
+
+class TestLockstepGmres:
+    """The lockstep block GMRES against scipy's gmres, one column at a time."""
+
+    @pytest.mark.parametrize("case", ["reference_h16", "sphere"])
+    def test_columns_match_scipy(self, case, reference_operator):
+        if case == "reference_h16":
+            op, B = reference_operator
+        else:
+            op, B = op_and_rhs(sphere_mesh(10.0, 16), 1.0)
+            B = np.hstack([B, np.random.default_rng(2).standard_normal((op.n, 2))])
+        tol = 1e-6
+        X, iters, res = lockstep(op, B, tol, GMRES_RESTART, 9)
+        want, want_iters = scipy_columns(op, B, tol, GMRES_RESTART, 9)
+        assert iters.tolist() == want_iters
+        assert np.all(res <= tol)
+        for k in range(B.shape[1]):
+            assert np.linalg.norm(X[:, k] - want[:, k]) <= tol * np.linalg.norm(want[:, k])
+
+    def test_shrinking_block_is_order_independent(self, reference_operator):
+        """Columns leave the block at different steps and cycles; none sees the others."""
+        op, B = reference_operator
+        rng = np.random.default_rng(4)
+        B = np.hstack([B, rng.standard_normal((op.n, 3)), np.zeros((op.n, 1))])
+        tol, restart = 1e-8, 12  # several restarts, columns finishing in different cycles
+        X, iters, res = lockstep(op, B, tol, restart, 20)
+        assert len(set(iters[:-1].tolist())) > 2  # the live block shrinks mid-cycle
+        assert iters[-1] == 0 and res[-1] == 0 and not X[:, -1].any()
+        want, want_iters = scipy_columns(op, B[:, :-1], tol, restart, 20)
+        assert iters[:-1].tolist() == want_iters
+        perm = rng.permutation(B.shape[1])
+        Xp, iters_p, res_p = lockstep(op, B[:, perm], tol, restart, 20)
+        assert np.array_equal(Xp, X[:, perm])
+        assert np.array_equal(iters_p, iters[perm]) and np.array_equal(res_p, res[perm])
+        for k in (0, 9):
+            Xk, iters_k, _ = lockstep(op, B[:, [k]], tol, restart, 20)
+            assert np.array_equal(Xk[:, 0], X[:, k]) and iters_k[0] == iters[k]
+
+    def test_cycle_cap_reports_residual(self, reference_operator):
+        op, B = reference_operator
+        X, iters, res = lockstep(op, B[:, :2], 1e-12, 5, 2)
+        assert np.all(iters == 10)
+        for k in range(2):
+            r = B[:, k] - op.matvec(X[:, k])
+            assert res[k] == np.linalg.norm(r) / np.linalg.norm(B[:, k])
+            assert res[k] > 1e-12
 
 
 def without_dots(spec):

@@ -174,6 +174,19 @@ class TestStableConfig:
             assert stable_config(caps, v_sl, v_sr) == \
                 brute_force_stable_config(caps, v_sl, v_sr)
 
+    def test_brute_force_widens_past_its_window(self):
+        # draw 258 of this stream has its minimizer at x = -12, outside the
+        # default |x| <= 10 window, so the scan must widen past its edge -10
+        rng = np.random.default_rng(1)
+        for _ in range(259):
+            caps = random_model_caps(rng)
+            v_sl, v_sr = rng.uniform(-0.4, 0.4, 2)
+        assert (round(v_sl, 3), round(v_sr, 3)) == (-0.281, -0.350)
+        bias = Bias(v_sl, v_sr, *compensate(v_sl, v_sr, caps))
+        assert config_energy(caps, bias, -12) < config_energy(caps, bias, -10)
+        assert stable_config(caps, v_sl, v_sr) == -12
+        assert brute_force_stable_config(caps, v_sl, v_sr) == -12
+
     def test_adaptive_range_expands(self):
         caps = toy_caps()
         v = -40.0 * Q_E / AF  # dozens of electrons transferred

@@ -111,10 +111,11 @@ def test_reproducible_outputs(workdir):
 
 
 def test_extract_is_byte_reproducible(workdir):
-    for out in ("a.json", "b.json"):
-        assert run(["extract", "--geometry", "reference_device.json",
-                    "--out", out, "--h-max", "18"]) == 0
-    assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+    for mode in ("dense", "accelerated"):
+        for out in ("a.json", "b.json"):
+            assert run(["extract", "--geometry", "reference_device.json",
+                        "--out", out, "--h-max", "18", "--mode", mode]) == 0
+        assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes(), mode
 
 
 @pytest.mark.parametrize("argv, outputs", [

@@ -183,6 +183,16 @@ class TestMeshDevice:
         dots = np.einsum("ij,ij->i", mesh.edge_u, mesh.edge_v)
         assert np.abs(dots).max() <= 1e-9 * (mesh.areas.max())
 
+    def test_areas_and_centroids_are_frozen_once(self):
+        mesh = mesh_device(build_reference_device(), 16.0)
+        assert mesh.areas is mesh.areas and mesh.centroids is mesh.centroids
+        assert np.array_equal(mesh.areas, np.linalg.norm(mesh.edge_u, axis=1)
+                              * np.linalg.norm(mesh.edge_v, axis=1))
+        assert np.array_equal(mesh.centroids, mesh.corners.mean(axis=1))
+        for a in (mesh.areas, mesh.centroids):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_spec_without_boxes_rejected(self):
         spec = replace(build_reference_device(), boxes=())
         with pytest.raises(DeviceError, match="no boxes"):
