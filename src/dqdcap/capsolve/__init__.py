@@ -1,4 +1,4 @@
-from .kernels import AssemblyError, assemble_system, potential_block, rect_integral
+from .kernels import AssemblyError, assemble_system, potential_block
 from .solve import (
     DENSE_PANEL_GUARD,
     DenseFactor,
@@ -12,6 +12,6 @@ from .solve import (
 
 __all__ = [
     "AssemblyError", "DENSE_PANEL_GUARD", "DenseFactor", "MaxwellMatrix", "SolveOptions",
-    "SolverError", "assemble_system", "potential_block", "rect_integral",
+    "SolverError", "assemble_system", "potential_block",
     "solve", "solve_accelerated", "solve_dense",
 ]

@@ -29,28 +29,6 @@ def _corner_term(u, v, z):
             - z * np.arctan2(u * v, z * r))
 
 
-def rect_integral(corner, edge_u, edge_v, points):
-    """Integral of 1/|x - x'| over one rectangle, for each field point x.
-
-    The signed corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term.
-    """
-    a = np.linalg.norm(edge_u)
-    b = np.linalg.norm(edge_v)
-    uhat = edge_u / a
-    vhat = edge_v / b
-    what = np.cross(uhat, vhat)
-    rel = points - corner
-    xi = rel @ uhat
-    eta = rel @ vhat
-    zz = np.abs(rel @ what)
-
-    total = 0.0
-    for u, su in ((xi, 1.0), (xi - a, -1.0)):
-        for v, sv in ((eta, 1.0), (eta - b, -1.0)):
-            total = total + su * sv * _corner_term(u, v, zz)
-    return total
-
-
 def _bits(rows):
     """Rows of floats as rows of their exact bit patterns, for np.unique."""
     return np.ascontiguousarray(rows).view(np.int64)
@@ -119,9 +97,9 @@ def potential_block(mesh, target_points, source_idx, epsilon_r):
     """Dense block: potential at target_points per unit total charge on each source panel.
 
     Evaluates the corner term once per shared corner node of each block of
-    BLOCK_PANELS source panels; each column equals the per-panel corner sum
-    of rect_integral up to rounding, and is bitwise independent of the
-    blocking.
+    BLOCK_PANELS source panels; each column equals the per-panel signed
+    corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding,
+    and is bitwise independent of the blocking.
     """
     target_points = np.asarray(target_points, dtype=np.float64)
     source_idx = np.asarray(source_idx)

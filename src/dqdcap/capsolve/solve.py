@@ -10,7 +10,7 @@ from scipy import linalg, sparse
 
 from ..constants import AF, OFFDIAG_TOL
 from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
-from .tree import build_far_operators, build_octree, interaction_lists
+from .tree import block_csr, build_far_operators, build_octree, by_source, interaction_lists
 
 DENSE_PANEL_GUARD = 20000
 GMRES_RESTART = 60
@@ -203,37 +203,17 @@ class _AcceleratedOperator:
         far_lists, near_lists = interaction_lists(root, leaves, opts.mac_ratio)
         self.eval_m, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
 
-        # invert near lists to one exact column block per source leaf
-        targets_by_leaf = {}
-        for leaf, near in zip(leaves, near_lists):
-            for s in near:
-                targets_by_leaf.setdefault(id(s), (s, []))[1].append(leaf.panels)
-        rows, cols, vals = [], [], []
-        for s, chunks in targets_by_leaf.values():
-            tidx = np.concatenate(chunks)
+        # one exact block per source leaf, placed through near's transpose, in
+        # which each source panel is one row; every leaf is in its own near
+        # list, so its block holds the self block that the preconditioner inverts
+        near_t, inverses = [], []
+        for s, tidx in by_source(leaves, near_lists):
             block = potential_block(mesh, centroids[tidx], s.panels, opts.epsilon_r)
-            rows.append(np.repeat(tidx[:, None], len(s.panels), axis=1).ravel())
-            cols.append(np.repeat(s.panels[None, :], len(tidx), axis=0).ravel())
-            vals.append(block.ravel())
+            near_t.append((s.panels, tidx, block.T))
+            inverses.append((s.panels, s.panels, np.linalg.inv(block[np.isin(tidx, s.panels)])))
         n = mesh.n_panels
-        self.near = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-
-        # block-diagonal (leaf-wise) preconditioner from the exact self blocks,
-        # which near already holds because every leaf is in its own near list
-        rows, cols, vals = [], [], []
-        for leaf in leaves:
-            idx = leaf.panels
-            inv = np.linalg.inv(self.near[idx][:, idx].toarray())
-            rows.append(np.repeat(idx[:, None], len(idx), axis=1).ravel())
-            cols.append(np.repeat(idx[None, :], len(idx), axis=0).ravel())
-            vals.append(inv.ravel())
-        self.precond = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
+        self.near = block_csr(near_t, (n, n)).T
+        self.precond = block_csr(inverses, (n, n))  # block-diagonal, leaf-wise
         self.n = n
         self.n_leaves = len(leaves)
 
@@ -386,8 +366,8 @@ def gmres(apply_a, apply_m, B, rtol, restart, max_cycles):
     return X, iters, res
 
 
-def solve_accelerated(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellMatrix:
-    """One lockstep GMRES over all conductors; jobs is accepted for solve() and ignored."""
+def solve_accelerated(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
+    """One lockstep GMRES over all conductors."""
     if opts.mode != "accelerated":
         raise ValueError("solve_accelerated requires opts.mode == 'accelerated'")
     if mesh.n_panels == 0:
@@ -414,4 +394,4 @@ def solve_accelerated(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> Ma
 def solve(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellMatrix:
     if opts.mode == "dense":
         return solve_dense(mesh, opts, jobs=jobs, roles=roles)
-    return solve_accelerated(mesh, opts, jobs=jobs, roles=roles)
+    return solve_accelerated(mesh, opts, roles=roles)

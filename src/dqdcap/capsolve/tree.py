@@ -159,6 +159,39 @@ def _cross_approximation(row, col, n_rows, n_cols):
     return U[:k], V[:k]
 
 
+def by_source(leaves, lists):
+    """Invert per-target-leaf node lists: [(source node, target panels)].
+
+    Sources come in first-use order; each one's target panels are those of
+    the leaves that list it, in leaf order.
+    """
+    chunks = {}  # nodes hash by identity
+    for leaf, nodes in zip(leaves, lists):
+        for node in nodes:
+            chunks.setdefault(node, []).append(leaf.panels)
+    return [(node, np.concatenate(c)) for node, c in chunks.items()]
+
+
+def block_csr(blocks, shape):
+    """CSR matrix from dense blocks (rows, cols, W), W[a, b] placed at (rows[a], cols[b]).
+
+    Each row lies in at most one block and keeps its block's column order.
+    """
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    for rows, cols, _ in blocks:
+        indptr[rows + 1] = len(cols)
+    nnz = int(np.cumsum(indptr, out=indptr)[-1])
+    # scipy keeps int32 indices that fit, and would copy int64 ones down to them
+    index_dtype = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index_dtype)
+    for rows, cols, w in blocks:
+        pos = indptr[rows][:, None] + np.arange(len(cols))
+        data[pos] = w
+        indices[pos] = cols
+    return sparse.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=shape)
+
+
 def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     """Sparse far-field factorization: potentials = E @ (M @ charges).
 
@@ -166,20 +199,6 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     approximation U.T @ V of its far targets against its subtree panels;
     V fills rows of M and U the matching columns of E.
     """
-    slots = {}  # id(node) -> position among the active source nodes
-    active, targets = [], []
-    for leaf, far in zip(leaves, far_lists):
-        for node in far:
-            slot = slots.setdefault(id(node), len(active))
-            if slot == len(active):
-                active.append(node)
-                targets.append([])
-            targets[slot].append(leaf.panels)
-
-    n = mesh.n_panels
-    if not active:
-        return sparse.csr_matrix((n, 0)), sparse.csr_matrix((0, n))
-
     corners = mesh.corners
     edges = corners[:, [1, 3]] - corners[:, :1]
     uv = edges / np.linalg.norm(edges, axis=2)[:, :, None]
@@ -188,9 +207,9 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     centroids = mesh.centroids
 
     e_blocks, m_blocks = [], []
-    for node, chunks in zip(active, targets):
+    k = 0  # rows of M so far
+    for node, tidx in by_source(leaves, far_lists):
         idx = _subtree_panels(node)
-        tidx = np.concatenate(chunks)
         # coordinates relative to the node center, so far values keep their digits
         fr = frames[idx]
         rel = corners[idx] - node.center
@@ -210,14 +229,10 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
             return _panel_sums(proj, u_off[:, j, None], v_off[:, j, None], w_off[j]) * sc[j]
 
         U, V = _cross_approximation(row, col, len(tidx), len(idx))
-        e_blocks.append((tidx, U))
-        m_blocks.append((idx, V))
-    return _stack_rows(e_blocks, n).T.tocsr(), _stack_rows(m_blocks, n)
-
-
-def _stack_rows(blocks, n):
-    """CSR matrix of the rows of each (index, W) block, W's columns placed at index."""
-    ptr = np.cumsum([0] + [len(index) for index, w in blocks for _ in range(len(w))])
-    vals = np.concatenate([w.ravel() for _, w in blocks])
-    cols = np.concatenate([np.tile(index, len(w)) for index, w in blocks])
-    return sparse.csr_matrix((vals, cols, ptr), shape=(len(ptr) - 1, n))
+        ranks = np.arange(k, k + len(U))
+        k += len(U)
+        e_blocks.append((ranks, tidx, U))
+        m_blocks.append((ranks, idx, V))
+    n = mesh.n_panels
+    # E is the CSC view of its transpose, whose rows are the U rows
+    return block_csr(e_blocks, (k, n)).T, block_csr(m_blocks, (k, n))

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -143,7 +144,7 @@ def parse_range(text):
         raise CliError(f"bad range {text!r}; expected min:max:step") from None
     if step <= 0 or hi < lo:
         raise CliError(f"bad range {text!r}; expected min:max:step with step > 0")
-    n = int(round((hi - lo) / step))
+    n = math.floor((hi - lo) / step + 1e-9)  # whole steps; the slack keeps 0:0.3:0.1 at 0.3
     return [lo + i * step for i in range(n + 1)]
 
 
@@ -214,6 +215,20 @@ def _load_maxwell(path, obj):
         return MaxwellMatrix.from_json(obj)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path} is not a valid Maxwell JSON ({e!r})") from None
+
+
+def _load_measured(path):
+    """compare's measured file: {"pairs": [{"a": str, "b": str, "measured_aF": x, "sd_aF": s}]}."""
+    obj = _read_json(path)
+    try:
+        for pair in obj.get("pairs", []):
+            if not (isinstance(pair["a"], str) and isinstance(pair["b"], str)):
+                raise TypeError("conductor names must be strings")
+            for key in ("measured_aF", "sd_aF"):
+                float(pair.get(key, 0.0))
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CliError(f"{path} is not a valid measured-pairs JSON ({e!r})") from None
+    return obj
 
 
 def _load_caps(path):
@@ -357,7 +372,7 @@ def _cmd_compare(args, argv):
     if args.out:
         _check_writable(args.out, _manifest_path(args.out))
     maxwell = _load_maxwell(args.caps, _read_json(args.caps))
-    measured = _read_json(args.measured)
+    measured = _load_measured(args.measured)
     report = compare_report(maxwell, measured)
     header = f"{'pair':<10} {'calc aF':>9} {'meas aF':>9} {'sd':>6} {'dev/sd':>7} {'period mV':>10}"
     print(header)
@@ -366,7 +381,7 @@ def _cmd_compare(args, argv):
               f"{row.get('measured_aF', float('nan')):>9.2f} "
               f"{row.get('sd_aF', float('nan')):>6.2f} "
               f"{(row.get('deviation_sd') or float('nan')):>7.2f} "
-              f"{row['period_mV']:>10.3f}")
+              f"{(row['period_mV'] or float('nan')):>10.3f}")
     if args.out:
         _write_json(args.out, report)
         _write_manifest(args.out, argv, [args.caps, args.measured], vars(args),

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import dblquad
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import gmres as scipy_gmres
@@ -18,17 +19,18 @@ from dqdcap.capsolve import (
     SolverError,
     assemble_system,
     potential_block,
-    rect_integral,
     solve,
     solve_accelerated,
     solve_dense,
 )
-from dqdcap.capsolve import kernels
+from dqdcap.capsolve import kernels, tree
 from dqdcap.capsolve.solve import GMRES_RESTART, _AcceleratedOperator, _conductor_rhs, gmres
 from dqdcap.capsolve.tree import (
     _cross_approximation,
+    block_csr,
     build_far_operators,
     build_octree,
+    by_source,
     interaction_lists,
 )
 from dqdcap.constants import AF, EPS0, NM
@@ -41,6 +43,28 @@ from dqdcap.geometry import (
     transform_dots,
 )
 from dqdcap.reference import build_reference_device
+
+
+def rect_integral(corner, edge_u, edge_v, points):
+    """Integral of 1/|x - x'| over one rectangle, for each field point x.
+
+    The signed corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term.
+    """
+    a = np.linalg.norm(edge_u)
+    b = np.linalg.norm(edge_v)
+    uhat = edge_u / a
+    vhat = edge_v / b
+    what = np.cross(uhat, vhat)
+    rel = points - corner
+    xi = rel @ uhat
+    eta = rel @ vhat
+    zz = np.abs(rel @ what)
+
+    total = 0.0
+    for u, su in ((xi, 1.0), (xi - a, -1.0)):
+        for v, sv in ((eta, 1.0), (eta - b, -1.0)):
+            total = total + su * sv * kernels._corner_term(u, v, zz)
+    return total
 
 
 def quad_oracle(a, b, px, py, pz):
@@ -261,6 +285,150 @@ def test_interaction_lists_match_norm_rule(make_mesh):
         for got_lists, want_lists in zip(got, want):
             assert [[id(x) for x in lst] for lst in got_lists] == \
                 [[id(x) for x in lst] for lst in want_lists]
+
+
+def slot_inversion(leaves, lists):
+    """Reference for by_source: a slot per source node keyed by id, in first-use order."""
+    slots = {}
+    active, targets = [], []
+    for leaf, nodes in zip(leaves, lists):
+        for node in nodes:
+            slot = slots.setdefault(id(node), len(active))
+            if slot == len(active):
+                active.append(node)
+                targets.append([])
+            targets[slot].append(leaf.panels)
+    return list(zip(active, targets))
+
+
+def keyed_inversion(leaves, lists):
+    """Reference for by_source: a dict of (node, target chunks) keyed by id."""
+    targets_by_leaf = {}
+    for leaf, nodes in zip(leaves, lists):
+        for s in nodes:
+            targets_by_leaf.setdefault(id(s), (s, []))[1].append(leaf.panels)
+    return list(targets_by_leaf.values())
+
+
+def stack_rows(blocks, n):
+    """Reference for block_csr: the rows of each (index, W) block, W's columns placed at index."""
+    ptr = np.cumsum([0] + [len(index) for index, w in blocks for _ in range(len(w))])
+    vals = np.concatenate([w.ravel() for _, w in blocks])
+    cols = np.concatenate([np.tile(index, len(w)) for index, w in blocks])
+    return sparse.csr_matrix((vals, cols, ptr), shape=(len(ptr) - 1, n))
+
+
+def coo_operator(mesh, leaves, near_lists, eps):
+    """Reference near and precond from COO triplets, the self blocks sliced out of near."""
+    n = mesh.n_panels
+    rows, cols, vals = [], [], []
+    for s, chunks in keyed_inversion(leaves, near_lists):
+        tidx = np.concatenate(chunks)
+        block = potential_block(mesh, mesh.centroids[tidx], s.panels, eps)
+        rows.append(np.repeat(tidx[:, None], len(s.panels), axis=1).ravel())
+        cols.append(np.repeat(s.panels[None, :], len(tidx), axis=0).ravel())
+        vals.append(block.ravel())
+    near = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    rows, cols, vals = [], [], []
+    for leaf in leaves:
+        idx = leaf.panels
+        inv = np.linalg.inv(near[idx][:, idx].toarray())
+        rows.append(np.repeat(idx[:, None], len(idx), axis=1).ravel())
+        cols.append(np.repeat(idx[None, :], len(idx), axis=0).ravel())
+        vals.append(inv.ravel())
+    precond = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return near, precond
+
+
+@pytest.fixture(scope="module", params=sorted(FAR_FIELD_MESHES))
+def operator_and_reference(request):
+    """The accelerated operator and its sparse factors built from triplets and conversions.
+
+    E and M of the reference come from the same cross approximations,
+    recorded at the block_csr calls of build_far_operators.
+    """
+    make_mesh, eps = FAR_FIELD_MESHES[request.param]
+    mesh = make_mesh()
+    calls = []
+
+    def recording_block_csr(blocks, shape):
+        calls.append(blocks)
+        return block_csr(blocks, shape)
+
+    opts = SolveOptions(mode="accelerated", epsilon_r=eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "block_csr", recording_block_csr)
+        op = _AcceleratedOperator(mesh, opts)
+    e_blocks, m_blocks = calls
+    ranks = np.concatenate([r for r, _, _ in e_blocks])
+    assert np.array_equal(ranks, np.arange(op.mom_m.shape[0]))
+    root, leaves = build_octree(mesh, opts.leaf_size)
+    near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
+    near, precond = coo_operator(mesh, leaves, near_lists, eps)
+    ref = {
+        "near": near, "precond": precond,
+        "eval_m": stack_rows([(c, w) for _, c, w in e_blocks], mesh.n_panels).T.tocsr(),
+        "mom_m": stack_rows([(c, w) for _, c, w in m_blocks], mesh.n_panels),
+    }
+    return op, ref
+
+
+class TestBlockCsrOperator:
+    """The operator's sparse factors filled from dense blocks against the COO-built ones."""
+
+    @pytest.mark.parametrize("name", ["near", "precond", "eval_m", "mom_m"])
+    def test_factors_equal_reference(self, operator_and_reference, name):
+        op, ref = operator_and_reference
+        got, want = getattr(op, name), ref[name]
+        assert got.shape == want.shape and got.nnz == want.nnz
+        assert (got != want).nnz == 0
+
+    def test_products_bitwise_equal_reference(self, operator_and_reference):
+        op, ref = operator_and_reference
+        rng = np.random.default_rng(3)
+        for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
+            assert np.array_equal(op.near @ q, ref["near"] @ q)
+            assert np.array_equal(op.precond @ q, ref["precond"] @ q)
+            assert np.array_equal(op.eval_m @ (op.mom_m @ q),
+                                  ref["eval_m"] @ (ref["mom_m"] @ q))
+
+    def test_block_csr_keeps_each_rows_column_order(self):
+        rng = np.random.default_rng(8)
+        n_rows, n_cols = 50, 40
+        free = rng.permutation(n_rows)
+        blocks = []
+        for size in (7, 1, 12, 5):
+            rows, free = free[:size], free[size:]
+            cols = rng.choice(n_cols, size=rng.integers(1, 10), replace=False)  # unsorted
+            blocks.append((rows, cols, rng.standard_normal((size, len(cols)))))
+        got = block_csr(blocks, (n_rows, n_cols))
+        want = sparse.coo_matrix(
+            (np.concatenate([w.ravel() for _, _, w in blocks]),
+             (np.concatenate([np.repeat(r, len(c)) for r, c, _ in blocks]),
+              np.concatenate([np.tile(c, len(r)) for r, c, _ in blocks]))),
+            shape=(n_rows, n_cols)).tocsr()
+        assert got.shape == want.shape and (got != want).nnz == 0
+        for rows, cols, w in blocks:
+            for a, r in enumerate(rows):
+                span = slice(got.indptr[r], got.indptr[r + 1])
+                assert np.array_equal(got.indices[span], cols)
+                assert np.array_equal(got.data[span], w[a])
+        assert block_csr([], (6, 4)).shape == (6, 4) and block_csr([], (0, 4)).T.shape == (4, 0)
+
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: mesh_device(build_reference_device(), 16.0),
+        lambda: plate_pair_mesh(100.0, 5.0, 3.0),
+    ], ids=["reference_h16", "plates"])
+    def test_by_source_matches_reference_inversions(self, make_mesh):
+        root, leaves = build_octree(make_mesh(), 32)
+        for lists in interaction_lists(root, leaves, 0.5):
+            got = by_source(leaves, lists)
+            for want in (slot_inversion(leaves, lists), keyed_inversion(leaves, lists)):
+                assert [id(node) for node, _ in got] == [id(node) for node, _ in want]
+                for (_, tidx), (_, chunks) in zip(got, want):
+                    assert np.array_equal(tidx, np.concatenate(chunks))
 
 
 def scipy_columns(op, B, tol, restart, cycles):
@@ -490,11 +658,12 @@ class TestSolveAccelerated:
         assert rel.max() <= 0.01
 
     def test_jobs_deterministic(self):
+        """Two runs on one input give bitwise-equal entries."""
         spec = build_reference_device()
         mesh = mesh_device(spec, 16.0)
         opts = SolveOptions(mode="accelerated", epsilon_r=6.0)
-        m1 = solve_accelerated(mesh, opts, jobs=1)
-        m2 = solve_accelerated(mesh, opts, jobs=4)
+        m1 = solve_accelerated(mesh, opts)
+        m2 = solve_accelerated(mesh, opts)
         assert np.array_equal(m1.entries, m2.entries)
 
     def test_nonconvergence_reports_residual(self):

@@ -22,6 +22,11 @@ def test_parse_range():
     assert parse_range("-90:90:10") == [float(v) for v in range(-90, 100, 10)]
     assert parse_range("-50:50:10") == [float(v) for v in range(-50, 60, 10)]
     assert parse_range("25") == [25.0]
+    # the last value never passes max
+    assert parse_range("-90:90:70") == [-90.0, -20.0, 50.0]
+    assert parse_range("10:50:25") == [10.0, 35.0]
+    assert parse_range("0:1:0.6") == [0.0, 0.6]
+    assert parse_range("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.1 * 3]
 
 
 def test_bad_range_is_usage_failure(workdir):
@@ -167,6 +172,22 @@ def test_jobs_env_default(workdir, monkeypatch):
                 "--out", "caps.json", "--h-max", "18"]) == 0
 
 
+TINY_CAPS = {"conductor_names": ["d1", "d2"], "entries_aF": [[12.0, -4.0], [-4.0, 9.0]]}
+
+
+def test_compare_self_pair_prints_nan_period(workdir, capsys):
+    (workdir / "caps.json").write_text(json.dumps(TINY_CAPS))
+    (workdir / "self.json").write_text(
+        '{"pairs": [{"a": "d1", "b": "d1"}, {"a": "d1", "b": "d2"}]}')
+    assert run(["compare", "--caps", "caps.json", "--measured", "self.json",
+                "--out", "report.json"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[0].startswith("d1-d1") and rows[0].split()[-1] == "nan"
+    assert rows[1].startswith("d1-d2") and float(rows[1].split()[-1]) > 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["pairs"][0]["period_mV"] is None
+
+
 EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json", "--h-max", "18"]
 
 
@@ -181,6 +202,12 @@ EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json
     (["induced-charge", "--caps", "broken.json", "--out", "dq.json"], None, 1, "not valid JSON"),
     (["compare", "--caps", "broken.json", "--measured", "reference_measured.json",
       "--out", "report.json"], None, 1, "not valid JSON"),
+    (["compare", "--caps", "tiny_caps.json", "--measured", "measured_list.json",
+      "--out", "report.json"], None, 1, "not a valid measured-pairs JSON"),
+    (["compare", "--caps", "tiny_caps.json", "--measured", "measured_no_b.json",
+      "--out", "report.json"], None, 1, "not a valid measured-pairs JSON"),
+    (["compare", "--caps", "tiny_caps.json", "--measured", "measured_text.json",
+      "--out", "report.json"], None, 1, "not a valid measured-pairs JSON"),
     (["stability", "--caps", "reference_device.json", "--out-prefix", "diag"], None, 1,
      "neither a Maxwell JSON nor a ModelCaps JSON"),
     (["extract", "--geometry", "reference_device.json", "--out", "no_dir/caps.json"], None, 2,
@@ -192,10 +219,16 @@ EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json
     (["stability", "--caps", "reference_device.json", "--out-prefix", "no_dir/diag"], None, 2,
      "cannot write no_dir/diag_grid.csv"),
 ], ids=["mac-ratio", "h-max-zero", "tol", "jobs-env", "sweep-h-max", "stability-bad-json",
-        "induced-charge-bad-json", "compare-bad-json", "stability-device-file",
+        "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
+        "compare-measured-no-b", "compare-measured-text", "stability-device-file",
         "extract-no-out-dir", "sweep-no-out-dir", "extract-out-is-dir", "stability-no-out-dir"])
 def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
+    (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
+    (workdir / "measured_list.json").write_text('[{"a": "d1", "b": "d2"}]')
+    (workdir / "measured_no_b.json").write_text('{"pairs": [{"a": "d1"}]}')
+    (workdir / "measured_text.json").write_text(
+        '{"pairs": [{"a": "d1", "b": "d2", "measured_aF": "x"}]}')
     if env is not None:
         monkeypatch.setenv("DQDCAP_JOBS", env)
     before = set(workdir.iterdir())
