@@ -58,6 +58,23 @@ def _frame_groups(quads):
         yield frames[j, :3], frames[j, 3:], panels, points[at], inverse.reshape(-1, 4)
 
 
+def frame_groups(corners):
+    """The _frame_groups of each BLOCK_PANELS chunk of a source panel list, computed once.
+
+    potential_block(..., groups=frame_groups(mesh.corners[source_idx])) then
+    skips the grouping.  The arrays are read-only, so one result can serve
+    concurrent calls.
+    """
+    chunks = []
+    for s in range(0, len(corners), BLOCK_PANELS):
+        groups = tuple(_frame_groups(corners[s:s + BLOCK_PANELS]))
+        for group in groups:
+            for a in group:
+                a.flags.writeable = False
+        chunks.append(groups)
+    return tuple(chunks)
+
+
 def _dot(rel, e):
     """Elementwise rel[0]*e[0] + rel[1]*e[1] + rel[2]*e[2], skipping exact zeros and ones."""
     terms = [r if c == 1.0 else r * c for r, c in zip(rel, e) if c != 0.0]
@@ -67,8 +84,8 @@ def _dot(rel, e):
     return total
 
 
-def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
-    """Write potential_block(mesh, target_points, source_idx, epsilon_r) into out.
+def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
+    """Write potential_block(mesh, target_points, source_idx, epsilon_r, groups) into out.
 
     The corner term is evaluated once per (target, shared corner node) in
     row tiles of about _TILE values; every value depends only on its target
@@ -81,7 +98,8 @@ def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
         idx = source_idx[s:s + BLOCK_PANELS]
         cols = out[:, s:s + len(idx)]
         scale = pref / mesh.areas[idx]
-        for uhat, vhat, panels, nodes, inc in _frame_groups(mesh.corners[idx]):
+        chunk = _frame_groups(mesh.corners[idx]) if groups is None else groups[s // BLOCK_PANELS]
+        for uhat, vhat, panels, nodes, inc in chunk:
             what = np.cross(uhat, vhat)
             px, py, pz = nodes.T
             step = max(1, _TILE // len(nodes))
@@ -93,18 +111,19 @@ def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
                                             - f[:, inc[:, 1]] + f[:, inc[:, 2]]) * scale[panels]
 
 
-def potential_block(mesh, target_points, source_idx, epsilon_r):
+def potential_block(mesh, target_points, source_idx, epsilon_r, groups=None):
     """Dense block: potential at target_points per unit total charge on each source panel.
 
     Evaluates the corner term once per shared corner node of each block of
     BLOCK_PANELS source panels; each column equals the per-panel signed
     corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding,
-    and is bitwise independent of the blocking.
+    and is bitwise independent of the blocking.  groups, when given, is
+    frame_groups(mesh.corners[source_idx]).
     """
     target_points = np.asarray(target_points, dtype=np.float64)
     source_idx = np.asarray(source_idx)
     block = np.empty((len(target_points), len(source_idx)))
-    _fill_block(mesh, target_points, source_idx, epsilon_r, block)
+    _fill_block(mesh, target_points, source_idx, epsilon_r, block, groups)
     return block
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -9,12 +10,14 @@ import numpy as np
 from scipy import linalg, sparse
 
 from ..constants import AF, OFFDIAG_TOL
-from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
+from .kernels import (
+    AssemblyError, assemble_system, check_distinct_centroids, frame_groups, potential_block,
+)
 from .tree import block_csr, build_far_operators, build_octree, by_source, interaction_lists
 
 DENSE_PANEL_GUARD = 20000
 GMRES_RESTART = 60
-GMRES_ITER_CAP = 500
+GMRES_ITER_CAP = 500  # rounded up to whole restart cycles
 
 
 class SolverError(RuntimeError):
@@ -154,6 +157,14 @@ class DenseFactor:
         self.opts = opts
         self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh)[0])
 
+    @functools.cached_property
+    def groups(self):
+        """Frame groups of the static panels, the sources of every cell's A_ds strip.
+
+        Computed at the first cell, read-only after: concurrent cells share them.
+        """
+        return frame_groups(self.mesh.corners)
+
     def maxwell(self, mesh, roles=None) -> MaxwellMatrix:
         _check_dense_size(mesh)
         names = mesh.conductor_names
@@ -179,7 +190,7 @@ class DenseFactor:
         if len(d_idx):
             eps = self.opts.epsilon_r
             a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
-            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps)
+            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps, groups=self.groups)
             y = _lu_solve(self.lu, self.piv, a_sd)
             s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
@@ -194,32 +205,67 @@ def solve_dense(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellM
 
 
 class _AcceleratedOperator:
-    """phi = near @ q + E @ (Mom @ q), with exact near field."""
+    """phi = A q, exact near field and ACA far field, as one dense row block per target leaf.
+
+    Every row of a target leaf sees the same columns: the panels of its near
+    leaves, then the rows of M (ACA ranks) of its far nodes.  With
+    xw = [q; M q], the leaf's potentials are B_L @ xw[cols_L]; blocks holds
+    (leaf panels, cols_L, B_L) per leaf.
+    """
 
     def __init__(self, mesh, opts: SolveOptions):
         centroids = mesh.centroids
         check_distinct_centroids(centroids)
         root, leaves = build_octree(mesh, opts.leaf_size)
         far_lists, near_lists = interaction_lists(root, leaves, opts.mac_ratio)
-        self.eval_m, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
-
-        # one exact block per source leaf, placed through near's transpose, in
-        # which each source panel is one row; every leaf is in its own near
-        # list, so its block holds the self block that the preconditioner inverts
-        near_t, inverses = [], []
-        for s, tidx in by_source(leaves, near_lists):
-            block = potential_block(mesh, centroids[tidx], s.panels, opts.epsilon_r)
-            near_t.append((s.panels, tidx, block.T))
-            inverses.append((s.panels, s.panels, np.linalg.inv(block[np.isin(tidx, s.panels)])))
+        far, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
         n = mesh.n_panels
-        self.near = block_csr(near_t, (n, n)).T
-        self.precond = block_csr(inverses, (n, n))  # block-diagonal, leaf-wise
+        far_cols = {node: n + r for node, _, r, _ in far.sources}  # xw rows of M q
+        self.blocks = []
+        at = {}  # leaf -> (B_L, first column of each of its sources)
+        for leaf, near, far_nodes in zip(leaves, near_lists, far_lists):
+            cols = [s.panels for s in near] + [far_cols[s] for s in far_nodes]
+            starts = np.cumsum([0] + [len(c) for c in cols])
+            b = np.empty((len(leaf.panels), starts[-1]))
+            self.blocks.append((leaf.panels, np.concatenate(cols), b))
+            at[leaf] = b, dict(zip(near + far_nodes, starts.tolist()))
+
+        def place(source, targets, block):
+            """Copy the rows of block (targets' panels x source columns) into the targets' B_L."""
+            row, width = 0, block.shape[1]
+            for t in targets:
+                b, start = at[t]
+                c = start[source]
+                b[:, c:c + width] = block[row:row + len(b)]
+                row += len(b)
+
+        # each U goes to its target leaves and is dropped, last first, so that the
+        # far field's slabs are freed as the blocks fill: it is never held twice
+        while far.sources:
+            node, targets, _, u = far.sources.pop()
+            place(node, targets, u.T)
+            del u
+        for s, targets in by_source(leaves, near_lists):
+            tidx = np.concatenate([t.panels for t in targets])
+            place(s, targets, potential_block(mesh, centroids[tidx], s.panels, opts.epsilon_r))
+        # every leaf is in its own near list, so its block holds the self block
+        # that the block-diagonal preconditioner inverts
+        inverses = []
+        for leaf in leaves:
+            b, start = at[leaf]
+            self_block = b[:, start[leaf]:start[leaf] + len(b)]
+            inverses.append((leaf.panels, leaf.panels, np.linalg.inv(self_block)))
+        self.precond = block_csr(inverses, (n, n))
         self.n = n
         self.n_leaves = len(leaves)
 
     def matvec(self, q):
-        """A @ q for one vector or an n x k block; a block product equals its k matvecs bitwise."""
-        return self.near @ q + self.eval_m @ (self.mom_m @ q)
+        """A @ q for one vector or an n x k block: one gather and one product per target leaf."""
+        xw = np.concatenate([q, self.mom_m @ q])
+        y = np.empty(q.shape)
+        for rows, cols, b in self.blocks:
+            y[rows] = b @ xw[cols]
+        return y
 
 
 _EPS = np.finfo(np.float64).eps
@@ -378,9 +424,11 @@ def solve_accelerated(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
     x, iters, res = gmres(op.matvec, lambda q: op.precond @ q, rhs,
                           opts.krylov_tol, GMRES_RESTART, cycles)
     if not np.all(res <= opts.krylov_tol):
+        # gmres runs whole cycles of at most min(restart, n) steps
+        cap = cycles * min(GMRES_RESTART, mesh.n_panels)
         raise SolverError(
-            f"GMRES failed to reach {opts.krylov_tol} within "
-            f"{GMRES_ITER_CAP} iterations (relative residual {res.max():.3e})"
+            f"GMRES failed to reach {opts.krylov_tol} within {cap} "
+            f"iterations (relative residual {res.max():.3e})"
         )
     raw = agg @ x
     info_d = {

@@ -11,8 +11,6 @@ the same corner antiderivative as the exact near field.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import sparse
 
@@ -21,6 +19,7 @@ from .kernels import _corner_term
 
 ACA_TOL = 1e-4  # a rank-one term is small below ACA_TOL x the block's Frobenius norm
 ACA_SMALL_STEPS = 2  # stop after this many small terms in a row; one alone is not robust
+SLAB_VALUES = 1 << 20  # U values per shared allocation of the far field (8 MB)
 
 
 class Node:
@@ -82,24 +81,62 @@ def build_octree(mesh, leaf_size):
     return root, leaves
 
 
+def _preorder(root):
+    """Nodes in depth-first preorder, children in order."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(node.children))
+    return order
+
+
 def interaction_lists(root, leaves, mac_ratio):
-    """Per target leaf: admissible source nodes (far) and source leaves (near)."""
-    far_lists, near_lists = [], []
-    for leaf in leaves:
-        far, near = [], []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            d = node.center - leaf.center
-            if node.radius + leaf.radius < mac_ratio * math.sqrt(d.dot(d)):
-                far.append(node)
-            elif node.is_leaf:
-                near.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        far_lists.append(far)
-        near_lists.append(near)
-    return far_lists, near_lists
+    """Per target leaf: admissible source nodes (far) and source leaves (near).
+
+    A source node is far when r_source + r_target < mac_ratio * |c_source -
+    c_target|, near when it is an inadmissible leaf, and opened otherwise.
+    All target leaves descend the tree together, one level per step, and
+    each list keeps its nodes in depth-first order.
+    """
+    nodes = _preorder(root)
+    at = {node: i for i, node in enumerate(nodes)}  # nodes hash by identity
+    center = np.array([node.center for node in nodes])
+    radius = np.array([node.radius for node in nodes])
+    n_children = np.array([len(node.children) for node in nodes])
+    first_child = np.cumsum(n_children) - n_children
+    children = np.array([at[ch] for node in nodes for ch in node.children], dtype=np.int64)
+    target = np.array([at[leaf] for leaf in leaves], dtype=np.int64)
+
+    far, near = [], []  # (target leaf positions, source nodes) found per level
+    t = np.arange(len(leaves))
+    s = np.zeros(len(leaves), dtype=np.int64)
+    while len(t):
+        d = center[s] - center[target[t]]
+        # a stack of d @ d products, bitwise the dot product of each d
+        dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        admitted = radius[s] + radius[target[t]] < mac_ratio * dist
+        is_near = ~admitted & (n_children[s] == 0)
+        far.append((t[admitted], s[admitted]))
+        near.append((t[is_near], s[is_near]))
+        opened = ~(admitted | is_near)
+        t, s = t[opened], s[opened]
+        count = n_children[s]
+        t = np.repeat(t, count)
+        s = children[np.repeat(first_child[s] - np.cumsum(count) + count, count)
+                     + np.arange(len(t))]
+
+    node_of = np.empty(len(nodes), dtype=object)
+    node_of[:] = nodes
+
+    def per_leaf(pairs):
+        t = np.concatenate([p[0] for p in pairs])
+        s = np.concatenate([p[1] for p in pairs])
+        order = np.lexsort((s, t))  # preorder positions are depth-first order
+        ends = np.cumsum(np.bincount(t, minlength=len(leaves)))
+        return [chunk.tolist() for chunk in np.split(node_of[s[order]], ends[:-1])]
+
+    return per_leaf(far), per_leaf(near)
 
 
 def _subtree_panels(node):
@@ -160,16 +197,16 @@ def _cross_approximation(row, col, n_rows, n_cols):
 
 
 def by_source(leaves, lists):
-    """Invert per-target-leaf node lists: [(source node, target panels)].
+    """Invert per-target-leaf node lists: [(source node, its target leaves)].
 
-    Sources come in first-use order; each one's target panels are those of
-    the leaves that list it, in leaf order.
+    Sources come in first-use order, and each one's target leaves in leaf
+    order.
     """
-    chunks = {}  # nodes hash by identity
+    targets = {}  # nodes hash by identity
     for leaf, nodes in zip(leaves, lists):
         for node in nodes:
-            chunks.setdefault(node, []).append(leaf.panels)
-    return [(node, np.concatenate(c)) for node, c in chunks.items()]
+            targets.setdefault(node, []).append(leaf)
+    return list(targets.items())
 
 
 def block_csr(blocks, shape):
@@ -192,12 +229,28 @@ def block_csr(blocks, shape):
     return sparse.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=shape)
 
 
+class FarField:
+    """The U side of the far field: far potentials U.T @ (M @ charges), per source node.
+
+    sources holds (node, target leaves, ranks, U) for each admitted source
+    node: ranks are its rows of M, and U (k, far targets) has the rows of
+    its target leaves' panels, in leaf order.  nnz counts the U values.
+    The U are views of SLAB_VALUES-sized slabs, filled in source order, so a
+    consumer that drops the sources last to first returns each slab to the
+    system once its last U is gone.
+    """
+
+    def __init__(self, sources):
+        self.sources = sources
+        self.nnz = sum(u.size for *_, u in sources)
+
+
 def build_far_operators(mesh, leaves, far_lists, epsilon_r):
-    """Sparse far-field factorization: potentials = E @ (M @ charges).
+    """Far field by cross approximation: (FarField, M), M sparse with one row per rank.
 
     Each source node admitted by some target leaf gets one cross
     approximation U.T @ V of its far targets against its subtree panels;
-    V fills rows of M and U the matching columns of E.
+    V fills rows of M, and U stays with its node in the FarField.
     """
     corners = mesh.corners
     edges = corners[:, [1, 3]] - corners[:, :1]
@@ -206,10 +259,12 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     scale = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r * mesh.areas)
     centroids = mesh.centroids
 
-    e_blocks, m_blocks = [], []
+    sources, m_blocks = [], []
     k = 0  # rows of M so far
-    for node, tidx in by_source(leaves, far_lists):
+    slab, used = np.empty(0), 0
+    for node, targets in by_source(leaves, far_lists):
         idx = _subtree_panels(node)
+        tidx = np.concatenate([t.panels for t in targets])
         # coordinates relative to the node center, so far values keep their digits
         fr = frames[idx]
         rel = corners[idx] - node.center
@@ -229,10 +284,14 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
             return _panel_sums(proj, u_off[:, j, None], v_off[:, j, None], w_off[j]) * sc[j]
 
         U, V = _cross_approximation(row, col, len(tidx), len(idx))
+        # an exact-size copy, without the ACA's spare rows, in a shared slab
+        if used + U.size > len(slab):
+            slab, used = np.empty(max(SLAB_VALUES, U.size)), 0
+        u = slab[used:used + U.size].reshape(U.shape)
+        u[...] = U
+        used += U.size
         ranks = np.arange(k, k + len(U))
         k += len(U)
-        e_blocks.append((ranks, tidx, U))
+        sources.append((node, targets, ranks, u))
         m_blocks.append((ranks, idx, V))
-    n = mesh.n_panels
-    # E is the CSC view of its transpose, whose rows are the U rows
-    return block_csr(e_blocks, (k, n)).T, block_csr(m_blocks, (k, n))
+    return FarField(sources), block_csr(m_blocks, (k, mesh.n_panels))

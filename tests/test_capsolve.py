@@ -3,6 +3,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dqdcap.capsolve import (
     solve_dense,
 )
 from dqdcap.capsolve import kernels, tree
+from dqdcap.capsolve.kernels import frame_groups
 from dqdcap.capsolve.solve import GMRES_RESTART, _AcceleratedOperator, _conductor_rhs, gmres
 from dqdcap.capsolve.tree import (
     _cross_approximation,
@@ -43,6 +45,8 @@ from dqdcap.geometry import (
     transform_dots,
 )
 from dqdcap.reference import build_reference_device
+
+solve_module = importlib.import_module("dqdcap.capsolve.solve")
 
 
 def rect_integral(corner, edge_u, edge_v, points):
@@ -183,6 +187,18 @@ class TestSharedNodeKernel:
         want = loop_potential_block(mesh, targets, idx, 6.0)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
+    def test_precomputed_frame_groups_are_bitwise_equal(self):
+        mesh = mesh_device(build_reference_device(), 16.0)
+        rng = np.random.default_rng(6)
+        idx = rng.permutation(mesh.n_panels)[:600]  # three chunks of BLOCK_PANELS
+        targets = mesh.centroids[rng.permutation(mesh.n_panels)[:150]]
+        groups = frame_groups(mesh.corners[idx])
+        assert len(groups) == 3
+        want = potential_block(mesh, targets, idx, 6.0)
+        assert np.array_equal(potential_block(mesh, targets, idx, 6.0, groups=groups), want)
+        with pytest.raises(ValueError, match="read-only"):
+            groups[0][0][2][0] = 0  # shared between threads: nothing may write to it
+
     def test_maxwell_matches_loop_assembled_solve(self, monkeypatch):
         spec = build_reference_device()
         mesh = mesh_device(spec, 16.0)
@@ -193,7 +209,6 @@ class TestSharedNodeKernel:
             c = mesh.centroids
             return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r)
 
-        solve_module = importlib.import_module("dqdcap.capsolve.solve")
         monkeypatch.setattr(solve_module, "assemble_system", loop_assemble)
         want = solve_dense(mesh, opts, roles=spec.roles)
         assert np.all(np.abs(got.entries - want.entries) <= 1e-9 * np.abs(want.entries))
@@ -227,8 +242,9 @@ class TestCrossApproximationFarField:
 
     def test_far_entries_match_dense(self, operator_and_dense):
         op, dense = operator_and_dense
-        far = (op.eval_m @ op.mom_m).toarray()
-        far_only = op.near.toarray() == 0
+        near, far_u = leaf_factors(op)
+        far = (far_u @ op.mom_m).toarray()
+        far_only = near.toarray() == 0
         assert far_only.any()
         # near and far cover every (target, source) pair exactly once
         assert np.array_equal(far != 0, far_only)
@@ -239,11 +255,15 @@ class TestCrossApproximationFarField:
         mesh = mesh_device(build_reference_device(), 16.0)
         root, leaves = build_octree(mesh, 32)
         far_lists, _ = interaction_lists(root, leaves, 0.5)
-        e1, m1 = build_far_operators(mesh, leaves, far_lists, 6.0)
-        e2, m2 = build_far_operators(mesh, leaves, far_lists, 6.0)
-        assert e1.shape[1] > 0 and e1.nnz > 0
-        assert e1.shape == e2.shape and m1.shape == m2.shape
-        assert (e1 != e2).nnz == 0 and (m1 != m2).nnz == 0
+        f1, m1 = build_far_operators(mesh, leaves, far_lists, 6.0)
+        f2, m2 = build_far_operators(mesh, leaves, far_lists, 6.0)
+        assert m1.shape[0] > 0 and f1.nnz > 0 and f1.nnz == f2.nnz
+        assert m1.shape == m2.shape and (m1 != m2).nnz == 0
+        assert len(f1.sources) == len(f2.sources)
+        for (n1, t1, r1, u1), (n2, t2, r2, u2) in zip(f1.sources, f2.sources):
+            assert n1 is n2 and [id(t) for t in t1] == [id(t) for t in t2]
+            assert np.array_equal(r1, r2) and np.array_equal(u1, u2)
+            assert u1.shape == (len(r1), sum(len(t.panels) for t in t1))
 
     def test_low_rank_block_is_reproduced(self):
         rng = np.random.default_rng(5)
@@ -276,7 +296,8 @@ def norm_rule_lists(root, leaves, mac_ratio):
 @pytest.mark.parametrize("make_mesh", [
     lambda: mesh_device(build_reference_device(), 16.0),
     lambda: plate_pair_mesh(100.0, 5.0, 3.0),
-], ids=["reference_h16", "plates"])
+    lambda: sphere_mesh(10.0, 16),
+], ids=["reference_h16", "plates", "sphere"])
 def test_interaction_lists_match_norm_rule(make_mesh):
     root, leaves = build_octree(make_mesh(), 32)
     for mac in (0.3, 0.5, 0.8):
@@ -342,57 +363,102 @@ def coo_operator(mesh, leaves, near_lists, eps):
     return near, precond
 
 
+def recorded_operator(mesh, opts):
+    """The accelerated operator, with copies of its far sources and its M blocks as built.
+
+    The operator drops each U once it is copied into the leaf blocks, so
+    build_far_operators is wrapped to copy them first; M's (ranks, panels, V)
+    blocks are recorded at its block_csr call.
+    """
+    sources, m_calls = [], []
+
+    def recording_far(*args):
+        far, mom = build_far_operators(*args)
+        sources.extend((node, targets, ranks, u.copy()) for node, targets, ranks, u in far.sources)
+        return far, mom
+
+    def recording_block_csr(blocks, shape):
+        m_calls.append(blocks)
+        return block_csr(blocks, shape)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve_module, "build_far_operators", recording_far)
+        mp.setattr(tree, "block_csr", recording_block_csr)
+        op = _AcceleratedOperator(mesh, opts)
+    ranks = np.concatenate([np.arange(0)] + [r for _, _, r, _ in sources])
+    assert np.array_equal(ranks, np.arange(op.mom_m.shape[0]))
+    (m_blocks,) = m_calls
+    return op, sources, m_blocks
+
+
+def target_panels(targets):
+    return np.concatenate([t.panels for t in targets])
+
+
+def leaf_factors(op):
+    """The near field (n x n) and the far U side (n x k) placed from the operator's leaf blocks."""
+    n, k = op.n, op.mom_m.shape[0]
+    near, far = [], []
+    for rows, cols, b in op.blocks:
+        is_near = cols < n
+        near.append((rows, cols[is_near], b[:, is_near]))
+        far.append((rows, cols[~is_near] - n, b[:, ~is_near]))
+    return block_csr(near, (n, n)), block_csr(far, (n, k))
+
+
 @pytest.fixture(scope="module", params=sorted(FAR_FIELD_MESHES))
 def operator_and_reference(request):
     """The accelerated operator and its sparse factors built from triplets and conversions.
 
     E and M of the reference come from the same cross approximations,
-    recorded at the block_csr calls of build_far_operators.
+    recorded while the operator is built.
     """
     make_mesh, eps = FAR_FIELD_MESHES[request.param]
     mesh = make_mesh()
-    calls = []
-
-    def recording_block_csr(blocks, shape):
-        calls.append(blocks)
-        return block_csr(blocks, shape)
-
     opts = SolveOptions(mode="accelerated", epsilon_r=eps)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree, "block_csr", recording_block_csr)
-        op = _AcceleratedOperator(mesh, opts)
-    e_blocks, m_blocks = calls
-    ranks = np.concatenate([r for r, _, _ in e_blocks])
-    assert np.array_equal(ranks, np.arange(op.mom_m.shape[0]))
+    op, sources, m_blocks = recorded_operator(mesh, opts)
     root, leaves = build_octree(mesh, opts.leaf_size)
     near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
     near, precond = coo_operator(mesh, leaves, near_lists, eps)
+    e_rows = [(target_panels(targets), u) for _, targets, _, u in sources]
     ref = {
         "near": near, "precond": precond,
-        "eval_m": stack_rows([(c, w) for _, c, w in e_blocks], mesh.n_panels).T.tocsr(),
+        "eval_m": stack_rows(e_rows, mesh.n_panels).T.tocsr(),
         "mom_m": stack_rows([(c, w) for _, c, w in m_blocks], mesh.n_panels),
     }
     return op, ref
 
 
 class TestBlockCsrOperator:
-    """The operator's sparse factors filled from dense blocks against the COO-built ones."""
+    """The operator's factors, filled from dense blocks, against the COO-built ones.
+
+    near and eval_m (E) are the near and far columns of the leaf blocks.
+    """
 
     @pytest.mark.parametrize("name", ["near", "precond", "eval_m", "mom_m"])
     def test_factors_equal_reference(self, operator_and_reference, name):
         op, ref = operator_and_reference
-        got, want = getattr(op, name), ref[name]
+        near, far_u = leaf_factors(op)
+        got = {"near": near, "eval_m": far_u}.get(name)
+        got, want = getattr(op, name) if got is None else got, ref[name]
         assert got.shape == want.shape and got.nnz == want.nnz
         assert (got != want).nnz == 0
 
     def test_products_bitwise_equal_reference(self, operator_and_reference):
+        """precond and M products are the reference's; the operator is one product per
+        leaf over the reference entries."""
         op, ref = operator_and_reference
+        a = sparse.hstack([ref["near"], ref["eval_m"]]).tocsr()
+        ref_blocks = [(rows, cols, a[rows][:, cols].toarray()) for rows, cols, _ in op.blocks]
         rng = np.random.default_rng(3)
         for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
-            assert np.array_equal(op.near @ q, ref["near"] @ q)
             assert np.array_equal(op.precond @ q, ref["precond"] @ q)
-            assert np.array_equal(op.eval_m @ (op.mom_m @ q),
-                                  ref["eval_m"] @ (ref["mom_m"] @ q))
+            assert np.array_equal(op.mom_m @ q, ref["mom_m"] @ q)
+            xw = np.concatenate([q, ref["mom_m"] @ q])
+            want = np.empty(q.shape)
+            for rows, cols, b in ref_blocks:
+                want[rows] = b @ xw[cols]
+            assert np.array_equal(op.matvec(q), want)
 
     def test_block_csr_keeps_each_rows_column_order(self):
         rng = np.random.default_rng(8)
@@ -427,8 +493,64 @@ class TestBlockCsrOperator:
             got = by_source(leaves, lists)
             for want in (slot_inversion(leaves, lists), keyed_inversion(leaves, lists)):
                 assert [id(node) for node, _ in got] == [id(node) for node, _ in want]
-                for (_, tidx), (_, chunks) in zip(got, want):
-                    assert np.array_equal(tidx, np.concatenate(chunks))
+                for (_, targets), (_, chunks) in zip(got, want):
+                    assert [id(t.panels) for t in targets] == [id(c) for c in chunks]
+
+
+def csr_operator(mesh, leaves, near_lists, sources, eps):
+    """Reference near and E as before the leaf blocks: CSC views of block_csr transposes.
+
+    Each source leaf's exact block and each far node's U fill the rows of
+    the transpose, one row per source panel or rank.
+    """
+    n = mesh.n_panels
+    near_t = []
+    for s, targets in by_source(leaves, near_lists):
+        tidx = target_panels(targets)
+        near_t.append((s.panels, tidx, potential_block(mesh, mesh.centroids[tidx], s.panels, eps).T))
+    e_t = [(ranks, target_panels(targets), u) for _, targets, ranks, u in sources]
+    k = sum(len(ranks) for ranks, _, _ in e_t)
+    return block_csr(near_t, (n, n)).T, block_csr(e_t, (k, n)).T
+
+
+LEAF_BLOCK_MESHES = {
+    **{name: (make_mesh, eps, 0.5) for name, (make_mesh, eps) in FAR_FIELD_MESHES.items()},
+    "tiny_mac": (lambda: sphere_mesh(10.0, 6), 1.0, 1e-9),  # no far nodes
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LEAF_BLOCK_MESHES))
+def operator_and_csr(request):
+    make_mesh, eps, mac = LEAF_BLOCK_MESHES[request.param]
+    mesh = make_mesh()
+    opts = SolveOptions(mode="accelerated", epsilon_r=eps, mac_ratio=mac)
+    op, sources, _ = recorded_operator(mesh, opts)
+    root, leaves = build_octree(mesh, opts.leaf_size)
+    near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
+    near, e = csr_operator(mesh, leaves, near_lists, sources, eps)
+    return request.param, op, near, e
+
+
+class TestLeafBlockOperator:
+    """The leaf-block operator against the CSR near and E construction it replaces."""
+
+    def test_blocks_hold_the_reference_entries(self, operator_and_csr):
+        """Every B_L entry is bitwise the reference entry at its position, with no fill."""
+        name, op, near, e = operator_and_csr
+        k = op.mom_m.shape[0]
+        assert (k == 0) == (name == "tiny_mac")
+        got = block_csr(op.blocks, (op.n, op.n + k))
+        want = sparse.hstack([near, e]).tocsr()
+        assert got.nnz == want.nnz == sum(b.size for _, _, b in op.blocks)
+        assert (got != want).nnz == 0
+
+    def test_matvec_matches_reference(self, operator_and_csr):
+        _, op, near, e = operator_and_csr
+        rng = np.random.default_rng(12)
+        for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
+            want = near @ q + e @ (op.mom_m @ q)
+            err = np.linalg.norm(op.matvec(q) - want, axis=0)
+            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=0))
 
 
 def scipy_columns(op, B, tol, restart, cycles):
@@ -448,6 +570,13 @@ def scipy_columns(op, B, tol, restart, cycles):
         xs.append(x)
         iters.append(count[0])
     return np.stack(xs, axis=1), iters
+
+
+def column_exact(op):
+    """op's leaf blocks as one CSR matrix over [q; M q]: block products equal column products."""
+    a = block_csr(op.blocks, (op.n, op.n + op.mom_m.shape[0]))
+    return SimpleNamespace(n=op.n, precond=op.precond,
+                           matvec=lambda q: a @ np.concatenate([q, op.mom_m @ q]))
 
 
 def lockstep(op, B, tol, restart, cycles):
@@ -483,30 +612,42 @@ class TestLockstepGmres:
             assert np.linalg.norm(X[:, k] - want[:, k]) <= tol * np.linalg.norm(want[:, k])
 
     def test_shrinking_block_is_order_independent(self, reference_operator):
-        """Columns leave the block at different steps and cycles; none sees the others."""
+        """Columns leave the block at different steps and cycles; none sees the others.
+
+        Bitwise on the leaf blocks as one CSR matrix, whose block products
+        equal their column products bitwise.  The leaf blocks' own products
+        round by block width, so there the columns match scipy to the tolerance.
+        """
         op, B = reference_operator
+        exact = column_exact(op)
         rng = np.random.default_rng(4)
         B = np.hstack([B, rng.standard_normal((op.n, 3)), np.zeros((op.n, 1))])
         tol, restart = 1e-8, 12  # several restarts, columns finishing in different cycles
-        X, iters, res = lockstep(op, B, tol, restart, 20)
+        X, iters, res = lockstep(exact, B, tol, restart, 20)
         assert len(set(iters[:-1].tolist())) > 2  # the live block shrinks mid-cycle
         assert iters[-1] == 0 and res[-1] == 0 and not X[:, -1].any()
-        want, want_iters = scipy_columns(op, B[:, :-1], tol, restart, 20)
+        want, want_iters = scipy_columns(exact, B[:, :-1], tol, restart, 20)
         assert iters[:-1].tolist() == want_iters
         perm = rng.permutation(B.shape[1])
-        Xp, iters_p, res_p = lockstep(op, B[:, perm], tol, restart, 20)
+        Xp, iters_p, res_p = lockstep(exact, B[:, perm], tol, restart, 20)
         assert np.array_equal(Xp, X[:, perm])
         assert np.array_equal(iters_p, iters[perm]) and np.array_equal(res_p, res[perm])
         for k in (0, 9):
-            Xk, iters_k, _ = lockstep(op, B[:, [k]], tol, restart, 20)
+            Xk, iters_k, _ = lockstep(exact, B[:, [k]], tol, restart, 20)
             assert np.array_equal(Xk[:, 0], X[:, k]) and iters_k[0] == iters[k]
+        X, _, res = lockstep(op, B, tol, restart, 20)
+        want, _ = scipy_columns(op, B[:, :-1], tol, restart, 20)
+        assert np.all(res <= tol)
+        for k in range(B.shape[1] - 1):
+            assert np.linalg.norm(X[:, k] - want[:, k]) <= tol * np.linalg.norm(want[:, k])
 
     def test_cycle_cap_reports_residual(self, reference_operator):
         op, B = reference_operator
         X, iters, res = lockstep(op, B[:, :2], 1e-12, 5, 2)
         assert np.all(iters == 10)
+        ax = op.matvec(X)  # the last restart's product: both columns are still active
         for k in range(2):
-            r = B[:, k] - op.matvec(X[:, k])
+            r = B[:, k] - ax[:, k]
             assert res[k] == np.linalg.norm(r) / np.linalg.norm(B[:, k])
             assert res[k] > 1e-12
 
@@ -672,6 +813,24 @@ class TestSolveAccelerated:
         with pytest.raises(SolverError, match="residual"):
             solve_accelerated(mesh, SolveOptions(
                 mode="accelerated", epsilon_r=1.0, krylov_tol=1e-300))
+
+    def test_nonconvergence_states_the_enforced_cap(self, monkeypatch):
+        """The loop runs whole restart cycles: a cap of 100 allows 2 x 60 iterations."""
+        counts = []
+
+        def recording_gmres(*args):
+            out = gmres(*args)
+            counts.append(out[1])
+            return out
+
+        monkeypatch.setattr(solve_module, "GMRES_ITER_CAP", 100)
+        monkeypatch.setattr(solve_module, "gmres", recording_gmres)
+        mesh = sphere_mesh(10.0, 8)
+        assert mesh.n_panels > GMRES_RESTART
+        with pytest.raises(SolverError, match=r"within 120 iterations \(relative residual"):
+            solve_accelerated(mesh, SolveOptions(
+                mode="accelerated", epsilon_r=1.0, krylov_tol=1e-300))
+        assert counts[0].max() == 120
 
 
 class TestMaxwellSerialization:
