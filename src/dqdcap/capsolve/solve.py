@@ -269,151 +269,93 @@ class _AcceleratedOperator:
 
 
 _EPS = np.finfo(np.float64).eps
-_lartg = linalg.get_lapack_funcs("lartg", dtype=np.float64)
-
-
-class _Column:
-    """One right-hand side of gmres: scipy's restarted GMRES state, x0 = 0, atol = 0."""
-
-    def __init__(self, b, mb, rtol, restart):
-        self.b = b
-        self.bnrm2 = np.linalg.norm(b)
-        self.atol = float(rtol) * float(self.bnrm2)
-        self.x = np.zeros(len(b))
-        self.v = np.empty((restart + 1, len(b)))
-        self.h = np.zeros((restart, restart + 1))
-        self.givens = np.zeros((restart, 2))
-        self.ptol_max_factor = 1.0
-        self.ptol = np.linalg.norm(mb) * min(self.ptol_max_factor, self.atol / self.bnrm2)
-        self.presid = 0.0
-        self.rnorm = self.bnrm2
-        self.iterations = 0
-
-    def start_cycle(self, z):
-        """Start an Arnoldi cycle from the preconditioned residual z."""
-        self.v[0] = z
-        tmp = np.linalg.norm(self.v[0])
-        self.v[0] *= (1 / tmp)
-        self.s = np.zeros(len(self.v))
-        self.s[0] = tmp
-        self.col = 0
-        self.breakdown = False
-
-    def step(self, w):
-        """One Arnoldi step on w = M A v[col]; returns False when the inner loop stops."""
-        col, v, h, g, s = self.col, self.v, self.h, self.givens, self.s
-        # modified Gram-Schmidt
-        h0 = np.linalg.norm(w)
-        for k in range(col + 1):
-            tmp = np.dot(v[k], w)
-            h[col, k] = tmp
-            w -= tmp * v[k]
-        h1 = np.linalg.norm(w)
-        h[col, col + 1] = h1
-        v[col + 1] = w
-        if h1 <= _EPS * h0:  # exact solution
-            h[col, col + 1] = 0
-            self.breakdown = True
-        else:
-            v[col + 1] *= (1 / h1)
-        # past Givens rotations, then the current one, on h and s
-        for k in range(col):
-            c, sn = g[k, 0], g[k, 1]
-            n0, n1 = h[col, [k, k + 1]]
-            h[col, [k, k + 1]] = [c * n0 + sn * n1, -sn * n0 + c * n1]
-        c, sn, mag = _lartg(h[col, col], h[col, col + 1])
-        g[col] = [c, sn]
-        h[col, [col, col + 1]] = mag, 0
-        tmp = -sn * s[col]
-        s[[col, col + 1]] = [c * s[col], tmp]
-        self.presid = np.abs(tmp)
-        self.iterations += 1
-        if self.presid <= self.ptol or self.breakdown or col + 1 == len(h):
-            return False
-        self.col += 1
-        return True
-
-    def update_x(self):
-        """Add the cycle's correction: back-substitute the rotated Hessenberg system."""
-        col, h = self.col, self.h
-        if h[col, col] == 0:
-            self.s[col] = 0
-        y = np.zeros([col + 1])
-        y[:] = self.s[:col + 1]
-        for k in range(col, 0, -1):
-            if y[k] != 0:
-                y[k] /= h[k, k]
-                tmp = y[k]
-                y[:k] -= tmp * h[k, :k]
-        if y[0] != 0:
-            y[0] /= h[0, 0]
-        self.x += y @ self.v[:col + 1, :]
-
-    def restart(self, r):
-        """Take the true residual r = b - A x; returns True when another cycle is due."""
-        self.rnorm = np.linalg.norm(r)
-        if self.rnorm <= self.atol or self.breakdown:
-            return False
-        if self.presid <= self.ptol:  # inner loop passed but outer did not
-            self.ptol_max_factor = max(_EPS, 0.25 * self.ptol_max_factor)
-        else:
-            self.ptol_max_factor = min(1.0, 1.5 * self.ptol_max_factor)
-        self.ptol = self.presid * min(self.ptol_max_factor, self.atol / self.rnorm)
-        return True
 
 
 def gmres(apply_a, apply_m, B, rtol, restart, max_cycles):
-    """Left-preconditioned restarted GMRES on every column of B, in lockstep.
+    """Left-preconditioned restarted block GMRES: one Krylov space for all columns of B.
 
-    Each column runs scipy.sparse.linalg.gmres(A, b, rtol=rtol, atol=0,
-    restart=restart, maxiter=max_cycles, M=M) step for step, with its own
-    Arnoldi basis, Hessenberg matrix, Givens rotations and inner tolerance,
-    and in scipy's arithmetic order.  The columns share the operator calls:
-    each Arnoldi step applies apply_a and then apply_m once to the n x m
-    block of the columns whose inner loop still runs, and each restart
-    takes the residuals of the columns still unconverged in one product.
-    With operators whose block product equals its column products bitwise
-    (sparse CSR products do), every column equals scipy's result bitwise
-    and does not depend on the other columns.
+    Each cycle factors the preconditioned residuals of the live columns,
+    Q E = M R, and grows the block Krylov space of M A from Q.  A block
+    step applies apply_a and then apply_m once to the n x p block,
+    orthogonalizes it against the basis by two passes of classical block
+    Gram-Schmidt and takes the next block and the subdiagonal of H from a
+    QR of the remainder.  After each step the small least-squares problem
+    min |[E; 0] - H Y| is solved afresh; its residual columns are the
+    preconditioned residuals of the columns.  A column's inner tolerance
+    follows scipy's gmres (x0 = 0, atol = 0): |M b| min(1, rtol |b| / |r|)
+    at the start, its factor scaled by 0.25 or 1.5 on each restart.  A cycle
+    ends when every column meets its inner tolerance, at a breakdown, or
+    after min(restart, n // p) steps; then a column whose true residual
+    |b - A x| exceeds rtol |b| stays live for the next cycle.  A zero column
+    gives x = 0.
 
-    Returns (X, iterations per column, relative residuals |b - A x| / |b|).
+    Returns (X, block steps per column until it met its inner tolerance,
+    relative residuals |b - A x| / |b|).
     """
     n, k = B.shape
-    restart = min(restart, n)
     X = np.zeros((n, k))
     iters = np.zeros(k, dtype=np.int64)
     res = np.zeros(k)
-    todo = [j for j in range(k) if B[:, j].any()]  # b = 0 gives x = 0
-    mb = apply_m(B[:, todo]) if todo else None
-    cols = {j: _Column(B[:, j].copy(), mb[:, i], rtol, restart) for i, j in enumerate(todo)}
-    # z: the preconditioned residual of each column that starts another cycle
-    z = {j: mb[:, i] for i, j in enumerate(todo) if not cols[j].bnrm2 < cols[j].atol}
+    bnrm = np.linalg.norm(B, axis=0)
+    live = np.flatnonzero(bnrm)
+    atol = rtol * bnrm
+    z = apply_m(B[:, live])
+    factor = np.ones(k)
+    ptol = np.zeros(k)
+    ptol[live] = np.linalg.norm(z, axis=0) * min(1.0, rtol)
+    # the blocks' transposes, one after another, allocated once per call: a
+    # cycle on p columns fills at most (restart + 1) p rows, and a fresh basis
+    # per cycle left about 56 MB more heap resident after a solve at h = 5
+    basis = np.empty(((restart + 1) * len(live), n))
     for _ in range(max_cycles):
-        if not z:
+        if not len(live):
             break
-        active = list(z)
-        for j in active:
-            cols[j].start_cycle(z[j])
-        live = active
-        while live:
-            w = apply_m(apply_a(np.stack([cols[j].v[cols[j].col] for j in live], axis=1)))
-            # each column works on its own contiguous copy, as scipy does
-            live = [j for i, j in enumerate(live) if cols[j].step(w[:, i].copy())]
-        for j in active:
-            cols[j].update_x()
-        ax = apply_a(np.stack([cols[j].x for j in active], axis=1))
-        r = {j: cols[j].b - ax[:, i] for i, j in enumerate(active)}
-        r = {j: rj for j, rj in r.items() if cols[j].restart(rj)}
-        z = dict(zip(r, apply_m(np.stack(list(r.values()), axis=1)).T)) if r else {}
-    for j, c in cols.items():
-        X[:, j] = c.x
-        iters[j] = c.iterations
-        res[j] = c.rnorm / c.bnrm2
+        p = len(live)
+        steps = min(restart, n // p)
+        q, e = np.linalg.qr(z)
+        basis[:p] = q.T
+        h = np.zeros(((steps + 1) * p, steps * p))
+        g = np.zeros(((steps + 1) * p, p))
+        g[:p] = e
+        met = np.zeros(p, dtype=bool)
+        for j in range(1, steps + 1):
+            w = apply_m(apply_a(q))
+            w_norm = np.linalg.norm(w)
+            v = basis[:j * p]
+            hj = h[:j * p, (j - 1) * p:j * p]
+            for _ in range(2):
+                c = v @ w
+                # as the p x n product: an n x p result would make threaded
+                # OpenBLAS touch, and keep, about 15 MB more of its buffers at h = 5
+                w -= (c.T @ v).T
+                hj += c
+            q, s = np.linalg.qr(w)
+            basis[j * p:(j + 1) * p] = q.T
+            h[j * p:(j + 1) * p, (j - 1) * p:j * p] = s
+            hk, gk = h[:(j + 1) * p, :j * p], g[:(j + 1) * p]
+            y = np.linalg.lstsq(hk, gk, rcond=None)[0]
+            presid = np.linalg.norm(gk - hk @ y, axis=0)
+            iters[live[~met]] += 1
+            met |= presid <= ptol[live]
+            if met.all() or np.any(np.abs(np.diag(s)) <= _EPS * w_norm):
+                break
+        X[:, live] += (y.T @ basis[:j * p]).T
+        r = B[:, live] - apply_a(X[:, live])
+        rnorm = np.linalg.norm(r, axis=0)
+        res[live] = rnorm / bnrm[live]
+        keep = rnorm > atol[live]
+        live, met, presid, rnorm = live[keep], met[keep], presid[keep], rnorm[keep]
+        if len(live):
+            # scipy's rule: tighten the inner tolerance if it passed but the true residual did not
+            factor[live] = np.where(met, np.maximum(_EPS, 0.25 * factor[live]),
+                                    np.minimum(1.0, 1.5 * factor[live]))
+            ptol[live] = presid * np.minimum(factor[live], atol[live] / rnorm)
+            z = apply_m(r[:, keep])
     return X, iters, res
 
 
 def solve_accelerated(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
-    """One lockstep GMRES over all conductors."""
+    """One block GMRES over all conductors: a single Krylov space for every right-hand side."""
     if opts.mode != "accelerated":
         raise ValueError("solve_accelerated requires opts.mode == 'accelerated'")
     if mesh.n_panels == 0:
@@ -424,8 +366,8 @@ def solve_accelerated(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
     x, iters, res = gmres(op.matvec, lambda q: op.precond @ q, rhs,
                           opts.krylov_tol, GMRES_RESTART, cycles)
     if not np.all(res <= opts.krylov_tol):
-        # gmres runs whole cycles of at most min(restart, n) steps
-        cap = cycles * min(GMRES_RESTART, mesh.n_panels)
+        # each cycle on the p-column block runs at most min(restart, n // p) block steps
+        cap = cycles * min(GMRES_RESTART, mesh.n_panels // mesh.n_cond)
         raise SolverError(
             f"GMRES failed to reach {opts.krylov_tol} within {cap} "
             f"iterations (relative residual {res.max():.3e})"
