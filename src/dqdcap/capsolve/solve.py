@@ -13,7 +13,10 @@ from ..constants import AF, OFFDIAG_TOL
 from .kernels import (
     AssemblyError, assemble_system, check_distinct_centroids, frame_groups, potential_block,
 )
-from .tree import block_csr, build_far_operators, build_octree, by_source, interaction_lists
+from .tree import (
+    block_csr, build_far_operators, build_octree, by_source, index_type, interaction_lists,
+    mapped_zeros,
+)
 
 DENSE_PANEL_GUARD = 20000
 GMRES_RESTART = 60
@@ -207,10 +210,10 @@ def solve_dense(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellM
 class _AcceleratedOperator:
     """phi = A q, exact near field and ACA far field, as one dense row block per target leaf.
 
-    Every row of a target leaf sees the same columns: the panels of its near
-    leaves, then the rows of M (ACA ranks) of its far nodes.  With
-    xw = [q; M q], the leaf's potentials are B_L @ xw[cols_L]; blocks holds
-    (leaf panels, cols_L, B_L) per leaf.
+    Every row of a target leaf sees the same columns: the rows of M (ACA
+    ranks) of its far nodes, then the panels of its near leaves, in the
+    order they were placed.  With xw = [q; M q], the leaf's potentials are
+    B_L @ xw[cols_L]; blocks holds (leaf panels, cols_L, B_L) per leaf.
     """
 
     def __init__(self, mesh, opts: SolveOptions):
@@ -220,41 +223,49 @@ class _AcceleratedOperator:
         far_lists, near_lists = interaction_lists(root, leaves, opts.mac_ratio)
         far, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
         n = mesh.n_panels
-        far_cols = {node: n + r for node, _, r, _ in far.sources}  # xw rows of M q
-        self.blocks = []
-        at = {}  # leaf -> (B_L, first column of each of its sources)
-        for leaf, near, far_nodes in zip(leaves, near_lists, far_lists):
-            cols = [s.panels for s in near] + [far_cols[s] for s in far_nodes]
-            starts = np.cumsum([0] + [len(c) for c in cols])
-            b = np.empty((len(leaf.panels), starts[-1]))
-            self.blocks.append((leaf.panels, np.concatenate(cols), b))
-            at[leaf] = b, dict(zip(near + far_nodes, starts.tolist()))
+        rank = {node: len(r) for node, _, r, _ in far.sources}
+        widths = [sum(len(s.panels) for s in near) + sum(map(rank.get, far_nodes))
+                  for near, far_nodes in zip(near_lists, far_lists)]
+        sizes = [len(leaf.panels) * w for leaf, w in zip(leaves, widths)]
+        # the blocks are column-major views of one mapped arena, each filled
+        # left to right: placement commits the pages only as it writes them,
+        # and the arena leaves no heap behind
+        arena = mapped_zeros(sum(sizes))
+        at = {}  # leaf -> [B_L, its columns so far, their count]
+        for leaf, end, size in zip(leaves, np.cumsum(sizes).tolist(), sizes):
+            at[leaf] = [arena[end - size:end].reshape((len(leaf.panels), -1), order="F"), [], 0]
 
-        def place(source, targets, block):
-            """Copy the rows of block (targets' panels x source columns) into the targets' B_L."""
+        def place(source_cols, targets, block):
+            """Append block (targets' panels x source_cols) to the targets' B_L, row by row."""
             row, width = 0, block.shape[1]
             for t in targets:
-                b, start = at[t]
-                c = start[source]
+                entry = at[t]
+                b, cols, c = entry
                 b[:, c:c + width] = block[row:row + len(b)]
+                cols.append(source_cols)
+                entry[2] = c + width
                 row += len(b)
 
-        # each U goes to its target leaves and is dropped, last first, so that the
-        # far field's slabs are freed as the blocks fill: it is never held twice
+        # each U goes to its target leaves and is dropped, last first, so that each
+        # far-field slab is unmapped once its last U is placed
         while far.sources:
-            node, targets, _, u = far.sources.pop()
-            place(node, targets, u.T)
+            _, targets, ranks, u = far.sources.pop()
+            place(n + ranks, targets, u.T)
             del u
+        diagonal = {}  # leaf -> first column of its self block in its own B_L
         for s, targets in by_source(leaves, near_lists):
             tidx = np.concatenate([t.panels for t in targets])
-            place(s, targets, potential_block(mesh, centroids[tidx], s.panels, opts.epsilon_r))
-        # every leaf is in its own near list, so its block holds the self block
-        # that the block-diagonal preconditioner inverts
+            block = potential_block(mesh, centroids[tidx], s.panels, opts.epsilon_r)
+            diagonal[s] = at[s][2]  # every leaf is in its own near list
+            place(s.panels, targets, block)
+        index = index_type(n + self.mom_m.shape[0])  # int32 halves the index arrays
+        self.blocks = [(leaf.panels, np.concatenate(at[leaf][1], dtype=index), at[leaf][0])
+                       for leaf in leaves]
+        # the block-diagonal preconditioner inverts the self blocks
         inverses = []
-        for leaf in leaves:
-            b, start = at[leaf]
-            self_block = b[:, start[leaf]:start[leaf] + len(b)]
-            inverses.append((leaf.panels, leaf.panels, np.linalg.inv(self_block)))
+        for leaf, (_, _, b) in zip(leaves, self.blocks):
+            c = diagonal[leaf]
+            inverses.append((leaf.panels, leaf.panels, np.linalg.inv(b[:, c:c + len(b)])))
         self.precond = block_csr(inverses, (n, n))
         self.n = n
         self.n_leaves = len(leaves)
@@ -264,7 +275,7 @@ class _AcceleratedOperator:
         xw = np.concatenate([q, self.mom_m @ q])
         y = np.empty(q.shape)
         for rows, cols, b in self.blocks:
-            y[rows] = b @ xw[cols]
+            y[rows] = b @ np.take(xw, cols, axis=0)  # the same rows as xw[cols], gathered faster
         return y
 
 

@@ -11,6 +11,8 @@ the same corner antiderivative as the exact near field.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 from scipy import sparse
 
@@ -209,6 +211,11 @@ def by_source(leaves, lists):
     return list(targets.items())
 
 
+def index_type(bound):
+    """The smaller integer dtype that holds indices up to bound."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def block_csr(blocks, shape):
     """CSR matrix from dense blocks (rows, cols, W), W[a, b] placed at (rows[a], cols[b]).
 
@@ -219,7 +226,7 @@ def block_csr(blocks, shape):
         indptr[rows + 1] = len(cols)
     nnz = int(np.cumsum(indptr, out=indptr)[-1])
     # scipy keeps int32 indices that fit, and would copy int64 ones down to them
-    index_dtype = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
+    index_dtype = index_type(max(nnz, *shape))
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
     for rows, cols, w in blocks:
@@ -229,15 +236,28 @@ def block_csr(blocks, shape):
     return sparse.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=shape)
 
 
+def mapped_zeros(values):
+    """A zeroed float64 array in a private anonymous mapping of its own, off the heap.
+
+    The mapping is unmapped once no view of it is left, and its 4 kB pages
+    are committed only as they are written.  On the heap, once glibc's
+    dynamic mmap threshold has risen, whatever is allocated after a large
+    array there keeps the heap from shrinking when the array is freed; and
+    numpy asks for transparent huge pages on its own large arrays, which
+    commits them 2 MB at a time.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * values, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
+
+
 class FarField:
     """The U side of the far field: far potentials U.T @ (M @ charges), per source node.
 
     sources holds (node, target leaves, ranks, U) for each admitted source
     node: ranks are its rows of M, and U (k, far targets) has the rows of
     its target leaves' panels, in leaf order.  nnz counts the U values.
-    The U are views of SLAB_VALUES-sized slabs, filled in source order, so a
-    consumer that drops the sources last to first returns each slab to the
-    system once its last U is gone.
+    The U are views of SLAB_VALUES-sized slabs (mapped_zeros), filled in
+    source order, so a consumer that drops the sources last to first
+    unmaps each slab as soon as its last U is gone.
     """
 
     def __init__(self, sources):
@@ -286,7 +306,7 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
         U, V = _cross_approximation(row, col, len(tidx), len(idx))
         # an exact-size copy, without the ACA's spare rows, in a shared slab
         if used + U.size > len(slab):
-            slab, used = np.empty(max(SLAB_VALUES, U.size)), 0
+            slab, used = mapped_zeros(max(SLAB_VALUES, U.size)), 0
         u = slab[used:used + U.size].reshape(U.shape)
         u[...] = U
         used += U.size

@@ -1,6 +1,8 @@
 import importlib
 import math
+import mmap
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -147,6 +149,49 @@ class TestKernel:
         monkeypatch.setattr(kernels, "BLOCK_PANELS", 100)
         assert np.array_equal(a1, assemble_system(mesh, 6.0, jobs=1))
         assert np.array_equal(a1, assemble_system(mesh, 6.0, jobs=4))
+
+
+def mp_panel_integral(mpmath, corner, far_corner, point):
+    """Integral of 1/r over an axis-aligned panel in a z plane, in 50-digit arithmetic.
+
+    The signed corner sum of the same antiderivative as _corner_term, on the
+    exact float inputs, so only the float evaluation's rounding is measured.
+    """
+    def f(u, v):
+        r = mpmath.sqrt(u * u + v * v + z * z)
+        return u * mpmath.log(v + r) + v * mpmath.log(u + r) - z * mpmath.atan2(u * v, z * r)
+
+    with mpmath.workdps(50):
+        x, y, z = (mpmath.mpf(float(p)) - mpmath.mpf(float(c)) for p, c in zip(point, corner))
+        a, b = (mpmath.mpf(float(e)) - mpmath.mpf(float(c))
+                for e, c in zip(far_corner[:2], corner[:2]))
+        z = abs(z)
+        return f(x, y) - f(x - a, y) - f(x, y - b) + f(x - a, y - b)
+
+
+# worst relative error of potential_block over 100 directions, by distance over
+# panel side: about 40 (R/a)^2 eps, the cancellation of the four-corner sum
+KERNEL_ERROR_AT_DISTANCE = {10: 8.9e-13, 30: 6.9e-12, 100: 9.0e-11, 300: 5.4e-10, 1000: 6.5e-9}
+KERNEL_ERROR_MARGIN = 3.0
+
+
+def test_kernel_error_at_distance_against_mpmath():
+    """The kernel's relative error at R/a = 10 ... 1000 stays on today's curve, within a 3x margin."""
+    mpmath = pytest.importorskip("mpmath")
+    a = 5.0 * NM
+    corner = np.array([40.0, -25.0, 12.0]) * NM
+    quad = corner + np.array([[0.0, 0.0, 0.0], [a, 0.0, 0.0], [a, a, 0.0], [0.0, a, 0.0]])
+    mesh = PanelMesh(quad[None], np.zeros(1, dtype=np.int64), ["P"])
+    scale = 1.0 / (4.0 * np.pi * EPS0 * mesh.areas[0])
+    k = np.arange(100) + 0.5  # a Fibonacci sphere of directions
+    polar, azimuth = np.arccos(1.0 - k / 50.0), np.pi * (1.0 + 5.0 ** 0.5) * k
+    directions = np.stack([np.cos(azimuth) * np.sin(polar), np.sin(azimuth) * np.sin(polar),
+                           np.cos(polar)], axis=1)
+    for ratio, measured in KERNEL_ERROR_AT_DISTANCE.items():
+        points = mesh.centroids[0] + ratio * a * directions
+        want = np.array([float(mp_panel_integral(mpmath, quad[0], quad[2], p)) for p in points])
+        got = potential_block(mesh, points, np.array([0]), 1.0)[:, 0]
+        assert np.abs(got / (want * scale) - 1.0).max() <= KERNEL_ERROR_MARGIN * measured, ratio
 
 
 def loop_potential_block(mesh, target_points, source_idx, epsilon_r):
@@ -445,10 +490,14 @@ class TestBlockCsrOperator:
 
     def test_products_bitwise_equal_reference(self, operator_and_reference):
         """precond and M products are the reference's; the operator is one product per
-        leaf over the reference entries."""
+        leaf over the reference entries.
+
+        The reference blocks are column-major like the operator's, since the
+        BLAS product rounds differently on the other layout."""
         op, ref = operator_and_reference
         a = sparse.hstack([ref["near"], ref["eval_m"]]).tocsr()
-        ref_blocks = [(rows, cols, a[rows][:, cols].toarray()) for rows, cols, _ in op.blocks]
+        ref_blocks = [(rows, cols, a[rows][:, cols].toarray(order="F"))
+                      for rows, cols, _ in op.blocks]
         rng = np.random.default_rng(3)
         for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
             assert np.array_equal(op.precond @ q, ref["precond"] @ q)
@@ -550,6 +599,29 @@ class TestLeafBlockOperator:
             want = near @ q + e @ (op.mom_m @ q)
             err = np.linalg.norm(op.matvec(q) - want, axis=0)
             assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=0))
+
+    def test_far_slabs_unmapped_once_placed(self):
+        """Each far-field slab is unmapped before the near field is placed; blocks are column-major."""
+        mesh = mesh_device(build_reference_device(), 16.0)
+        slabs, live_at_near = [], []
+        mapped_zeros, block = tree.mapped_zeros, solve_module.potential_block
+
+        def recording_slab(values):
+            slab = mapped_zeros(values)
+            assert isinstance(slab.base.obj, mmap.mmap)
+            slabs.append(weakref.ref(slab.base.obj))
+            return slab
+
+        def recording_block(*args, **kwargs):
+            live_at_near.append(sum(ref() is not None for ref in slabs))
+            return block(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree, "mapped_zeros", recording_slab)
+            mp.setattr(solve_module, "potential_block", recording_block)
+            op = _AcceleratedOperator(mesh, SolveOptions(mode="accelerated", epsilon_r=6.0))
+        assert slabs and live_at_near and set(live_at_near) == {0}
+        assert all(b.flags.f_contiguous for _, _, b in op.blocks)
 
 
 def scipy_columns(op, B, tol, restart, cycles):
@@ -848,6 +920,47 @@ class TestSolveAccelerated:
             solve_accelerated(mesh, SolveOptions(
                 mode="accelerated", epsilon_r=1.0, krylov_tol=1e-300))
         assert gmres_counts[0].tolist() == [225, 225]
+
+
+def translated(spec, offset_nm):
+    boxes = tuple(replace(b, min_nm=tuple(m + d for m, d in zip(b.min_nm, offset_nm)))
+                  for b in spec.boxes)
+    return replace(spec, boxes=boxes, domain_nm=None)
+
+
+# largest entry change over the largest diagonal, measured on the reference
+# device at h = 16, and bounded at about 5x that
+INVARIANCE_BOUNDS = {
+    ("dense", "translate"): 1e-13,  # measured 1.8e-14
+    ("dense", "reverse"): 1e-14,  # 1.5e-15
+    ("accelerated", "translate"): 1.5e-12,  # 2.6e-13
+    ("accelerated", "reverse"): 8e-7,  # 1.6e-7: panel order moves the octree and ACA pivots
+}
+
+
+@pytest.mark.parametrize("mode", ["dense", "accelerated"])
+def test_maxwell_matrix_invariant_under_translation_and_box_order(mode):
+    """A rigid translation and a reversed box order give the same Maxwell matrix, up to rounding.
+
+    The reversed device declares its conductors in reverse; its matrix is
+    permuted back by name.
+    """
+    spec = build_reference_device()
+
+    def caps(device):
+        return solve(mesh_device(device, 16.0), SolveOptions(mode=mode, epsilon_r=6.0))
+
+    base = caps(spec)
+    scale = np.abs(np.diag(base.entries)).max()
+    shifted = caps(translated(spec, (1000.0, -700.0, 0.0)))
+    reversed_ = caps(replace(spec, boxes=spec.boxes[::-1]))
+    perm = [reversed_.conductor_names.index(c) for c in base.conductor_names]
+    err = {
+        "translate": np.abs(shifted.entries - base.entries).max() / scale,
+        "reverse": np.abs(reversed_.entries[np.ix_(perm, perm)] - base.entries).max() / scale,
+    }
+    for transform, e in err.items():
+        assert e <= INVARIANCE_BOUNDS[mode, transform], (transform, e)
 
 
 class TestMaxwellSerialization:
