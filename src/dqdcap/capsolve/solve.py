@@ -14,8 +14,8 @@ from .kernels import (
     AssemblyError, assemble_system, check_distinct_centroids, frame_groups, potential_block,
 )
 from .tree import (
-    block_csr, build_far_operators, build_octree, by_source, index_type, interaction_lists,
-    mapped_zeros,
+    FAR_DTYPE, block_csr, build_far_operators, build_octree, by_source, index_type,
+    interaction_lists, mapped_zeros,
 )
 
 DENSE_PANEL_GUARD = 20000
@@ -42,8 +42,10 @@ class SolveOptions:
             raise ValueError("mac_ratio must lie in (0, 1)")
         if not 0.0 < self.krylov_tol < 1.0:
             raise ValueError("krylov_tol must lie in (0, 1)")
-        if self.leaf_size < 1 or self.epsilon_r <= 0:
-            raise ValueError("invalid solver options")
+        if not 0.0 < self.epsilon_r < math.inf:
+            raise ValueError(f"epsilon_r must be finite and positive, got {self.epsilon_r:g}")
+        if self.leaf_size < 1:
+            raise ValueError("leaf_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -208,12 +210,14 @@ def solve_dense(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellM
 
 
 class _AcceleratedOperator:
-    """phi = A q, exact near field and ACA far field, as one dense row block per target leaf.
+    """phi = A q, exact near field and ACA far field, as two dense row blocks per target leaf.
 
     Every row of a target leaf sees the same columns: the rows of M (ACA
     ranks) of its far nodes, then the panels of its near leaves, in the
-    order they were placed.  With xw = [q; M q], the leaf's potentials are
-    B_L @ xw[cols_L]; blocks holds (leaf panels, cols_L, B_L) per leaf.
+    order they were placed.  The far columns hold U in FAR_DTYPE, the near
+    ones the exact float64 entries.  With xw = [q; M q] and g = xw[cols_L],
+    the leaf's potentials are F_L @ g[:k] + N_L @ g[k:], k the far width;
+    blocks holds (leaf panels, cols_L, F_L, N_L) per leaf.
     """
 
     def __init__(self, mesh, opts: SolveOptions):
@@ -224,22 +228,19 @@ class _AcceleratedOperator:
         far, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
         n = mesh.n_panels
         rank = {node: len(r) for node, _, r, _ in far.sources}
-        widths = [sum(len(s.panels) for s in near) + sum(map(rank.get, far_nodes))
-                  for near, far_nodes in zip(near_lists, far_lists)]
-        sizes = [len(leaf.panels) * w for leaf, w in zip(leaves, widths)]
-        # the blocks are column-major views of one mapped arena, each filled
-        # left to right: placement commits the pages only as it writes them,
-        # and the arena leaves no heap behind
-        arena = mapped_zeros(sum(sizes))
-        at = {}  # leaf -> [B_L, its columns so far, their count]
-        for leaf, end, size in zip(leaves, np.cumsum(sizes).tolist(), sizes):
-            at[leaf] = [arena[end - size:end].reshape((len(leaf.panels), -1), order="F"), [], 0]
+        far_blocks = _leaf_blocks(
+            leaves, [sum(map(rank.get, nodes)) for nodes in far_lists], FAR_DTYPE)
+        near_blocks = _leaf_blocks(
+            leaves, [sum(len(s.panels) for s in near) for near in near_lists], np.float64)
+        # leaf -> its far and near side, each [block, its columns so far, their count]
+        at = {leaf: ([f, [], 0], [b, [], 0])
+              for leaf, f, b in zip(leaves, far_blocks, near_blocks)}
 
-        def place(source_cols, targets, block):
-            """Append block (targets' panels x source_cols) to the targets' B_L, row by row."""
+        def place(source_cols, targets, block, side):
+            """Append block (targets' panels x source_cols) to side 0 (far) or 1 (near) of each."""
             row, width = 0, block.shape[1]
             for t in targets:
-                entry = at[t]
+                entry = at[t][side]
                 b, cols, c = entry
                 b[:, c:c + width] = block[row:row + len(b)]
                 cols.append(source_cols)
@@ -250,33 +251,56 @@ class _AcceleratedOperator:
         # far-field slab is unmapped once its last U is placed
         while far.sources:
             _, targets, ranks, u = far.sources.pop()
-            place(n + ranks, targets, u.T)
+            place(n + ranks, targets, u.T, 0)
             del u
-        diagonal = {}  # leaf -> first column of its self block in its own B_L
+        diagonal = {}  # leaf -> first column of its self block in its own near block
         for s, targets in by_source(leaves, near_lists):
             tidx = np.concatenate([t.panels for t in targets])
             block = potential_block(mesh, centroids[tidx], s.panels, opts.epsilon_r)
-            diagonal[s] = at[s][2]  # every leaf is in its own near list
-            place(s.panels, targets, block)
+            diagonal[s] = at[s][1][2]  # every leaf is in its own near list
+            place(s.panels, targets, block, 1)
         index = index_type(n + self.mom_m.shape[0])  # int32 halves the index arrays
-        self.blocks = [(leaf.panels, np.concatenate(at[leaf][1], dtype=index), at[leaf][0])
-                       for leaf in leaves]
+        self.blocks = []
+        for leaf in leaves:
+            (f, far_cols, _), (b, near_cols, _) = at[leaf]
+            cols = np.concatenate(far_cols + near_cols, dtype=index)
+            self.blocks.append((leaf.panels, cols, f, b))
         # the block-diagonal preconditioner inverts the self blocks
         inverses = []
-        for leaf, (_, _, b) in zip(leaves, self.blocks):
+        for leaf, (_, _, _, b) in zip(leaves, self.blocks):
             c = diagonal[leaf]
             inverses.append((leaf.panels, leaf.panels, np.linalg.inv(b[:, c:c + len(b)])))
         self.precond = block_csr(inverses, (n, n))
+        self.far_max = max(f.size for _, _, f, _ in self.blocks)
         self.n = n
         self.n_leaves = len(leaves)
 
     def matvec(self, q):
-        """A @ q for one vector or an n x k block: one gather and one product per target leaf."""
+        """A @ q for one vector or an n x k block: one gather and two products per target leaf."""
         xw = np.concatenate([q, self.mom_m @ q])
         y = np.empty(q.shape)
-        for rows, cols, b in self.blocks:
-            y[rows] = b @ np.take(xw, cols, axis=0)  # the same rows as xw[cols], gathered faster
+        scratch = np.empty(self.far_max)  # each far block upcast in turn, into the same pages
+        for rows, cols, f, b in self.blocks:
+            g = np.take(xw, cols, axis=0)  # the same rows as xw[cols], gathered faster
+            k = f.shape[1]
+            up = scratch[:f.size].reshape(f.shape, order="F")
+            up[...] = f
+            y[rows] = up @ g[:k] + b @ g[k:]
         return y
+
+
+def _leaf_blocks(leaves, widths, dtype):
+    """A zeroed column-major (leaf panels x width) block per leaf, views of one mapped arena.
+
+    Each block is filled left to right, so placement commits the arena's
+    pages only as it writes them, and the arena leaves no heap behind.
+    """
+    shapes = [(len(leaf.panels), w) for leaf, w in zip(leaves, widths)]
+    sizes = [m * w for m, w in shapes]
+    arena = mapped_zeros(sum(sizes), dtype)
+    ends = np.cumsum(sizes).tolist()
+    return [arena[e - size:e].reshape(shape, order="F")
+            for shape, size, e in zip(shapes, sizes, ends)]
 
 
 _EPS = np.finfo(np.float64).eps

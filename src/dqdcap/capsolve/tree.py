@@ -21,7 +21,10 @@ from .kernels import _corner_term
 
 ACA_TOL = 1e-4  # a rank-one term is small below ACA_TOL x the block's Frobenius norm
 ACA_SMALL_STEPS = 2  # stop after this many small terms in a row; one alone is not robust
-SLAB_VALUES = 1 << 20  # U values per shared allocation of the far field (8 MB)
+SLAB_VALUES = 1 << 20  # U values per shared allocation of the far field (4 MB)
+# U is accurate to ACA_TOL only, so it is stored in float32: rounding it moves each
+# far value by at most 2**-24 of itself.  All arithmetic on it stays float64.
+FAR_DTYPE = np.float32
 
 
 class Node:
@@ -236,8 +239,8 @@ def block_csr(blocks, shape):
     return sparse.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=shape)
 
 
-def mapped_zeros(values):
-    """A zeroed float64 array in a private anonymous mapping of its own, off the heap.
+def mapped_zeros(values, dtype=np.float64):
+    """A zeroed array in a private anonymous mapping of its own, off the heap.
 
     The mapping is unmapped once no view of it is left, and its 4 kB pages
     are committed only as they are written.  On the heap, once glibc's
@@ -246,7 +249,11 @@ def mapped_zeros(values):
     numpy asks for transparent huge pages on its own large arrays, which
     commits them 2 MB at a time.
     """
-    return np.frombuffer(mmap.mmap(-1, 8 * values, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
+    dtype = np.dtype(dtype)
+    if not values:  # mmap refuses a zero length
+        return np.zeros(0, dtype)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    return np.frombuffer(mmap.mmap(-1, dtype.itemsize * values, flags=flags), dtype)
 
 
 class FarField:
@@ -254,7 +261,8 @@ class FarField:
 
     sources holds (node, target leaves, ranks, U) for each admitted source
     node: ranks are its rows of M, and U (k, far targets) has the rows of
-    its target leaves' panels, in leaf order.  nnz counts the U values.
+    its target leaves' panels, in leaf order, rounded to FAR_DTYPE from the
+    cross approximation's float64.  nnz counts the U values.
     The U are views of SLAB_VALUES-sized slabs (mapped_zeros), filled in
     source order, so a consumer that drops the sources last to first
     unmaps each slab as soon as its last U is gone.
@@ -281,7 +289,7 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
 
     sources, m_blocks = [], []
     k = 0  # rows of M so far
-    slab, used = np.empty(0), 0
+    slab, used = np.empty(0, FAR_DTYPE), 0
     for node, targets in by_source(leaves, far_lists):
         idx = _subtree_panels(node)
         tidx = np.concatenate([t.panels for t in targets])
@@ -304,9 +312,9 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
             return _panel_sums(proj, u_off[:, j, None], v_off[:, j, None], w_off[j]) * sc[j]
 
         U, V = _cross_approximation(row, col, len(tidx), len(idx))
-        # an exact-size copy, without the ACA's spare rows, in a shared slab
+        # an exact-size FAR_DTYPE copy, without the ACA's spare rows, in a shared slab
         if used + U.size > len(slab):
-            slab, used = mapped_zeros(max(SLAB_VALUES, U.size)), 0
+            slab, used = mapped_zeros(max(SLAB_VALUES, U.size), FAR_DTYPE), 0
         u = slab[used:used + U.size].reshape(U.shape)
         u[...] = U
         used += U.size

@@ -136,12 +136,14 @@ def parse_range(text):
     """min:max:step (inclusive), or a single value."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        lo, hi, step = (float(parts[0]), float(parts[1]),
-                        float(parts[2]) if len(parts) > 2 else 1.0)
+        values = [float(p) for p in parts[:3]]
     except ValueError:
         raise CliError(f"bad range {text!r}; expected min:max:step") from None
+    if not all(map(math.isfinite, values)):
+        raise CliError(f"bad range {text!r}; min, max and step must be finite")
+    if len(values) == 1:
+        return values
+    lo, hi, step = values if len(values) == 3 else (*values, 1.0)
     if step <= 0 or hi < lo:
         raise CliError(f"bad range {text!r}; expected min:max:step with step > 0")
     n = math.floor((hi - lo) / step + 1e-9)  # whole steps; the slack keeps 0:0.3:0.1 at 0.3
@@ -174,8 +176,8 @@ def _solver_options(args, epsilon_r):
 
 def _check_solver_flags(args):
     """Reject bad solver flags and a bad $DQDCAP_JOBS before any input is read."""
-    if not args.h_max > 0:
-        raise UsageError(f"--h-max must be positive, got {args.h_max:g}")
+    if not 0.0 < args.h_max < math.inf:
+        raise UsageError(f"--h-max must be finite and positive, got {args.h_max:g}")
     _solver_options(args, 1.0 if args.epsilon_r is None else args.epsilon_r)
     _jobs(args)
 

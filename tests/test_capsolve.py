@@ -412,27 +412,36 @@ def recorded_operator(mesh, opts):
 
     The operator drops each U once it is copied into the leaf blocks, so
     build_far_operators is wrapped to copy them first; M's (ranks, panels, V)
-    blocks are recorded at its block_csr call.
+    blocks are recorded at its block_csr call, and the float64 U of each
+    cross approximation, in source order, as it returns.
     """
-    sources, m_calls = [], []
+    sources, m_calls, aca_u = [], [], []
 
     def recording_far(*args):
         far, mom = build_far_operators(*args)
         sources.extend((node, targets, ranks, u.copy()) for node, targets, ranks, u in far.sources)
+        assert far.nnz == sum(u.size for *_, u in sources)
         return far, mom
 
     def recording_block_csr(blocks, shape):
         m_calls.append(blocks)
         return block_csr(blocks, shape)
 
+    def recording_aca(*args):
+        U, V = _cross_approximation(*args)
+        aca_u.append(U.copy())
+        return U, V
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solve_module, "build_far_operators", recording_far)
         mp.setattr(tree, "block_csr", recording_block_csr)
+        mp.setattr(tree, "_cross_approximation", recording_aca)
         op = _AcceleratedOperator(mesh, opts)
     ranks = np.concatenate([np.arange(0)] + [r for _, _, r, _ in sources])
     assert np.array_equal(ranks, np.arange(op.mom_m.shape[0]))
+    assert len(aca_u) == len(sources)
     (m_blocks,) = m_calls
-    return op, sources, m_blocks
+    return op, sources, m_blocks, aca_u
 
 
 def target_panels(targets):
@@ -440,14 +449,22 @@ def target_panels(targets):
 
 
 def leaf_factors(op):
-    """The near field (n x n) and the far U side (n x k) placed from the operator's leaf blocks."""
+    """The near field (n x n) and the far U side (n x k) placed from the operator's leaf blocks.
+
+    The far side holds the float32 U values exactly, as float64.
+    """
     n, k = op.n, op.mom_m.shape[0]
     near, far = [], []
-    for rows, cols, b in op.blocks:
-        is_near = cols < n
-        near.append((rows, cols[is_near], b[:, is_near]))
-        far.append((rows, cols[~is_near] - n, b[:, ~is_near]))
+    for rows, cols, f, b in op.blocks:
+        assert np.all(cols[:f.shape[1]] >= n) and np.all(cols[f.shape[1]:] < n)
+        near.append((rows, cols[f.shape[1]:], b))
+        far.append((rows, cols[:f.shape[1]] - n, f))
     return block_csr(near, (n, n)), block_csr(far, (n, k))
+
+
+def leaf_blocks(op):
+    """Per leaf (rows, cols_L, B_L), B_L the far and near blocks side by side in float64."""
+    return [(rows, cols, np.hstack([f, b])) for rows, cols, f, b in op.blocks]
 
 
 @pytest.fixture(scope="module", params=sorted(FAR_FIELD_MESHES))
@@ -455,16 +472,17 @@ def operator_and_reference(request):
     """The accelerated operator and its sparse factors built from triplets and conversions.
 
     E and M of the reference come from the same cross approximations,
-    recorded while the operator is built.
+    recorded while the operator is built; E holds their U rounded to float32.
     """
     make_mesh, eps = FAR_FIELD_MESHES[request.param]
     mesh = make_mesh()
     opts = SolveOptions(mode="accelerated", epsilon_r=eps)
-    op, sources, m_blocks = recorded_operator(mesh, opts)
+    op, sources, m_blocks, _ = recorded_operator(mesh, opts)
     root, leaves = build_octree(mesh, opts.leaf_size)
     near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
     near, precond = coo_operator(mesh, leaves, near_lists, eps)
     e_rows = [(target_panels(targets), u) for _, targets, _, u in sources]
+    assert all(u.dtype == np.float32 for _, u in e_rows)
     ref = {
         "near": near, "precond": precond,
         "eval_m": stack_rows(e_rows, mesh.n_panels).T.tocsr(),
@@ -489,23 +507,24 @@ class TestBlockCsrOperator:
         assert (got != want).nnz == 0
 
     def test_products_bitwise_equal_reference(self, operator_and_reference):
-        """precond and M products are the reference's; the operator is one product per
-        leaf over the reference entries.
+        """precond and M products are the reference's; the operator is a far and a near
+        product per leaf over the reference entries, the far one in float64.
 
         The reference blocks are column-major like the operator's, since the
         BLAS product rounds differently on the other layout."""
         op, ref = operator_and_reference
         a = sparse.hstack([ref["near"], ref["eval_m"]]).tocsr()
-        ref_blocks = [(rows, cols, a[rows][:, cols].toarray(order="F"))
-                      for rows, cols, _ in op.blocks]
+        ref_blocks = [(rows, cols, f.shape[1], a[rows][:, cols].toarray(order="F"))
+                      for rows, cols, f, _ in op.blocks]
         rng = np.random.default_rng(3)
         for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
             assert np.array_equal(op.precond @ q, ref["precond"] @ q)
             assert np.array_equal(op.mom_m @ q, ref["mom_m"] @ q)
             xw = np.concatenate([q, ref["mom_m"] @ q])
             want = np.empty(q.shape)
-            for rows, cols, b in ref_blocks:
-                want[rows] = b @ xw[cols]
+            for rows, cols, k, b in ref_blocks:
+                far, near, g = np.asfortranarray(b[:, :k]), np.asfortranarray(b[:, k:]), xw[cols]
+                want[rows] = far @ g[:k] + near @ g[k:]
             assert np.array_equal(op.matvec(q), want)
 
     def test_block_csr_keeps_each_rows_column_order(self):
@@ -572,33 +591,60 @@ def operator_and_csr(request):
     make_mesh, eps, mac = LEAF_BLOCK_MESHES[request.param]
     mesh = make_mesh()
     opts = SolveOptions(mode="accelerated", epsilon_r=eps, mac_ratio=mac)
-    op, sources, _ = recorded_operator(mesh, opts)
+    op, sources, _, aca_u = recorded_operator(mesh, opts)
     root, leaves = build_octree(mesh, opts.leaf_size)
     near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
     near, e = csr_operator(mesh, leaves, near_lists, sources, eps)
-    return request.param, op, near, e
+    e64 = block_csr([(ranks, target_panels(targets), u64)
+                     for (_, targets, ranks, _), u64 in zip(sources, aca_u)],
+                    (op.mom_m.shape[0], mesh.n_panels)).T
+    return request.param, op, near, e, e64, sources, aca_u
 
 
 class TestLeafBlockOperator:
     """The leaf-block operator against the CSR near and E construction it replaces."""
 
     def test_blocks_hold_the_reference_entries(self, operator_and_csr):
-        """Every B_L entry is bitwise the reference entry at its position, with no fill."""
-        name, op, near, e = operator_and_csr
+        """Every entry is bitwise the reference entry at its position, with no fill:
+        the near entries unchanged, the far ones float32(U) of the cross approximations."""
+        name, op, near, e, *_ = operator_and_csr
         k = op.mom_m.shape[0]
         assert (k == 0) == (name == "tiny_mac")
-        got = block_csr(op.blocks, (op.n, op.n + k))
+        got = block_csr(leaf_blocks(op), (op.n, op.n + k))
         want = sparse.hstack([near, e]).tocsr()
-        assert got.nnz == want.nnz == sum(b.size for _, _, b in op.blocks)
+        assert got.nnz == want.nnz == sum(f.size + b.size for _, _, f, b in op.blocks)
         assert (got != want).nnz == 0
 
+    def test_far_entries_are_float32_of_the_cross_approximations(self, operator_and_csr):
+        """The far blocks are float32 views of one arena that holds exactly FarField.nnz values."""
+        _, op, _, _, _, sources, aca_u = operator_and_csr
+        for (_, _, _, u), u64 in zip(sources, aca_u):
+            assert u.dtype == np.float32 and u.shape == u64.shape
+            assert np.array_equal(u, u64.astype(np.float32))
+        nnz = sum(u.size for *_, u in sources)
+        arenas = {id(f.base) for _, _, f, _ in op.blocks}
+        arena = op.blocks[0][2].base
+        assert len(arenas) == 1 and arena.dtype == np.float32 and arena.size == nnz
+        assert all(b.dtype == np.float64 for *_, b in op.blocks)
+
     def test_matvec_matches_reference(self, operator_and_csr):
-        _, op, near, e = operator_and_csr
+        _, op, near, e, *_ = operator_and_csr
         rng = np.random.default_rng(12)
         for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
             want = near @ q + e @ (op.mom_m @ q)
             err = np.linalg.norm(op.matvec(q) - want, axis=0)
             assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=0))
+
+    def test_matvec_within_float32_rounding_of_float64_u(self, operator_and_csr):
+        """Against the float64 U, each potential moves by at most the rounding of the
+        far values it uses, 2**-24 |E| |M q|, plus float64 rounding."""
+        _, op, near, _, e64, *_ = operator_and_csr
+        rng = np.random.default_rng(13)
+        for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
+            mq = op.mom_m @ q
+            want = near @ q + e64 @ mq
+            bound = 2.0 ** -24 * (abs(e64) @ np.abs(mq)) + 1e-13 * np.linalg.norm(want, axis=0)
+            assert np.all(np.abs(op.matvec(q) - want) <= bound)
 
     def test_far_slabs_unmapped_once_placed(self):
         """Each far-field slab is unmapped before the near field is placed; blocks are column-major."""
@@ -606,8 +652,8 @@ class TestLeafBlockOperator:
         slabs, live_at_near = [], []
         mapped_zeros, block = tree.mapped_zeros, solve_module.potential_block
 
-        def recording_slab(values):
-            slab = mapped_zeros(values)
+        def recording_slab(*args):
+            slab = mapped_zeros(*args)
             assert isinstance(slab.base.obj, mmap.mmap)
             slabs.append(weakref.ref(slab.base.obj))
             return slab
@@ -621,7 +667,7 @@ class TestLeafBlockOperator:
             mp.setattr(solve_module, "potential_block", recording_block)
             op = _AcceleratedOperator(mesh, SolveOptions(mode="accelerated", epsilon_r=6.0))
         assert slabs and live_at_near and set(live_at_near) == {0}
-        assert all(b.flags.f_contiguous for _, _, b in op.blocks)
+        assert all(f.flags.f_contiguous and b.flags.f_contiguous for _, _, f, b in op.blocks)
 
 
 def scipy_columns(op, B, tol, restart, cycles):
@@ -928,14 +974,59 @@ def translated(spec, offset_nm):
     return replace(spec, boxes=boxes, domain_nm=None)
 
 
+def mapped(spec, point):
+    """The device with each box mapped by point(x, y, z), a signed axis permutation and scale."""
+    boxes = []
+    for b in spec.boxes:
+        p, q = point(*b.min_nm), point(*b.max_nm)
+        lo, hi = tuple(map(min, p, q)), tuple(map(max, p, q))
+        boxes.append(replace(b, min_nm=lo, dims_nm=tuple(c - a for a, c in zip(lo, hi))))
+    return replace(spec, boxes=tuple(boxes), domain_nm=None)
+
+
+# (transformed reference device, h_max, length scale) per transform
+TRANSFORMS = {
+    "translate": (lambda s: translated(s, (1000.0, -700.0, 0.0)), 16.0, 1.0),
+    "reverse": (lambda s: replace(s, boxes=s.boxes[::-1]), 16.0, 1.0),
+    "scale2": (lambda s: mapped(s, lambda x, y, z: (2 * x, 2 * y, 2 * z)), 32.0, 2.0),
+    "swap_xy": (lambda s: mapped(s, lambda x, y, z: (y, x, z)), 16.0, 1.0),  # a reflection
+    "rotate_z90": (lambda s: mapped(s, lambda x, y, z: (-y, x, z)), 16.0, 1.0),
+    "translate_1e5": (lambda s: translated(s, (1e5, 1e5, 0.0)), 16.0, 1.0),
+}
 # largest entry change over the largest diagonal, measured on the reference
 # device at h = 16, and bounded at about 5x that
 INVARIANCE_BOUNDS = {
     ("dense", "translate"): 1e-13,  # measured 1.8e-14
     ("dense", "reverse"): 1e-14,  # 1.5e-15
-    ("accelerated", "translate"): 1.5e-12,  # 2.6e-13
+    ("dense", "scale2"): 4e-14,  # 7.5e-15
+    ("dense", "swap_xy"): 1.5e-14,  # 2.4e-15
+    ("dense", "rotate_z90"): 5e-14,  # 8.7e-15
+    ("dense", "translate_1e5"): 5e-12,  # 1.0e-12: absolute coordinates keep fewer digits
+    ("accelerated", "translate"): 1.5e-12,  # 7.1e-13: a shift flips last bits of float32 U
     ("accelerated", "reverse"): 8e-7,  # 1.6e-7: panel order moves the octree and ACA pivots
+    ("accelerated", "scale2"): 5e-12,  # 8.9e-13
+    ("accelerated", "swap_xy"): 2.5e-6,  # 4.4e-7: so do the panel frames
+    ("accelerated", "rotate_z90"): 6.5e-6,  # 1.3e-6
+    ("accelerated", "translate_1e5"): 1.5e-6,  # 2.9e-7
 }
+
+
+def check_invariance(mode, transforms):
+    """Each transformed device's Maxwell matrix, over its length scale and permuted back
+    by conductor name, against the reference device's."""
+    spec = build_reference_device()
+
+    def caps(device, h):
+        return solve(mesh_device(device, h), SolveOptions(mode=mode, epsilon_r=6.0))
+
+    base = caps(spec, 16.0)
+    scale = np.abs(np.diag(base.entries)).max()
+    for transform in transforms:
+        device, h, length = TRANSFORMS[transform]
+        m = caps(device(spec), h)
+        perm = [m.conductor_names.index(c) for c in base.conductor_names]
+        e = np.abs(m.entries[np.ix_(perm, perm)] / length - base.entries).max() / scale
+        assert e <= INVARIANCE_BOUNDS[mode, transform], (transform, e)
 
 
 @pytest.mark.parametrize("mode", ["dense", "accelerated"])
@@ -945,22 +1036,14 @@ def test_maxwell_matrix_invariant_under_translation_and_box_order(mode):
     The reversed device declares its conductors in reverse; its matrix is
     permuted back by name.
     """
-    spec = build_reference_device()
+    check_invariance(mode, ["translate", "reverse"])
 
-    def caps(device):
-        return solve(mesh_device(device, 16.0), SolveOptions(mode=mode, epsilon_r=6.0))
 
-    base = caps(spec)
-    scale = np.abs(np.diag(base.entries)).max()
-    shifted = caps(translated(spec, (1000.0, -700.0, 0.0)))
-    reversed_ = caps(replace(spec, boxes=spec.boxes[::-1]))
-    perm = [reversed_.conductor_names.index(c) for c in base.conductor_names]
-    err = {
-        "translate": np.abs(shifted.entries - base.entries).max() / scale,
-        "reverse": np.abs(reversed_.entries[np.ix_(perm, perm)] - base.entries).max() / scale,
-    }
-    for transform, e in err.items():
-        assert e <= INVARIANCE_BOUNDS[mode, transform], (transform, e)
+@pytest.mark.parametrize("mode", ["dense", "accelerated"])
+def test_maxwell_matrix_invariant_under_scale_reflection_rotation_and_far_translation(mode):
+    """Scaling by 2 (with h), swapping x and y, a 90 degree turn about z and a 1e5 nm
+    shift give the same Maxwell matrix, scaled by the length factor, up to rounding."""
+    check_invariance(mode, ["scale2", "swap_xy", "rotate_z90", "translate_1e5"])
 
 
 class TestMaxwellSerialization:
@@ -982,3 +1065,6 @@ class TestMaxwellSerialization:
             SolveOptions(krylov_tol=2.0)
         with pytest.raises(ValueError):
             SolveOptions(mode="direct")
+        for eps in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon_r"):
+                SolveOptions(epsilon_r=eps)

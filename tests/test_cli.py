@@ -189,6 +189,8 @@ def test_compare_self_pair_prints_nan_period(workdir, capsys):
 
 
 EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json", "--h-max", "18"]
+SWEEP = ["sweep-misalign", "--geometry", "reference_device.json", "--out", "s.csv",
+         "--dy", "0", "--h-max", "18"]
 
 
 @pytest.mark.parametrize("argv, env, code, message", [
@@ -218,10 +220,19 @@ EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json
      "cannot write .: it is a directory"),
     (["stability", "--caps", "reference_device.json", "--out-prefix", "no_dir/diag"], None, 2,
      "cannot write no_dir/diag_grid.csv"),
+    (EXTRACT + ["--epsilon-r", "nan"], None, 2, "epsilon_r"),
+    (EXTRACT + ["--epsilon-r", "inf"], None, 2, "epsilon_r"),
+    (EXTRACT + ["--h-max", "inf"], None, 2, "--h-max"),
+    (EXTRACT + ["--h-max", "nan"], None, 2, "--h-max"),
+    *[(SWEEP + ["--dx", text], None, 1, "bad range")
+      for text in ("0:inf:1", "0:nan:1", "inf", "nan", "0:10:inf", "0:1:0")],
 ], ids=["mac-ratio", "h-max-zero", "tol", "jobs-env", "sweep-h-max", "stability-bad-json",
         "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
         "compare-measured-no-b", "compare-measured-text", "stability-device-file",
-        "extract-no-out-dir", "sweep-no-out-dir", "extract-out-is-dir", "stability-no-out-dir"])
+        "extract-no-out-dir", "sweep-no-out-dir", "extract-out-is-dir", "stability-no-out-dir",
+        "epsilon-r-nan", "epsilon-r-inf", "h-max-inf", "h-max-nan", "range-max-inf",
+        "range-max-nan", "range-single-inf", "range-single-nan", "range-step-inf",
+        "range-step-zero"])
 def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
