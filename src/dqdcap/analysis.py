@@ -237,7 +237,7 @@ class SweepMap:
         return [r for r in self.rows if r["status"] == "ok"]
 
 
-def _cell_solver(spec, opts, h_max_nm, jobs):
+def _cell_solver(spec, opts, h_max_nm):
     """The Maxwell solve of one sweep cell, as a function of (mesh, roles).
 
     A sweep moves only the two dots.  In dense mode the device without them
@@ -251,7 +251,7 @@ def _cell_solver(spec, opts, h_max_nm, jobs):
     if opts.mode != "dense" or not static.boxes:
         return lambda mesh, roles: solve(mesh, opts, roles=roles)
     try:
-        return DenseFactor(mesh_device(static, h_max_nm), opts, jobs=jobs).maxwell
+        return DenseFactor(mesh_device(static, h_max_nm), opts).maxwell
     except (AssemblyError, SolverError) as e:
         kind, reason = type(e), str(e)
 
@@ -287,6 +287,10 @@ _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, Analysis
 
 
 def _run_cells(kind, cells, worker, jobs):
+    """Run worker on every cell on a pool of jobs threads, the package's one thread pool.
+
+    Rows keep the order of cells, so the sweep does not depend on jobs.
+    """
     def safe(cell):
         try:
             row = worker(cell)
@@ -295,11 +299,8 @@ def _run_cells(kind, cells, worker, jobs):
             row = {"status": "failed", "error": f"{type(e).__name__}: {e}"}
         return row
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(safe, cells))
-    else:
-        rows = [safe(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
+        rows = list(ex.map(safe, cells))
     sweep = SweepMap(kind)
     for cell, row in zip(cells, rows):
         sweep.rows.append({**cell, **row})
@@ -329,7 +330,7 @@ def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=10.0, jobs=1,
     if not cells:
         raise AnalysisError("empty misalignment grid")
 
-    maxwell_of = _cell_solver(spec, opts, h_max_nm, jobs)
+    maxwell_of = _cell_solver(spec, opts, h_max_nm)
 
     def worker(cell):
         return _cell_metrics(spec, cell["dx_nm"], cell["dy_nm"], r_nm, maxwell_of,
@@ -346,7 +347,7 @@ def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), opts=None,
         raise AnalysisError("dot sizes must be positive")
     cells = [{"R_nm": float(r)} for r in r_list]
 
-    maxwell_of = _cell_solver(spec, opts, h_max_nm, jobs)
+    maxwell_of = _cell_solver(spec, opts, h_max_nm)
 
     def worker(cell):
         return _cell_metrics(spec, 0.0, 0.0, cell["R_nm"], maxwell_of, h_max_nm, diagram_n)

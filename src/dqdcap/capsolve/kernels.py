@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..constants import EPS0
@@ -140,12 +138,11 @@ def check_distinct_centroids(centroids, tol=1e-12):
             )
 
 
-def assemble_system(mesh, epsilon_r, jobs=1):
+def assemble_system(mesh, epsilon_r):
     """Full collocation matrix: volts at panel centroids per unit panel charge.
 
     The matrix is Fortran-ordered, so LU can factor it in place, and filled
-    in place by column chunks of BLOCK_PANELS, in a loop or on a pool of
-    `jobs` threads; the result does not depend on `jobs`.
+    in place by column chunks of BLOCK_PANELS.
     """
     n = mesh.n_panels
     if n == 0:
@@ -153,16 +150,7 @@ def assemble_system(mesh, epsilon_r, jobs=1):
     centroids = mesh.centroids
     check_distinct_centroids(centroids)
     A = np.empty((n, n), order="F")
-
-    def fill(start):
+    for start in range(0, n, BLOCK_PANELS):
         stop = min(start + BLOCK_PANELS, n)
         _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop])
-
-    starts = range(0, n, BLOCK_PANELS)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            list(ex.map(fill, starts))
-    else:
-        for start in starts:
-            fill(start)
     return A

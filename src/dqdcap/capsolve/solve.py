@@ -14,7 +14,7 @@ from .kernels import (
     AssemblyError, assemble_system, check_distinct_centroids, frame_groups, potential_block,
 )
 from .tree import (
-    FAR_DTYPE, block_csr, build_far_operators, build_octree, by_source, index_type,
+    FAR_DTYPE, LEAF_SIZE, block_csr, build_far_operators, build_octree, by_source, index_type,
     interaction_lists, mapped_zeros,
 )
 
@@ -33,7 +33,6 @@ class SolveOptions:
     epsilon_r: float = 1.0
     mac_ratio: float = 0.5
     krylov_tol: float = 1e-6
-    leaf_size: int = 32
 
     def __post_init__(self):
         if self.mode not in ("dense", "accelerated"):
@@ -44,8 +43,6 @@ class SolveOptions:
             raise ValueError("krylov_tol must lie in (0, 1)")
         if not 0.0 < self.epsilon_r < math.inf:
             raise ValueError(f"epsilon_r must be finite and positive, got {self.epsilon_r:g}")
-        if self.leaf_size < 1:
-            raise ValueError("leaf_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -152,11 +149,11 @@ class DenseFactor:
     on several threads at once.
     """
 
-    def __init__(self, mesh, opts: SolveOptions, jobs: int = 1):
+    def __init__(self, mesh, opts: SolveOptions):
         if opts.mode != "dense":
             raise ValueError("a dense factor requires opts.mode == 'dense'")
         _check_dense_size(mesh)
-        A = assemble_system(mesh, opts.epsilon_r, jobs=jobs)  # Fortran order: factored in place
+        A = assemble_system(mesh, opts.epsilon_r)  # Fortran order: factored in place
         self.lu, self.piv, self.rcond = _lu(A)
         self.mesh = mesh
         self.opts = opts
@@ -205,8 +202,8 @@ class DenseFactor:
         return _finalize(agg @ x, names, info_d, roles)
 
 
-def solve_dense(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellMatrix:
-    return DenseFactor(mesh, opts, jobs=jobs).maxwell(mesh, roles)
+def solve_dense(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
+    return DenseFactor(mesh, opts).maxwell(mesh, roles)
 
 
 class _AcceleratedOperator:
@@ -223,7 +220,7 @@ class _AcceleratedOperator:
     def __init__(self, mesh, opts: SolveOptions):
         centroids = mesh.centroids
         check_distinct_centroids(centroids)
-        root, leaves = build_octree(mesh, opts.leaf_size)
+        root, leaves = build_octree(mesh, LEAF_SIZE)
         far_lists, near_lists = interaction_lists(root, leaves, opts.mac_ratio)
         far, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
         n = mesh.n_panels
@@ -416,7 +413,7 @@ def solve_accelerated(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
     return _finalize(raw, mesh.conductor_names, info_d, roles)
 
 
-def solve(mesh, opts: SolveOptions, jobs: int = 1, roles=None) -> MaxwellMatrix:
+def solve(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
     if opts.mode == "dense":
-        return solve_dense(mesh, opts, jobs=jobs, roles=roles)
+        return solve_dense(mesh, opts, roles=roles)
     return solve_accelerated(mesh, opts, roles=roles)

@@ -25,6 +25,7 @@ SLAB_VALUES = 1 << 20  # U values per shared allocation of the far field (4 MB)
 # U is accurate to ACA_TOL only, so it is stored in float32: rounding it moves each
 # far value by at most 2**-24 of itself.  All arithmetic on it stays float64.
 FAR_DTYPE = np.float32
+LEAF_SIZE = 32  # most panels per octree leaf
 
 
 class Node:

@@ -119,12 +119,15 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_path, argv, inputs, options, outputs, t0):
+def _write_manifest(out_path, argv, inputs, args, outputs, t0):
+    """The run's manifest: its options are the parsed flags, with the worker count resolved."""
+    options = {k: v for k, v in vars(args).items() if k != "func"}
+    if "jobs" in options:
+        options["jobs"] = _jobs(args)
     manifest = {
         "command": ["dqdcap"] + list(argv),
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "options": {k: (str(v) if not isinstance(v, (int, float, bool, type(None))) else v)
-                    for k, v in options.items()},
+        "options": options,
         "version": __version__,
         "wall_time_s": time.perf_counter() - t0,
         "outputs": [str(p) for p in outputs],
@@ -168,7 +171,7 @@ def _solver_options(args, epsilon_r):
     try:
         return SolveOptions(
             mode=args.mode, epsilon_r=epsilon_r,
-            mac_ratio=args.mac_ratio, krylov_tol=args.tol, leaf_size=args.leaf_size,
+            mac_ratio=args.mac_ratio, krylov_tol=args.tol,
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
@@ -189,9 +192,9 @@ def _add_solver_flags(sub):
                      help="override the device relative permittivity")
     sub.add_argument("--mac-ratio", type=float, default=0.5)
     sub.add_argument("--tol", type=float, default=1e-6, help="Krylov relative residual")
-    sub.add_argument("--leaf-size", type=int, default=32)
     sub.add_argument("--jobs", type=int, default=None,
-                     help=f"worker count (default ${JOBS_ENV} or 1)")
+                     help=f"sweep cells run at once (default ${JOBS_ENV} or 1); "
+                          "extract ignores it")
 
 
 def _jobs(args):
@@ -260,12 +263,11 @@ def _cmd_extract(args, argv):
     if args.air_gap_nm is not None:
         spec = spec.with_air_gap(args.air_gap_nm)
     mesh = mesh_device(spec, args.h_max)
-    maxwell = solve(mesh, _solver_options(args, spec.epsilon_r), jobs=_jobs(args),
-                    roles=spec.roles)
+    maxwell = solve(mesh, _solver_options(args, spec.epsilon_r), roles=spec.roles)
     _write_json(args.out, maxwell.to_json())
     print(f"wrote {args.out}: {maxwell.n_cond} conductors, {mesh.n_panels} panels, "
           f"asymmetry {maxwell.asymmetry:.2e}")
-    _write_manifest(args.out, argv, [args.geometry], vars(args), [args.out], t0)
+    _write_manifest(args.out, argv, [args.geometry], args, [args.out], t0)
     return 0
 
 
@@ -295,7 +297,7 @@ def _cmd_stability(args, argv):
                              "metrics": metrics})
     print(f"dV_SL={_fmt(metrics['dV_SL_mV'])} mV dV_SR={_fmt(metrics['dV_SR_mV'])} mV "
           f"theta={_fmt(metrics['theta_deg'])} deg ({len(diag.boundaries)} lines)")
-    _write_manifest(args.out_prefix, argv, [args.caps], vars(args),
+    _write_manifest(args.out_prefix, argv, [args.caps], args,
                     [grid_path, lines_path], t0)
     return 0
 
@@ -310,7 +312,7 @@ def _cmd_induced_charge(args, argv):
     print(f"delta_q = {_fmt(dq)} e")
     if args.out:
         _write_json(args.out, result)
-        _write_manifest(args.out, argv, [args.caps], vars(args), [args.out], t0)
+        _write_manifest(args.out, argv, [args.caps], args, [args.out], t0)
     return 0
 
 
@@ -339,7 +341,7 @@ def _cmd_sweep_misalign(args, argv):
     _write_sweep_csv(args.out, sweep, ("dx_nm", "dy_nm"))
     failed = sum(1 for r in sweep.rows if r["status"] != "ok")
     print(f"wrote {args.out}: {len(sweep.rows)} cells, {failed} failed")
-    _write_manifest(args.out, argv, [args.geometry], vars(args), [args.out], t0)
+    _write_manifest(args.out, argv, [args.geometry], args, [args.out], t0)
     return 0
 
 
@@ -354,7 +356,7 @@ def _cmd_sweep_dotsize(args, argv):
     _write_sweep_csv(args.out, sweep, ("R_nm",))
     failed = sum(1 for r in sweep.rows if r["status"] != "ok")
     print(f"wrote {args.out}: {len(sweep.rows)} cells, {failed} failed")
-    _write_manifest(args.out, argv, [args.geometry], vars(args), [args.out], t0)
+    _write_manifest(args.out, argv, [args.geometry], args, [args.out], t0)
     return 0
 
 
@@ -386,7 +388,7 @@ def _cmd_compare(args, argv):
               f"{(row['period_mV'] or float('nan')):>10.3f}")
     if args.out:
         _write_json(args.out, report)
-        _write_manifest(args.out, argv, [args.caps, args.measured], vars(args),
+        _write_manifest(args.out, argv, [args.caps, args.measured], args,
                         [args.out], t0)
     return 0
 

@@ -251,10 +251,6 @@ class PanelMesh:
         return len(self.conductor_names)
 
     @property
-    def corner(self) -> np.ndarray:
-        return self.corners[:, 0, :]
-
-    @property
     def edge_u(self) -> np.ndarray:
         return self.corners[:, 1, :] - self.corners[:, 0, :]
 

@@ -288,7 +288,7 @@ class TestStaticBlockSweep:
     def test_cells_match_full_solve(self, h, cells):
         spec = build_reference_device()
         opts = SolveOptions(epsilon_r=spec.epsilon_r)
-        maxwell_of = _cell_solver(spec, opts, h, 1)
+        maxwell_of = _cell_solver(spec, opts, h)
         for dx, dy, r in cells:
             moved = transform_dots(spec, dx, dy, r)
             mesh = mesh_device(moved, h)
@@ -303,7 +303,7 @@ class TestStaticBlockSweep:
         opts = SolveOptions(mode="accelerated", epsilon_r=spec.epsilon_r)
         moved = transform_dots(spec, 20.0, 0.0, 40.0)
         mesh = mesh_device(moved, 16.0)
-        got = _cell_solver(spec, opts, 16.0, 1)(mesh, moved.roles)
+        got = _cell_solver(spec, opts, 16.0)(mesh, moved.roles)
         assert np.array_equal(got.entries, capsolve_solve(mesh, opts, roles=moved.roles).entries)
 
     def test_dots_only_device_sweeps(self):

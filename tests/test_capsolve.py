@@ -29,6 +29,7 @@ from dqdcap.capsolve import kernels, tree
 from dqdcap.capsolve.kernels import frame_groups
 from dqdcap.capsolve.solve import GMRES_RESTART, _AcceleratedOperator, _conductor_rhs, gmres
 from dqdcap.capsolve.tree import (
+    LEAF_SIZE,
     _cross_approximation,
     block_csr,
     build_far_operators,
@@ -141,14 +142,11 @@ class TestKernel:
             assemble_system(mesh, 1.0)
 
     def test_jobs_bitwise_deterministic(self, monkeypatch):
-        """Bitwise equal for any job count and any column chunk size."""
+        """Bitwise equal for any column chunk size."""
         mesh = mesh_device(build_reference_device(), 16.0)
-        a1 = assemble_system(mesh, 6.0, jobs=1)
-        a2 = assemble_system(mesh, 6.0, jobs=4)
-        assert np.array_equal(a1, a2)
+        a1 = assemble_system(mesh, 6.0)
         monkeypatch.setattr(kernels, "BLOCK_PANELS", 100)
-        assert np.array_equal(a1, assemble_system(mesh, 6.0, jobs=1))
-        assert np.array_equal(a1, assemble_system(mesh, 6.0, jobs=4))
+        assert np.array_equal(a1, assemble_system(mesh, 6.0))
 
 
 def mp_panel_integral(mpmath, corner, far_corner, point):
@@ -249,7 +247,7 @@ class TestSharedNodeKernel:
         opts = SolveOptions(epsilon_r=6.0)
         got = solve_dense(mesh, opts, roles=spec.roles)
 
-        def loop_assemble(mesh, epsilon_r, jobs=1):
+        def loop_assemble(mesh, epsilon_r):
             c = mesh.centroids
             return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r)
 
@@ -478,7 +476,7 @@ def operator_and_reference(request):
     mesh = make_mesh()
     opts = SolveOptions(mode="accelerated", epsilon_r=eps)
     op, sources, m_blocks, _ = recorded_operator(mesh, opts)
-    root, leaves = build_octree(mesh, opts.leaf_size)
+    root, leaves = build_octree(mesh, LEAF_SIZE)
     near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
     near, precond = coo_operator(mesh, leaves, near_lists, eps)
     e_rows = [(target_panels(targets), u) for _, targets, _, u in sources]
@@ -592,7 +590,7 @@ def operator_and_csr(request):
     mesh = make_mesh()
     opts = SolveOptions(mode="accelerated", epsilon_r=eps, mac_ratio=mac)
     op, sources, _, aca_u = recorded_operator(mesh, opts)
-    root, leaves = build_octree(mesh, opts.leaf_size)
+    root, leaves = build_octree(mesh, LEAF_SIZE)
     near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
     near, e = csr_operator(mesh, leaves, near_lists, sources, eps)
     e64 = block_csr([(ranks, target_panels(targets), u64)

@@ -123,6 +123,39 @@ def test_extract_is_byte_reproducible(workdir):
         assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes(), mode
 
 
+@pytest.mark.parametrize("argv", [
+    ["extract", "--geometry", "reference_device.json", "--out", "{}", "--h-max", "16"],
+    ["sweep-misalign", "--geometry", "reference_device.json", "--out", "{}",
+     "--dx", "-20:20:20", "--dy", "0", "--h-max", "18", "--n", "51"],
+], ids=["extract", "sweep-misalign"])
+def test_artifacts_do_not_depend_on_jobs(workdir, argv):
+    for jobs in ("1", "2"):
+        assert run([arg.format(f"jobs{jobs}.out") for arg in argv] + ["--jobs", jobs]) == 0
+    assert (workdir / "jobs1.out").read_bytes() == (workdir / "jobs2.out").read_bytes()
+
+
+MANIFEST_KEYS = ["command", "inputs", "options", "version", "wall_time_s", "outputs"]
+SOLVER_OPTIONS = ["mode", "h_max", "epsilon_r", "mac_ratio", "tol", "jobs"]
+
+
+@pytest.mark.parametrize("argv, env, options, jobs", [
+    (["extract", "--geometry", "reference_device.json", "--out", "out", "--h-max", "18"], "3",
+     ["command", "geometry", "out", "air_gap_nm", *SOLVER_OPTIONS], 3),
+    (["sweep-misalign", "--geometry", "reference_device.json", "--out", "out", "--dx", "0",
+      "--dy", "0", "--h-max", "18", "--n", "51", "--jobs", "0"], None,
+     ["command", "geometry", "out", "dx", "dy", "n", *SOLVER_OPTIONS], 1),
+], ids=["extract", "sweep-misalign"])
+def test_manifest_schema(workdir, monkeypatch, argv, env, options, jobs):
+    """The manifest's keys and option names are fixed; jobs is the resolved worker count."""
+    if env is not None:
+        monkeypatch.setenv("DQDCAP_JOBS", env)
+    assert run(argv) == 0
+    manifest = json.loads((workdir / "out.manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert list(manifest["options"]) == options
+    assert manifest["options"]["jobs"] == jobs
+
+
 @pytest.mark.parametrize("argv, outputs", [
     (["stability", "--caps", "caps.json", "--out-prefix", "{}", "--n", "51"],
      ["{}_grid.csv", "{}_boundaries.json"]),
