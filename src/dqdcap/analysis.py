@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .capsolve import AssemblyError, DenseFactor, SolveOptions, SolverError, solve
 from .charging import (
     ChargingError,
@@ -286,10 +287,17 @@ def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm, diagram_n):
 _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, AnalysisError)
 
 
+def _check_jobs(jobs):
+    if jobs < 1:
+        raise AnalysisError(f"jobs must be at least 1, got {jobs}")
+
+
 def _run_cells(kind, cells, worker, jobs):
     """Run worker on every cell on a pool of jobs threads, the package's one thread pool.
 
     Rows keep the order of cells, so the sweep does not depend on jobs.
+    While the pool runs, BLAS runs on one thread: the cells are the
+    parallelism, and BLAS worker threads only slow a cell's small solves.
     """
     def safe(cell):
         try:
@@ -299,7 +307,7 @@ def _run_cells(kind, cells, worker, jobs):
             row = {"status": "failed", "error": f"{type(e).__name__}: {e}"}
         return row
 
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=jobs) as ex:
         rows = list(ex.map(safe, cells))
     sweep = SweepMap(kind)
     for cell, row in zip(cells, rows):
@@ -323,6 +331,7 @@ def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=10.0, jobs=1,
     Cells run over dx_list, then dy_list within each dx.  Failed cells are
     reported with status "failed" and never interpolated.
     """
+    _check_jobs(jobs)
     opts = opts or SolveOptions(epsilon_r=spec.epsilon_r)
     if r_nm is None:
         r_nm = spec.boxes[[b.role for b in spec.boxes].index("d1")].dims_nm[0]
@@ -342,6 +351,7 @@ def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=10.0, jobs=1,
 def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), opts=None,
                   h_max_nm=10.0, jobs=1, diagram_n=201) -> SweepMap:
     """Solve the aligned device for each dot size R and record coupling and delta q."""
+    _check_jobs(jobs)
     opts = opts or SolveOptions(epsilon_r=spec.epsilon_r)
     if not r_list or any(r <= 0 for r in r_list):
         raise AnalysisError("dot sizes must be positive")

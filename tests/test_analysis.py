@@ -1,10 +1,12 @@
 import importlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from dqdcap import _blas, analysis
 from dqdcap.analysis import (
     AnalysisError,
     _cell_solver,
@@ -267,6 +269,82 @@ class TestSweeps:
             dotsize_sweep(spec, (), h_max_nm=16.0)
         with pytest.raises(AnalysisError):
             dotsize_sweep(spec, (-5.0,), h_max_nm=16.0)
+        with pytest.raises(AnalysisError, match="jobs must be at least 1, got 0"):
+            dotsize_sweep(spec, (20.0,), h_max_nm=16.0, jobs=0)
+        with pytest.raises(AnalysisError, match="jobs must be at least 1, got -1"):
+            misalign_sweep(spec, [0.0], [0.0], h_max_nm=16.0, jobs=-1)
+
+
+_COUNTS_LOCK = threading.Lock()
+
+
+def _blas_counts(setters):
+    """Thread count of each OpenBLAS, read by setting it to 1 and back.
+
+    The lock keeps two cells from reading at once: the second would see the
+    first one's 1 and restore that.
+    """
+    counts = []
+    with _COUNTS_LOCK:
+        for set_threads in setters:
+            n = set_threads(1)
+            set_threads(n)
+            counts.append(n)
+    return counts
+
+
+@pytest.fixture
+def openblas_at_three():
+    """The loaded OpenBLAS setters, each library's count set to 3 for the test."""
+    setters = _blas._openblas_setters()
+    if not setters:
+        pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+    previous = [set_threads(3) for set_threads in setters]
+    yield setters
+    for set_threads, n in zip(setters, previous):
+        set_threads(n)
+
+
+class TestSingleThreadedBlas:
+    """Sweep cells run BLAS on one thread; every count is restored after the pool."""
+
+    def _record_counts(self, monkeypatch, setters):
+        seen = []
+        original = analysis._cell_metrics
+
+        def cell_metrics(*args):
+            seen.append(_blas_counts(setters))
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "_cell_metrics", cell_metrics)
+        return seen
+
+    def test_cells_see_one_thread_and_counts_are_restored(self, monkeypatch, openblas_at_three):
+        seen = self._record_counts(monkeypatch, openblas_at_three)
+        sweep = _tiny_sweep(jobs=2)
+        assert [r["status"] for r in sweep.rows] == ["ok"] * 3
+        assert seen == [[1] * len(openblas_at_three)] * 3
+        assert _blas_counts(openblas_at_three) == [3] * len(openblas_at_three)
+
+    def test_counts_restored_when_a_worker_raises(self, monkeypatch, openblas_at_three):
+        def broken(*args):
+            raise RuntimeError("not a cell failure")
+
+        monkeypatch.setattr(analysis, "_cell_metrics", broken)
+        with pytest.raises(RuntimeError, match="not a cell failure"):
+            _tiny_sweep(jobs=2)
+        assert _blas_counts(openblas_at_three) == [3] * len(openblas_at_three)
+
+    def test_sweep_runs_when_no_openblas_is_found(self, monkeypatch, openblas_at_three):
+        want = _tiny_sweep(jobs=2).rows
+        monkeypatch.setattr(_blas, "_openblas_setters", lambda: [])
+        seen = self._record_counts(monkeypatch, openblas_at_three)
+        rows = _tiny_sweep(jobs=2).rows
+        assert seen == [[3] * len(openblas_at_three)] * 3
+        # BLAS on three threads splits its sums differently: the last bits move.
+        assert len(rows) == len(want)
+        for got, ref in zip(rows, want):
+            assert got == pytest.approx(ref, rel=1e-12)
 
 
 DOTS_ONLY = {"boxes": [
