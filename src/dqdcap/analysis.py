@@ -19,10 +19,11 @@ from .charging import (
     reduce_caps,
 )
 from .constants import AF, MV, Q_E
-from .geometry import DeviceError, mesh_device, transform_dots
+from .geometry import DEFAULT_H_MAX_NM, DeviceError, mesh_device, transform_dots
 
 WINDOW_CAP_V = 20.0
 MIN_LINES = 3
+DEFAULT_DIAGRAM_N = 201  # grid points per bias axis
 
 
 class AnalysisError(ValueError):
@@ -106,7 +107,8 @@ def _fit_line(points):
     return mu, direction, res, p0, p1
 
 
-def stability_diagram(caps: ModelCaps, v_ranges=None, n: int = 201) -> StabilityDiagram:
+def stability_diagram(caps: ModelCaps, v_ranges=None,
+                      n: int = DEFAULT_DIAGRAM_N) -> StabilityDiagram:
     """Grid of stable configurations over (V_SL, V_SR) with fitted degeneracy lines.
 
     Without explicit ranges the window starts near the estimated line spacing
@@ -287,21 +289,21 @@ def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm, diagram_n):
 _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, AnalysisError)
 
 
-def _check_jobs(jobs):
+def _run_cells(kind, spec, cells, place, opts, h_max_nm, jobs, diagram_n):
+    """Solve spec at every cell on a pool of jobs threads, the package's one thread pool.
+
+    place(cell) gives the cell's dot placement (dx, dy, R).  Rows keep the
+    order of cells, so the sweep does not depend on jobs.  While the pool
+    runs, BLAS runs on one thread: the cells are the parallelism, and BLAS
+    worker threads only slow a cell's small solves.
+    """
     if jobs < 1:
         raise AnalysisError(f"jobs must be at least 1, got {jobs}")
+    maxwell_of = _cell_solver(spec, opts or SolveOptions(epsilon_r=spec.epsilon_r), h_max_nm)
 
-
-def _run_cells(kind, cells, worker, jobs):
-    """Run worker on every cell on a pool of jobs threads, the package's one thread pool.
-
-    Rows keep the order of cells, so the sweep does not depend on jobs.
-    While the pool runs, BLAS runs on one thread: the cells are the
-    parallelism, and BLAS worker threads only slow a cell's small solves.
-    """
     def safe(cell):
         try:
-            row = worker(cell)
+            row = _cell_metrics(spec, *place(cell), maxwell_of, h_max_nm, diagram_n)
             row["status"] = "ok"
         except _CELL_ERRORS as e:
             row = {"status": "failed", "error": f"{type(e).__name__}: {e}"}
@@ -324,45 +326,30 @@ def _fill_db(sweep: SweepMap):
         r["dV_SL_dB"] = 20.0 * math.log10(v / ref) if (ref and v) else None
 
 
-def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=10.0, jobs=1,
-                   diagram_n=201, r_nm=None) -> SweepMap:
+def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=DEFAULT_H_MAX_NM, jobs=1,
+                   diagram_n=DEFAULT_DIAGRAM_N, r_nm=None) -> SweepMap:
     """Solve the device over the (dx, dy) misalignment grid and record transfer metrics.
 
     Cells run over dx_list, then dy_list within each dx.  Failed cells are
     reported with status "failed" and never interpolated.
     """
-    _check_jobs(jobs)
-    opts = opts or SolveOptions(epsilon_r=spec.epsilon_r)
     if r_nm is None:
         r_nm = spec.boxes[[b.role for b in spec.boxes].index("d1")].dims_nm[0]
     cells = [{"dx_nm": float(dx), "dy_nm": float(dy)} for dx in dx_list for dy in dy_list]
     if not cells:
         raise AnalysisError("empty misalignment grid")
-
-    maxwell_of = _cell_solver(spec, opts, h_max_nm)
-
-    def worker(cell):
-        return _cell_metrics(spec, cell["dx_nm"], cell["dy_nm"], r_nm, maxwell_of,
-                             h_max_nm, diagram_n)
-
-    return _run_cells("misalign", cells, worker, jobs)
+    return _run_cells("misalign", spec, cells, lambda c: (c["dx_nm"], c["dy_nm"], r_nm),
+                      opts, h_max_nm, jobs, diagram_n)
 
 
 def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), opts=None,
-                  h_max_nm=10.0, jobs=1, diagram_n=201) -> SweepMap:
+                  h_max_nm=DEFAULT_H_MAX_NM, jobs=1, diagram_n=DEFAULT_DIAGRAM_N) -> SweepMap:
     """Solve the aligned device for each dot size R and record coupling and delta q."""
-    _check_jobs(jobs)
-    opts = opts or SolveOptions(epsilon_r=spec.epsilon_r)
     if not r_list or any(r <= 0 for r in r_list):
         raise AnalysisError("dot sizes must be positive")
     cells = [{"R_nm": float(r)} for r in r_list]
-
-    maxwell_of = _cell_solver(spec, opts, h_max_nm)
-
-    def worker(cell):
-        return _cell_metrics(spec, 0.0, 0.0, cell["R_nm"], maxwell_of, h_max_nm, diagram_n)
-
-    return _run_cells("dotsize", cells, worker, jobs)
+    return _run_cells("dotsize", spec, cells, lambda c: (0.0, 0.0, c["R_nm"]),
+                      opts, h_max_nm, jobs, diagram_n)
 
 
 def estimate_misalignment(theta_obs_deg, dv_sl_obs, sweep: SweepMap,

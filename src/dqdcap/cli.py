@@ -24,6 +24,7 @@ from dataclasses import replace
 
 from . import __version__
 from .analysis import (
+    DEFAULT_DIAGRAM_N,
     AnalysisError,
     compare_report,
     dotsize_sweep,
@@ -33,7 +34,7 @@ from .analysis import (
 from .capsolve import AssemblyError, MaxwellMatrix, SolveOptions, SolverError, solve
 from .charging import ChargingError, ModelCaps, delta_q, delta_q_oracle, reduce_caps
 from .constants import MV
-from .geometry import DeviceError, load_device, mesh_device
+from .geometry import DEFAULT_H_MAX_NM, DeviceError, load_device, mesh_device
 from .validation import run_validation
 
 JOBS_ENV = "DQDCAP_JOBS"
@@ -185,13 +186,20 @@ def _check_solver_flags(args):
     _jobs(args)
 
 
+def _check_grid_flag(args):
+    """Reject a diagram grid of fewer than two points per axis before any input is read."""
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2, got {args.n}")
+
+
 def _add_solver_flags(sub):
     sub.add_argument("--mode", choices=("dense", "accelerated"), default="dense")
-    sub.add_argument("--h-max", type=float, default=10.0, help="max panel edge, nm")
+    sub.add_argument("--h-max", type=float, default=DEFAULT_H_MAX_NM, help="max panel edge, nm")
     sub.add_argument("--epsilon-r", type=float, default=None,
                      help="override the device relative permittivity")
-    sub.add_argument("--mac-ratio", type=float, default=0.5)
-    sub.add_argument("--tol", type=float, default=1e-6, help="Krylov relative residual")
+    sub.add_argument("--mac-ratio", type=float, default=SolveOptions.mac_ratio)
+    sub.add_argument("--tol", type=float, default=SolveOptions.krylov_tol,
+                     help="Krylov relative residual")
     sub.add_argument("--jobs", type=int, default=None,
                      help=f"sweep cells run at once (default ${JOBS_ENV} or 1); "
                           "extract ignores it")
@@ -258,6 +266,8 @@ def _load_spec(args):
 def _cmd_extract(args, argv):
     t0 = time.perf_counter()
     _check_solver_flags(args)
+    if args.air_gap_nm is not None and not 0.0 <= args.air_gap_nm < math.inf:
+        raise UsageError(f"--air-gap-nm must be finite and non-negative, got {args.air_gap_nm:g}")
     _check_writable(args.out, _manifest_path(args.out))
     spec = _load_spec(args)
     if args.air_gap_nm is not None:
@@ -273,6 +283,9 @@ def _cmd_extract(args, argv):
 
 def _cmd_stability(args, argv):
     t0 = time.perf_counter()
+    _check_grid_flag(args)
+    if args.window_mv is not None and not math.isfinite(args.window_mv):
+        raise UsageError(f"--window-mv must be finite, got {args.window_mv:g}")
     grid_path = f"{args.out_prefix}_grid.csv"
     lines_path = f"{args.out_prefix}_boundaries.json"
     _check_writable(grid_path, lines_path, _manifest_path(args.out_prefix))
@@ -330,30 +343,22 @@ def _write_sweep_csv(path, sweep, axis_fields):
             f.write(",".join(cells) + "\n")
 
 
-def _cmd_sweep_misalign(args, argv):
+def _cmd_sweep(args, argv):
+    """sweep-misalign and sweep-dotsize: one CSV row per cell."""
     t0 = time.perf_counter()
     _check_solver_flags(args)
+    _check_grid_flag(args)
     _check_writable(args.out, _manifest_path(args.out))
     spec = _load_spec(args)
-    sweep = misalign_sweep(spec, parse_range(args.dx), parse_range(args.dy),
-                           opts=_solver_options(args, spec.epsilon_r),
-                           h_max_nm=args.h_max, jobs=_jobs(args), diagram_n=args.n)
-    _write_sweep_csv(args.out, sweep, ("dx_nm", "dy_nm"))
-    failed = sum(1 for r in sweep.rows if r["status"] != "ok")
-    print(f"wrote {args.out}: {len(sweep.rows)} cells, {failed} failed")
-    _write_manifest(args.out, argv, [args.geometry], args, [args.out], t0)
-    return 0
-
-
-def _cmd_sweep_dotsize(args, argv):
-    t0 = time.perf_counter()
-    _check_solver_flags(args)
-    _check_writable(args.out, _manifest_path(args.out))
-    spec = _load_spec(args)
-    sweep = dotsize_sweep(spec, parse_range(args.r),
-                          opts=_solver_options(args, spec.epsilon_r),
-                          h_max_nm=args.h_max, jobs=_jobs(args), diagram_n=args.n)
-    _write_sweep_csv(args.out, sweep, ("R_nm",))
+    settings = dict(opts=_solver_options(args, spec.epsilon_r), h_max_nm=args.h_max,
+                    jobs=_jobs(args), diagram_n=args.n)
+    if args.command == "sweep-misalign":
+        sweep = misalign_sweep(spec, parse_range(args.dx), parse_range(args.dy), **settings)
+        axis_fields = ("dx_nm", "dy_nm")
+    else:
+        sweep = dotsize_sweep(spec, parse_range(args.r), **settings)
+        axis_fields = ("R_nm",)
+    _write_sweep_csv(args.out, sweep, axis_fields)
     failed = sum(1 for r in sweep.rows if r["status"] != "ok")
     print(f"wrote {args.out}: {len(sweep.rows)} cells, {failed} failed")
     _write_manifest(args.out, argv, [args.geometry], args, [args.out], t0)
@@ -410,7 +415,7 @@ def build_parser():
     p = sub.add_parser("stability", help="capacitances -> stability diagram CSV + metrics")
     p.add_argument("--caps", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--n", type=int, default=201)
+    p.add_argument("--n", type=int, default=DEFAULT_DIAGRAM_N)
     p.add_argument("--window-mv", type=float, default=None,
                    help="half-width of the bias window (default: auto)")
     p.set_defaults(func=_cmd_stability)
@@ -425,17 +430,17 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--dx", default="-90:90:10", help="nm range min:max:step")
     p.add_argument("--dy", default="-50:50:10")
-    p.add_argument("--n", type=int, default=201, help="diagram grid size per cell")
+    p.add_argument("--n", type=int, default=DEFAULT_DIAGRAM_N, help="diagram grid size per cell")
     _add_solver_flags(p)
-    p.set_defaults(func=_cmd_sweep_misalign)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sweep-dotsize", help="dot-size sweep -> CSV")
     p.add_argument("--geometry", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--r", default="10:50:10", help="dot size R range, nm")
-    p.add_argument("--n", type=int, default=201)
+    p.add_argument("--n", type=int, default=DEFAULT_DIAGRAM_N)
     _add_solver_flags(p)
-    p.set_defaults(func=_cmd_sweep_dotsize)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("validate", help="run the sphere/plate/toy-network oracle suite")
     p.set_defaults(func=_cmd_validate)

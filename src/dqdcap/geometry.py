@@ -21,6 +21,7 @@ ROLES = ("d1", "d2", "i1", "i2", "SL", "SR", "B", "g1", "g2", "other")
 
 DEFAULT_EPSILON_R = 6.0
 DEFAULT_SWEEP_BOUND_NM = 200.0
+DEFAULT_H_MAX_NM = 10.0  # max panel edge
 
 
 class DeviceError(ValueError):
@@ -72,7 +73,7 @@ class DeviceSpec:
         raise DeviceError(f"device has no conductor with role {role!r}")
 
     def with_air_gap(self, gap_nm: float) -> "DeviceSpec":
-        return replace(self, air_gap_nm=float(gap_nm))
+        return validate_device(replace(self, air_gap_nm=float(gap_nm)))
 
 
 def _boxes_touch(a: Box, b: Box) -> bool:
@@ -84,13 +85,22 @@ def _boxes_touch(a: Box, b: Box) -> bool:
     return True
 
 
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
 def validate_device(spec: DeviceSpec) -> DeviceSpec:
     if not spec.boxes:
         raise DeviceError("device has no boxes")
-    if spec.epsilon_r <= 0:
-        raise DeviceError("epsilon_r must be positive")
-    if spec.air_gap_nm < 0:
-        raise DeviceError("air_gap_nm must be non-negative")
+    if not 0.0 < spec.epsilon_r < math.inf:
+        raise DeviceError(f"epsilon_r must be finite and positive, got {spec.epsilon_r:g}")
+    if not 0.0 <= spec.air_gap_nm < math.inf:
+        raise DeviceError(f"air_gap_nm must be finite and non-negative, got {spec.air_gap_nm:g}")
+    if spec.domain_nm is not None and not _finite(spec.domain_nm[0] + spec.domain_nm[1]):
+        raise DeviceError("domain_nm must be finite")
+    if not all(0.0 <= bound < math.inf for bound in spec.sweep_bounds_nm):
+        raise DeviceError("sweep_bounds_nm must be finite and non-negative, "
+                          f"got {spec.sweep_bounds_nm}")
 
     group_role: dict[str, str] = {}
     for b in spec.boxes:
@@ -98,6 +108,10 @@ def validate_device(spec: DeviceSpec) -> DeviceSpec:
             raise DeviceError(f"bad conductor group name {b.group!r}")
         if b.role not in ROLES:
             raise DeviceError(f"box {b.name!r}: unknown role {b.role!r}")
+        if not _finite(b.min_nm):
+            raise DeviceError(f"box {b.name!r}: min_nm must be finite")
+        if not _finite(b.dims_nm):
+            raise DeviceError(f"box {b.name!r}: dims_nm must be finite")
         if any(d <= 0 for d in b.dims_nm):
             raise DeviceError(f"box {b.name!r}: dims must be strictly positive")
         prev = group_role.setdefault(b.group, b.role)

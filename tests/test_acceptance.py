@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 
 import csv
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -80,10 +81,7 @@ def caps_at(spec):
 @pytest.fixture(scope="module")
 def full_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep") / "misalign.csv"
-    ref = tmp_path_factory.mktemp("geom") / "ref.json"
-    from dqdcap.reference import reference_device_json
-
-    ref.write_text(reference_device_json())
+    ref = resources.files("dqdcap.data").joinpath("reference_device.json")
     t0 = time.perf_counter()
     code = cli_run(["sweep-misalign", "--geometry", str(ref), "--out", str(out),
                     "--dx", "-90:90:10", "--dy", "-50:50:10",

@@ -224,6 +224,9 @@ def test_compare_self_pair_prints_nan_period(workdir, capsys):
 EXTRACT = ["extract", "--geometry", "reference_device.json", "--out", "caps.json", "--h-max", "18"]
 SWEEP = ["sweep-misalign", "--geometry", "reference_device.json", "--out", "s.csv",
          "--dy", "0", "--h-max", "18"]
+DOTSIZE = ["sweep-dotsize", "--geometry", "reference_device.json", "--out", "s.csv",
+           "--r", "40", "--h-max", "18"]
+STABILITY = ["stability", "--caps", "tiny_caps.json", "--out-prefix", "diag"]
 
 
 @pytest.mark.parametrize("argv, env, code, message", [
@@ -259,13 +262,23 @@ SWEEP = ["sweep-misalign", "--geometry", "reference_device.json", "--out", "s.cs
     (EXTRACT + ["--h-max", "nan"], None, 2, "--h-max"),
     *[(SWEEP + ["--dx", text], None, 1, "bad range")
       for text in ("0:inf:1", "0:nan:1", "inf", "nan", "0:10:inf", "0:1:0")],
+    *[(EXTRACT + ["--air-gap-nm", text], None, 2, "--air-gap-nm")
+      for text in ("-5", "nan", "inf")],
+    *[(argv + ["--n", "1"], None, 2, "--n must be at least 2")
+      for argv in (SWEEP, DOTSIZE, STABILITY)],
+    *[(STABILITY + ["--window-mv", text], None, 2, "--window-mv")
+      for text in ("nan", "inf")],
+    *[(["extract", "--geometry", f"{field}_nan.json", "--out", "caps.json"], None, 1, field)
+      for field in ("epsilon_r", "air_gap_nm")],
 ], ids=["mac-ratio", "h-max-zero", "tol", "jobs-env", "sweep-h-max", "stability-bad-json",
         "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
         "compare-measured-no-b", "compare-measured-text", "stability-device-file",
         "extract-no-out-dir", "sweep-no-out-dir", "extract-out-is-dir", "stability-no-out-dir",
         "epsilon-r-nan", "epsilon-r-inf", "h-max-inf", "h-max-nan", "range-max-inf",
         "range-max-nan", "range-single-inf", "range-single-nan", "range-step-inf",
-        "range-step-zero"])
+        "range-step-zero", "air-gap-negative", "air-gap-nan", "air-gap-inf",
+        "sweep-misalign-n-1", "sweep-dotsize-n-1", "stability-n-1", "window-mv-nan",
+        "window-mv-inf", "device-epsilon-r-nan", "device-air-gap-nan"])
 def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
@@ -273,6 +286,10 @@ def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, co
     (workdir / "measured_no_b.json").write_text('{"pairs": [{"a": "d1"}]}')
     (workdir / "measured_text.json").write_text(
         '{"pairs": [{"a": "d1", "b": "d2", "measured_aF": "x"}]}')
+    for field in ("epsilon_r", "air_gap_nm"):
+        device = json.loads((workdir / "reference_device.json").read_text())
+        device[field] = float("nan")
+        (workdir / f"{field}_nan.json").write_text(json.dumps(device))
     if env is not None:
         monkeypatch.setenv("DQDCAP_JOBS", env)
     before = set(workdir.iterdir())

@@ -1,7 +1,6 @@
 import json
 import math
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from dqdcap.geometry import (
     sphere_mesh,
     transform_dots,
 )
-from dqdcap.reference import build_reference_device, reference_device_json
+from dqdcap.reference import build_reference_device
 
 MINIMAL = json.dumps({
     "boxes": [
@@ -84,9 +83,57 @@ class TestLoadDevice:
         assert again.groups == spec.groups
         assert again.boxes == spec.boxes
 
-    def test_packaged_reference_device_is_built_one(self):
-        packaged = resources.files("dqdcap.data").joinpath("reference_device.json")
-        assert packaged.read_bytes() == reference_device_json().encode("utf-8")
+    def test_reference_device_is_rotation_symmetric(self):
+        """(x, y, z) -> (-x, -y, z) maps the device onto itself, to the last bit."""
+        spec = build_reference_device()
+        assert _rotation_symmetric(spec)
+        # a 1 nm shift of any one box, along any axis, breaks the symmetry
+        for i, b in enumerate(spec.boxes):
+            for axis in range(3):
+                shifted = list(b.min_nm)
+                shifted[axis] += 1.0
+                boxes = list(spec.boxes)
+                boxes[i] = replace(b, min_nm=tuple(shifted))
+                assert not _rotation_symmetric(replace(spec, boxes=tuple(boxes))), (b.name, axis)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon_r", math.nan), ("epsilon_r", math.inf),
+        ("air_gap_nm", math.nan), ("air_gap_nm", math.inf),
+        ("min_nm", math.nan), ("dims_nm", math.nan), ("dims_nm", math.inf),
+        ("domain_nm", math.nan), ("sweep_bounds_nm", math.nan), ("sweep_bounds_nm", -1.0),
+    ])
+    def test_bad_number_rejected(self, field, value):
+        cfg = json.loads(MINIMAL)
+        cfg["domain_nm"] = [[-100, -100, -100], [100, 100, 100]]
+        if field in ("epsilon_r", "air_gap_nm"):
+            cfg[field] = value
+        elif field == "domain_nm":
+            cfg["domain_nm"][1][2] = value
+        elif field == "sweep_bounds_nm":
+            cfg["sweep_bounds_nm"] = [200.0, value]
+        else:
+            cfg["boxes"][1][field][2] = value
+        with pytest.raises(DeviceError, match=field):
+            loads_device(json.dumps(cfg))
+
+    @pytest.mark.parametrize("gap", [-5.0, math.nan, math.inf])
+    def test_with_air_gap_validates(self, gap):
+        with pytest.raises(DeviceError, match="air_gap_nm"):
+            loads_device(MINIMAL).with_air_gap(gap)
+
+
+_ROTATED_GROUP = {"d1": "d2", "SL": "SR", "i1": "i2", "g1": "g2", "B": "B"}
+_ROTATED_GROUP.update({v: k for k, v in _ROTATED_GROUP.items()})
+
+
+def _rotation_symmetric(spec):
+    """Whether (x, y, z) -> (-x, -y, z) with its group swap maps the boxes onto themselves."""
+    extents = sorted((b.group, b.min_nm, b.max_nm) for b in spec.boxes)
+    rotated = sorted(
+        (_ROTATED_GROUP[b.group], (-b.max_nm[0], -b.max_nm[1], b.min_nm[2]),
+         (-b.min_nm[0], -b.min_nm[1], b.max_nm[2]))
+        for b in spec.boxes)
+    return rotated == extents
 
 
 class TestTransformDots:
