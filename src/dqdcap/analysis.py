@@ -39,8 +39,6 @@ class BoundaryLine:
     p1: tuple[float, float]
     residual: float
     n_points: int
-    sl_intercept: float | None
-    sr_intercept: float | None
 
     def to_json(self):
         return {
@@ -58,7 +56,7 @@ class StabilityDiagram:
     v_sr: np.ndarray
     grid: np.ndarray          # stable x, shape (n_sl, n_sr)
     boundaries: list[BoundaryLine]
-    dv_sl: float | None       # median degeneracy-line spacing along V_SL, volts
+    dv_sl: float | None       # degeneracy-line spacing along V_SL, volts
     dv_sr: float | None
     theta_deg: float | None
 
@@ -87,24 +85,27 @@ def _grid_terms(caps: ModelCaps):
     return gmap, kappa
 
 
-def _axis_spacing(intercepts):
-    vals = [v for v in intercepts if v is not None and math.isfinite(v)]
-    if len(vals) < 2:
-        return None
-    d = np.abs(np.diff(vals))
-    return float(np.median(d))
+def _degeneracy_metrics(gmap, kappa):
+    """(dV_SL, dV_SR, theta) of the degeneracy lines, in closed form.
+
+    The line x <-> x+1 is g(V) = gmap . V = -q_e * kappa * (x + 1/2), so
+    neighbouring lines cross the V_SL axis q_e * kappa / |gmap_SL| apart, and
+    likewise V_SR.  A zero gmap component leaves its axis uncrossed: None.
+    """
+    dv_sl, dv_sr = (float(Q_E * kappa / abs(g)) if g else None for g in gmap)
+    theta = _theta_deg(dv_sl, dv_sr) if dv_sl and dv_sr else None
+    return dv_sl, dv_sr, theta
 
 
 def _fit_line(points):
+    """Total-least-squares line through points: (rms residual, end point, end point)."""
     mu = points.mean(axis=0)
     rel = points - mu
     _, sv, vt = np.linalg.svd(rel, full_matrices=False)
     direction = vt[0]
     res = sv[-1] / math.sqrt(len(points)) if len(points) > 1 else 0.0
     t = rel @ direction
-    p0 = mu + t.min() * direction
-    p1 = mu + t.max() * direction
-    return mu, direction, res, p0, p1
+    return res, mu + t.min() * direction, mu + t.max() * direction
 
 
 def stability_diagram(caps: ModelCaps, v_ranges=None,
@@ -113,6 +114,8 @@ def stability_diagram(caps: ModelCaps, v_ranges=None,
 
     Without explicit ranges the window starts near the estimated line spacing
     and doubles until it holds at least three degeneracy lines (cap 20 V).
+    The periodicities and theta are the closed-form ones, reported once the
+    window holds at least two fitted lines.
     """
     if n < 2:
         raise AnalysisError("diagram grid needs n >= 2")
@@ -201,16 +204,11 @@ def _diagram_on_grid(caps, axis_sl, axis_sr, gmap, kappa) -> StabilityDiagram:
     for k, pts in sorted(points.items()):
         if len(pts) < 2:
             continue
-        _, direction, res, p0, p1 = _fit_line(pts)
-        mu = pts.mean(axis=0)
-        sl_int = mu[0] - mu[1] * direction[0] / direction[1] if direction[1] != 0 else None
-        sr_int = mu[1] - mu[0] * direction[1] / direction[0] if direction[0] != 0 else None
-        boundaries.append(BoundaryLine(k, tuple(p0), tuple(p1), res, len(pts), sl_int, sr_int))
+        res, p0, p1 = _fit_line(pts)
+        boundaries.append(BoundaryLine(k, tuple(p0), tuple(p1), res, len(pts)))
 
-    dv_sl = _axis_spacing([b.sl_intercept for b in boundaries])
-    dv_sr = _axis_spacing([b.sr_intercept for b in boundaries])
-    theta = _theta_deg(dv_sl, dv_sr) if dv_sl and dv_sr else None
-    return StabilityDiagram(axis_sl, axis_sr, grid, boundaries, dv_sl, dv_sr, theta)
+    metrics = _degeneracy_metrics(gmap, kappa) if len(boundaries) >= 2 else (None,) * 3
+    return StabilityDiagram(axis_sl, axis_sr, grid, boundaries, *metrics)
 
 
 def transfer_metrics(dv_sl: float, dv_sr: float, v_sl_min: float):
@@ -264,18 +262,25 @@ def _cell_solver(spec, opts, h_max_nm):
         return failed
 
 
-def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm, diagram_n):
+def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm):
+    """One sweep row.  Its dV_SL, dV_SR and theta are those stability_diagram
+    reports in its auto window, without drawing the grid: that window stops
+    below the 20 V cap only once it holds three lines, and at the cap fewer
+    than two lines cross it when (|g_SL| + |g_SR|) * 20 V <= q_e * kappa / 2.
+    """
     moved = transform_dots(spec, dx, dy, r_nm)
     mesh = mesh_device(moved, h_max_nm)
     maxwell = maxwell_of(mesh, moved.roles)
     caps = reduce_caps(maxwell, moved.roles)
-    diag = stability_diagram(caps, n=diagram_n)
+    gmap, kappa = _grid_terms(caps)
+    in_view = np.abs(gmap).sum() * WINDOW_CAP_V > Q_E * kappa / 2
+    dv_sl, dv_sr, theta = _degeneracy_metrics(gmap, kappa) if in_view else (None,) * 3
     row = {
         "C_SLd1_aF": caps.gate("d1", "SL") / AF,
         "C_SRd2_aF": caps.gate("d2", "SR") / AF,
-        "dV_SL_mV": diag.dv_sl / MV if diag.dv_sl else None,
-        "dV_SR_mV": diag.dv_sr / MV if diag.dv_sr else None,
-        "theta_deg": diag.theta_deg,
+        "dV_SL_mV": dv_sl / MV if dv_sl else None,
+        "dV_SR_mV": dv_sr / MV if dv_sr else None,
+        "theta_deg": theta,
     }
     if caps.has("i1"):
         row["C_d1i1_aF"] = caps.mutual("d1", "i1") / AF
@@ -289,7 +294,7 @@ def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm, diagram_n):
 _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, AnalysisError)
 
 
-def _run_cells(kind, spec, cells, place, opts, h_max_nm, jobs, diagram_n):
+def _run_cells(kind, spec, cells, place, opts, h_max_nm, jobs):
     """Solve spec at every cell on a pool of jobs threads, the package's one thread pool.
 
     place(cell) gives the cell's dot placement (dx, dy, R).  Rows keep the
@@ -303,7 +308,7 @@ def _run_cells(kind, spec, cells, place, opts, h_max_nm, jobs, diagram_n):
 
     def safe(cell):
         try:
-            row = _cell_metrics(spec, *place(cell), maxwell_of, h_max_nm, diagram_n)
+            row = _cell_metrics(spec, *place(cell), maxwell_of, h_max_nm)
             row["status"] = "ok"
         except _CELL_ERRORS as e:
             row = {"status": "failed", "error": f"{type(e).__name__}: {e}"}
@@ -327,7 +332,7 @@ def _fill_db(sweep: SweepMap):
 
 
 def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=DEFAULT_H_MAX_NM, jobs=1,
-                   diagram_n=DEFAULT_DIAGRAM_N, r_nm=None) -> SweepMap:
+                   r_nm=None) -> SweepMap:
     """Solve the device over the (dx, dy) misalignment grid and record transfer metrics.
 
     Cells run over dx_list, then dy_list within each dx.  Failed cells are
@@ -339,17 +344,17 @@ def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=DEFAULT_H_MAX_NM,
     if not cells:
         raise AnalysisError("empty misalignment grid")
     return _run_cells("misalign", spec, cells, lambda c: (c["dx_nm"], c["dy_nm"], r_nm),
-                      opts, h_max_nm, jobs, diagram_n)
+                      opts, h_max_nm, jobs)
 
 
 def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), opts=None,
-                  h_max_nm=DEFAULT_H_MAX_NM, jobs=1, diagram_n=DEFAULT_DIAGRAM_N) -> SweepMap:
+                  h_max_nm=DEFAULT_H_MAX_NM, jobs=1) -> SweepMap:
     """Solve the aligned device for each dot size R and record coupling and delta q."""
     if not r_list or any(r <= 0 for r in r_list):
         raise AnalysisError("dot sizes must be positive")
     cells = [{"R_nm": float(r)} for r in r_list]
     return _run_cells("dotsize", spec, cells, lambda c: (0.0, 0.0, c["R_nm"]),
-                      opts, h_max_nm, jobs, diagram_n)
+                      opts, h_max_nm, jobs)
 
 
 def estimate_misalignment(theta_obs_deg, dv_sl_obs, sweep: SweepMap,

@@ -186,12 +186,6 @@ def _check_solver_flags(args):
     _jobs(args)
 
 
-def _check_grid_flag(args):
-    """Reject a diagram grid of fewer than two points per axis before any input is read."""
-    if args.n < 2:
-        raise UsageError(f"--n must be at least 2, got {args.n}")
-
-
 def _add_solver_flags(sub):
     sub.add_argument("--mode", choices=("dense", "accelerated"), default="dense")
     sub.add_argument("--h-max", type=float, default=DEFAULT_H_MAX_NM, help="max panel edge, nm")
@@ -283,7 +277,8 @@ def _cmd_extract(args, argv):
 
 def _cmd_stability(args, argv):
     t0 = time.perf_counter()
-    _check_grid_flag(args)
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2, got {args.n}")
     if args.window_mv is not None and not math.isfinite(args.window_mv):
         raise UsageError(f"--window-mv must be finite, got {args.window_mv:g}")
     grid_path = f"{args.out_prefix}_grid.csv"
@@ -347,11 +342,10 @@ def _cmd_sweep(args, argv):
     """sweep-misalign and sweep-dotsize: one CSV row per cell."""
     t0 = time.perf_counter()
     _check_solver_flags(args)
-    _check_grid_flag(args)
     _check_writable(args.out, _manifest_path(args.out))
     spec = _load_spec(args)
     settings = dict(opts=_solver_options(args, spec.epsilon_r), h_max_nm=args.h_max,
-                    jobs=_jobs(args), diagram_n=args.n)
+                    jobs=_jobs(args))
     if args.command == "sweep-misalign":
         sweep = misalign_sweep(spec, parse_range(args.dx), parse_range(args.dy), **settings)
         axis_fields = ("dx_nm", "dy_nm")
@@ -430,7 +424,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--dx", default="-90:90:10", help="nm range min:max:step")
     p.add_argument("--dy", default="-50:50:10")
-    p.add_argument("--n", type=int, default=DEFAULT_DIAGRAM_N, help="diagram grid size per cell")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -438,7 +431,6 @@ def build_parser():
     p.add_argument("--geometry", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--r", default="10:50:10", help="dot size R range, nm")
-    p.add_argument("--n", type=int, default=DEFAULT_DIAGRAM_N)
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

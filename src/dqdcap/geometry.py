@@ -188,6 +188,7 @@ def dumps_device(spec: DeviceSpec) -> str:
              "min_nm": list(b.min_nm), "dims_nm": list(b.dims_nm)}
             for b in spec.boxes
         ],
+        "sweep_bounds_nm": list(spec.sweep_bounds_nm),
     }
     if spec.domain_nm is not None:
         obj["domain_nm"] = [list(spec.domain_nm[0]), list(spec.domain_nm[1])]

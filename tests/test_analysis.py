@@ -22,7 +22,14 @@ from dqdcap.analysis import (
 )
 from dqdcap.capsolve import MaxwellMatrix, SolveOptions, solve_dense
 from dqdcap.capsolve import solve as capsolve_solve
-from dqdcap.charging import Bias, ModelCaps, config_energy, integer_minimizer, stable_config
+from dqdcap.charging import (
+    Bias,
+    ModelCaps,
+    config_energy,
+    integer_minimizer,
+    reduce_caps,
+    stable_config,
+)
 from dqdcap.constants import AF, MV, Q_E
 from dqdcap.geometry import loads_device, mesh_device, transform_dots
 from dqdcap.reference import build_reference_device
@@ -200,7 +207,7 @@ def _tiny_sweep(jobs=1):
     spec = build_reference_device()
     opts = SolveOptions(epsilon_r=spec.epsilon_r)
     return misalign_sweep(spec, [-20.0, 0.0, 20.0], [0.0],
-                          opts=opts, h_max_nm=16.0, jobs=jobs, diagram_n=101)
+                          opts=opts, h_max_nm=16.0, jobs=jobs)
 
 
 class TestSweeps:
@@ -248,15 +255,14 @@ class TestSweeps:
         spec = loads_device(json.dumps(cfg))
         # dx = -40 drives dot1 into the buried marker: that cell must fail
         sweep = misalign_sweep(spec, [-40.0, 0.0], [0.0],
-                               opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0,
-                               diagram_n=51)
+                               opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0)
         statuses = [r["status"] for r in sweep.rows]
         assert statuses[0] == "failed" and statuses[1] == "ok"
         assert "error" in sweep.rows[0]
 
     def test_dotsize_sweep_records_island_coupling(self):
         spec = build_reference_device()
-        sweep = dotsize_sweep(spec, (20.0, 40.0), h_max_nm=16.0, diagram_n=51)
+        sweep = dotsize_sweep(spec, (20.0, 40.0), h_max_nm=16.0)
         assert [r["R_nm"] for r in sweep.rows] == [20.0, 40.0]
         for r in sweep.rows:
             assert r["status"] == "ok"
@@ -387,9 +393,9 @@ class TestStaticBlockSweep:
     def test_dots_only_device_sweeps(self):
         spec = loads_device(json.dumps(DOTS_ONLY))
         sweep = misalign_sweep(spec, [-10.0, 0.0, 10.0], [0.0],
-                               opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0, diagram_n=51)
+                               opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0)
         assert [r["status"] for r in sweep.rows] == ["ok"] * 3
-        sizes = dotsize_sweep(spec, (20.0, 30.0), h_max_nm=16.0, diagram_n=51)
+        sizes = dotsize_sweep(spec, (20.0, 30.0), h_max_nm=16.0)
         assert [r["status"] for r in sizes.rows] == ["ok"] * 2
 
     def test_unfactorable_static_block_fails_every_cell(self, monkeypatch):
@@ -443,17 +449,74 @@ class TestCompareReport:
             compare_report(m, {"pairs": [{"a": "a", "b": "nope"}]})
 
 
+def fitted_metrics(diag):
+    """Reference for the closed form: (dV_SL, dV_SR, theta) from the fitted lines.
+
+    Each line's intercepts with the V_SL and V_SR axes come from its end
+    points; a periodicity is the median gap between neighbouring intercepts,
+    None with fewer than two.
+    """
+    sl, sr = [], []
+    for b in diag.boundaries:
+        (x0, y0), (x1, y1) = b.p0, b.p1
+        if y1 != y0:
+            sl.append(x0 - y0 * (x1 - x0) / (y1 - y0))
+        if x1 != x0:
+            sr.append(y0 - x0 * (y1 - y0) / (x1 - x0))
+    dv_sl, dv_sr = (float(np.median(np.abs(np.diff(v)))) if len(v) >= 2 else None
+                    for v in (sl, sr))
+    return dv_sl, dv_sr, transfer_metrics(dv_sl, dv_sr, 1.0)[0] if dv_sl and dv_sr else None
+
+
+def toy_caps_with_gates(c_gate_aF, zero_gate=None):
+    """toy_caps with both dot-gate couplings set to c_gate_aF, one gate column optionally 0."""
+    gates = np.zeros((2, 4))
+    gates[0, 0] = gates[1, 1] = c_gate_aF * AF
+    if zero_gate is not None:
+        gates[:, zero_gate] = 0.0
+    return ModelCaps(("d1", "d2"), toy_caps().cmat, gates)
+
+
+def reference_caps():
+    spec = build_reference_device()
+    mesh = mesh_device(spec, 16.0)
+    return reduce_caps(solve_dense(mesh, SolveOptions(epsilon_r=spec.epsilon_r), roles=spec.roles))
+
+
+# Worst relative gap over 2000 random_model_caps draws: 7.0e-14.
+CLOSED_FORM_REL = 1e-12
+
+
 class TestPropertyInvariants:
     def test_diagram_periodicity_matches_degeneracy_spacing(self):
+        """The closed-form dV_SL, dV_SR and theta equal the fitted lines' intercept gaps."""
         rng = np.random.default_rng(9)
-        for _ in range(5):
-            caps = random_model_caps(rng, island=False)
-            diag = stability_diagram(caps, n=151)
-            if diag.dv_sl is None:
-                continue
-            # spacing of consecutive line intercepts is uniform for the
-            # constant-interaction model
-            ints = sorted(b.sl_intercept for b in diag.boundaries
-                          if b.sl_intercept is not None)
-            gaps = np.diff(ints)
-            assert np.allclose(gaps, np.median(gaps), rtol=1e-6)
+        draws = [random_model_caps(rng, island=bool(i % 2)) for i in range(200)]
+        for caps in [reference_caps(), *draws]:
+            diag = stability_diagram(caps)
+            got = (diag.dv_sl, diag.dv_sr, diag.theta_deg)
+            want = fitted_metrics(diag)
+            assert None not in want
+            assert got == pytest.approx(want, rel=CLOSED_FORM_REL, abs=0.0)
+
+    @pytest.mark.parametrize("caps, lines, present", [
+        (toy_caps_with_gates(1e-4), 0, (False, False, False)),
+        (toy_caps_with_gates(1.0, zero_gate=0), None, (False, True, False)),
+        (toy_caps_with_gates(1.0, zero_gate=1), None, (True, False, False)),
+        (toy_caps_with_gates(0.01), 2, (True, True, True)),
+    ], ids=["gates-1e-4aF", "no-SL-gate", "no-SR-gate", "gates-0.01aF"])
+    def test_edge_cases_agree_with_fitted_lines(self, monkeypatch, caps, lines, present):
+        """None exactly where the fitted lines give none: in the diagram and in a sweep cell."""
+        diag = stability_diagram(caps)
+        if lines is not None:
+            assert len(diag.boundaries) == lines
+        want = fitted_metrics(diag)
+        got = (diag.dv_sl, diag.dv_sr, diag.theta_deg)
+        assert tuple(v is not None for v in want) == present
+        assert got == pytest.approx(want, rel=CLOSED_FORM_REL, abs=0.0)
+
+        monkeypatch.setattr(analysis, "reduce_caps", lambda maxwell, roles: caps)
+        spec = loads_device(json.dumps(DOTS_ONLY))
+        row = analysis._cell_metrics(spec, 0.0, 0.0, 40.0, lambda mesh, roles: None, 16.0)
+        cell = tuple(None if row[k] is None else row[k] * MV for k in ("dV_SL_mV", "dV_SR_mV"))
+        assert (*cell, row["theta_deg"]) == pytest.approx(want, rel=CLOSED_FORM_REL, abs=0.0)

@@ -1,6 +1,7 @@
 import json
 import shutil
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_stability_accepts_model_caps_json(workdir):
 def test_sweep_misalign_row_count_and_negative_ranges(workdir):
     assert run(["sweep-misalign", "--geometry", "reference_device.json",
                 "--out", "sweep.csv", "--dx", "-20:20:20", "--dy", "-10:10:10",
-                "--h-max", "18", "--n", "51", "--jobs", "2"]) == 0
+                "--h-max", "18", "--jobs", "2"]) == 0
     lines = (workdir / "sweep.csv").read_text().splitlines()
     assert lines[0] == ("dx_nm,dy_nm,C_SLd1_aF,C_SRd2_aF,dV_SL_mV,dV_SR_mV,"
                         "theta_deg,dV_SL_dB,delta_q_e,status")
@@ -100,8 +101,7 @@ def test_sweep_misalign_row_count_and_negative_ranges(workdir):
 
 def test_sweep_dotsize_csv(workdir):
     assert run(["sweep-dotsize", "--geometry", "reference_device.json",
-                "--out", "sizes.csv", "--r", "20:40:20", "--h-max", "18",
-                "--n", "51"]) == 0
+                "--out", "sizes.csv", "--r", "20:40:20", "--h-max", "18"]) == 0
     lines = (workdir / "sizes.csv").read_text().splitlines()
     assert lines[0].startswith("R_nm,C_SLd1_aF")
     assert len(lines) == 3
@@ -110,8 +110,7 @@ def test_sweep_dotsize_csv(workdir):
 def test_reproducible_outputs(workdir):
     for out in ("a.csv", "b.csv"):
         assert run(["sweep-dotsize", "--geometry", "reference_device.json",
-                    "--out", out, "--r", "30:40:10", "--h-max", "18",
-                    "--n", "51"]) == 0
+                    "--out", out, "--r", "30:40:10", "--h-max", "18"]) == 0
     assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
 
 
@@ -126,7 +125,7 @@ def test_extract_is_byte_reproducible(workdir):
 @pytest.mark.parametrize("argv", [
     ["extract", "--geometry", "reference_device.json", "--out", "{}", "--h-max", "16"],
     ["sweep-misalign", "--geometry", "reference_device.json", "--out", "{}",
-     "--dx", "-20:20:20", "--dy", "0", "--h-max", "18", "--n", "51"],
+     "--dx", "-20:20:20", "--dy", "0", "--h-max", "18"],
 ], ids=["extract", "sweep-misalign"])
 def test_artifacts_do_not_depend_on_jobs(workdir, argv):
     for jobs in ("1", "2"):
@@ -142,8 +141,8 @@ SOLVER_OPTIONS = ["mode", "h_max", "epsilon_r", "mac_ratio", "tol", "jobs"]
     (["extract", "--geometry", "reference_device.json", "--out", "out", "--h-max", "18"], "3",
      ["command", "geometry", "out", "air_gap_nm", *SOLVER_OPTIONS], 3),
     (["sweep-misalign", "--geometry", "reference_device.json", "--out", "out", "--dx", "0",
-      "--dy", "0", "--h-max", "18", "--n", "51", "--jobs", "0"], None,
-     ["command", "geometry", "out", "dx", "dy", "n", *SOLVER_OPTIONS], 1),
+      "--dy", "0", "--h-max", "18", "--jobs", "0"], None,
+     ["command", "geometry", "out", "dx", "dy", *SOLVER_OPTIONS], 1),
 ], ids=["extract", "sweep-misalign"])
 def test_manifest_schema(workdir, monkeypatch, argv, env, options, jobs):
     """The manifest's keys and option names are fixed; jobs is the resolved worker count."""
@@ -163,7 +162,7 @@ def test_manifest_schema(workdir, monkeypatch, argv, env, options, jobs):
     (["compare", "--caps", "caps.json", "--measured", "reference_measured.json",
       "--out", "{}.json"], ["{}.json"]),
     (["sweep-misalign", "--geometry", "reference_device.json", "--out", "{}.csv",
-      "--dx", "-20:20:20", "--dy", "0", "--h-max", "18", "--n", "51", "--jobs", "2"],
+      "--dx", "-20:20:20", "--dy", "0", "--h-max", "18", "--jobs", "2"],
      ["{}.csv"]),
 ], ids=["stability", "induced-charge", "compare", "sweep-misalign"])
 def test_artifacts_are_byte_reproducible(workdir, argv, outputs):
@@ -264,8 +263,7 @@ STABILITY = ["stability", "--caps", "tiny_caps.json", "--out-prefix", "diag"]
       for text in ("0:inf:1", "0:nan:1", "inf", "nan", "0:10:inf", "0:1:0")],
     *[(EXTRACT + ["--air-gap-nm", text], None, 2, "--air-gap-nm")
       for text in ("-5", "nan", "inf")],
-    *[(argv + ["--n", "1"], None, 2, "--n must be at least 2")
-      for argv in (SWEEP, DOTSIZE, STABILITY)],
+    (STABILITY + ["--n", "1"], None, 2, "--n must be at least 2"),
     *[(STABILITY + ["--window-mv", text], None, 2, "--window-mv")
       for text in ("nan", "inf")],
     *[(["extract", "--geometry", f"{field}_nan.json", "--out", "caps.json"], None, 1, field)
@@ -277,7 +275,7 @@ STABILITY = ["stability", "--caps", "tiny_caps.json", "--out-prefix", "diag"]
         "epsilon-r-nan", "epsilon-r-inf", "h-max-inf", "h-max-nan", "range-max-inf",
         "range-max-nan", "range-single-inf", "range-single-nan", "range-step-inf",
         "range-step-zero", "air-gap-negative", "air-gap-nan", "air-gap-inf",
-        "sweep-misalign-n-1", "sweep-dotsize-n-1", "stability-n-1", "window-mv-nan",
+        "stability-n-1", "window-mv-nan",
         "window-mv-inf", "device-epsilon-r-nan", "device-air-gap-nan"])
 def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
@@ -300,6 +298,27 @@ def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, co
     assert set(workdir.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv", [SWEEP, DOTSIZE], ids=["sweep-misalign", "sweep-dotsize"])
+def test_sweeps_take_no_grid_flag(workdir, capsys, argv):
+    """Sweeps compute their periodicities in closed form; only stability has a grid."""
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--n", "51"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --n 51" in capsys.readouterr().err
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def test_sweep_csv_matches_bench_reference(workdir):
+    """The bench's seed-0 sweep (bench/workloads.py) reproduces its committed CSV byte for byte."""
+    assert run(["sweep-misalign", "--geometry", str(BENCH_DATA / "reference_device.json"),
+                "--out", "sweep.csv", "--dx", "-90:90:30", "--dy", "-50:50:50",
+                "--mode", "dense", "--h-max", "16", "--jobs", "2"]) == 0
+    want = (BENCH_DATA / "ref_sweep_misalign_h16.csv").read_bytes()
+    assert (workdir / "sweep.csv").read_bytes() == want
+
+
 def test_failed_write_leaves_no_partial_file(workdir, monkeypatch):
     from dqdcap import cli
 
@@ -317,7 +336,7 @@ def test_failed_write_leaves_no_partial_file(workdir, monkeypatch):
     monkeypatch.setattr(cli, "_fmt", failing_fmt)
     with pytest.raises(RuntimeError, match="disk full"):
         run(["sweep-dotsize", "--geometry", "reference_device.json", "--out", "sizes.csv",
-             "--r", "30:40:10", "--h-max", "18", "--n", "51"])
+             "--r", "30:40:10", "--h-max", "18"])
     assert calls[0] > 4
     assert set(workdir.iterdir()) == before
     assert (workdir / "sizes.csv").read_text() == "earlier run\n"
@@ -337,7 +356,7 @@ def test_sweeps_apply_epsilon_r(workdir, monkeypatch):
     monkeypatch.setattr(cli, "dotsize_sweep", recording_sweep)
     for out, extra in (("eps6.csv", []), ("eps1.csv", ["--epsilon-r", "1"])):
         assert run(["sweep-dotsize", "--geometry", "reference_device.json", "--out", out,
-                    "--r", "40", "--h-max", "18", "--n", "51", *extra]) == 0
+                    "--r", "40", "--h-max", "18", *extra]) == 0
     default, vacuum = rows
     assert default["status"] == vacuum["status"] == "ok"
     assert vacuum["C_SLd1_aF"] == pytest.approx(default["C_SLd1_aF"] / 6.0, rel=1e-9)

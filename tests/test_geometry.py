@@ -82,6 +82,13 @@ class TestLoadDevice:
         again = loads_device(dumps_device(spec))
         assert again.groups == spec.groups
         assert again.boxes == spec.boxes
+        # every field survives, the optional domain and non-default sweep bounds too
+        cfg = json.loads(dumps_device(spec))
+        cfg["sweep_bounds_nm"] = [30, 30]
+        cfg["domain_nm"] = [[-400, -400, -300], [400, 400, 200]]
+        spec = loads_device(json.dumps(cfg))
+        assert spec.sweep_bounds_nm == (30.0, 30.0) and spec.domain_nm is not None
+        assert loads_device(dumps_device(spec)) == spec
 
     def test_reference_device_is_rotation_symmetric(self):
         """(x, y, z) -> (-x, -y, z) maps the device onto itself, to the last bit."""
