@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import single_threaded_blas
-from .capsolve import AssemblyError, DenseFactor, SolveOptions, SolverError, solve
+from .capsolve import AssemblyError, DenseFactor, SolverError, solve
 from .charging import (
     ChargingError,
     ModelCaps,
@@ -81,7 +81,14 @@ def _grid_terms(caps: ModelCaps):
     w = np.linalg.inv(c)
     s = np.array([1.0, -1.0])
     kappa = float(s @ w @ s)
-    gmap = s @ w @ caps.gate_block(island=False) @ _compensation_map(caps)  # (2,)
+    g, t = caps.gate_block(island=False), _compensation_map(caps)
+    gmap = s @ w @ g @ t  # (2,)
+    # A component within rounding of the terms that formed it is zero.  Each path
+    # through the product sums 2 + 2 + 4 rounded terms, so its rounding is below
+    # 8 eps times the same product of absolute values; W = C^-1 and the
+    # compensation map carry rounding of their own, hence twice that.
+    bound = 16 * np.finfo(float).eps * (np.abs(s) @ np.abs(w) @ np.abs(g) @ np.abs(t))
+    gmap[np.abs(gmap) <= bound] = 0.0
     return gmap, kappa
 
 
@@ -238,7 +245,7 @@ class SweepMap:
         return [r for r in self.rows if r["status"] == "ok"]
 
 
-def _cell_solver(spec, opts, h_max_nm):
+def _cell_solver(spec, mode, h_max_nm):
     """The Maxwell solve of one sweep cell, as a function of (mesh, roles).
 
     A sweep moves only the two dots.  In dense mode the device without them
@@ -249,10 +256,10 @@ def _cell_solver(spec, opts, h_max_nm):
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
-    if opts.mode != "dense" or not static.boxes:
-        return lambda mesh, roles: solve(mesh, opts, roles=roles)
+    if mode != "dense" or not static.boxes:
+        return lambda mesh, roles: solve(mesh, mode, spec.epsilon_r, roles=roles)
     try:
-        return DenseFactor(mesh_device(static, h_max_nm), opts).maxwell
+        return DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r).maxwell
     except (AssemblyError, SolverError) as e:
         kind, reason = type(e), str(e)
 
@@ -294,7 +301,7 @@ def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm):
 _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, AnalysisError)
 
 
-def _run_cells(kind, spec, cells, place, opts, h_max_nm, jobs):
+def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
     """Solve spec at every cell on a pool of jobs threads, the package's one thread pool.
 
     place(cell) gives the cell's dot placement (dx, dy, R).  Rows keep the
@@ -304,7 +311,7 @@ def _run_cells(kind, spec, cells, place, opts, h_max_nm, jobs):
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be at least 1, got {jobs}")
-    maxwell_of = _cell_solver(spec, opts or SolveOptions(epsilon_r=spec.epsilon_r), h_max_nm)
+    maxwell_of = _cell_solver(spec, mode, h_max_nm)
 
     def safe(cell):
         try:
@@ -331,7 +338,7 @@ def _fill_db(sweep: SweepMap):
         r["dV_SL_dB"] = 20.0 * math.log10(v / ref) if (ref and v) else None
 
 
-def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=DEFAULT_H_MAX_NM, jobs=1,
+def misalign_sweep(spec, dx_list, dy_list, mode="dense", h_max_nm=DEFAULT_H_MAX_NM, jobs=1,
                    r_nm=None) -> SweepMap:
     """Solve the device over the (dx, dy) misalignment grid and record transfer metrics.
 
@@ -344,17 +351,17 @@ def misalign_sweep(spec, dx_list, dy_list, opts=None, h_max_nm=DEFAULT_H_MAX_NM,
     if not cells:
         raise AnalysisError("empty misalignment grid")
     return _run_cells("misalign", spec, cells, lambda c: (c["dx_nm"], c["dy_nm"], r_nm),
-                      opts, h_max_nm, jobs)
+                      mode, h_max_nm, jobs)
 
 
-def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), opts=None,
+def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), mode="dense",
                   h_max_nm=DEFAULT_H_MAX_NM, jobs=1) -> SweepMap:
     """Solve the aligned device for each dot size R and record coupling and delta q."""
     if not r_list or any(r <= 0 for r in r_list):
         raise AnalysisError("dot sizes must be positive")
     cells = [{"R_nm": float(r)} for r in r_list]
     return _run_cells("dotsize", spec, cells, lambda c: (0.0, 0.0, c["R_nm"]),
-                      opts, h_max_nm, jobs)
+                      mode, h_max_nm, jobs)
 
 
 def estimate_misalignment(theta_obs_deg, dv_sl_obs, sweep: SweepMap,

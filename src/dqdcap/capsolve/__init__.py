@@ -3,7 +3,6 @@ from .solve import (
     DENSE_PANEL_GUARD,
     DenseFactor,
     MaxwellMatrix,
-    SolveOptions,
     SolverError,
     solve,
     solve_accelerated,
@@ -11,7 +10,7 @@ from .solve import (
 )
 
 __all__ = [
-    "AssemblyError", "DENSE_PANEL_GUARD", "DenseFactor", "MaxwellMatrix", "SolveOptions",
+    "AssemblyError", "DENSE_PANEL_GUARD", "DenseFactor", "MaxwellMatrix",
     "SolverError", "assemble_system", "potential_block",
     "solve", "solve_accelerated", "solve_dense",
 ]

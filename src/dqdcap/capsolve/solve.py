@@ -10,6 +10,7 @@ import numpy as np
 from scipy import linalg, sparse
 
 from ..constants import AF, OFFDIAG_TOL
+from . import tree
 from .kernels import (
     AssemblyError, assemble_system, check_distinct_centroids, frame_groups, potential_block,
 )
@@ -21,28 +22,11 @@ from .tree import (
 DENSE_PANEL_GUARD = 20000
 GMRES_RESTART = 60
 GMRES_ITER_CAP = 500  # rounded up to whole restart cycles
+KRYLOV_TOL = 1e-6  # relative residual |b - A x| / |b| of every conductor's solve
 
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    mode: str = "dense"  # "dense" | "accelerated"
-    epsilon_r: float = 1.0
-    mac_ratio: float = 0.5
-    krylov_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.mode not in ("dense", "accelerated"):
-            raise ValueError(f"unknown solve mode {self.mode!r}")
-        if not 0.0 < self.mac_ratio < 1.0:
-            raise ValueError("mac_ratio must lie in (0, 1)")
-        if not 0.0 < self.krylov_tol < 1.0:
-            raise ValueError("krylov_tol must lie in (0, 1)")
-        if not 0.0 < self.epsilon_r < math.inf:
-            raise ValueError(f"epsilon_r must be finite and positive, got {self.epsilon_r:g}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +85,18 @@ def _finalize(raw, names, solver_info, roles=None):
     return MaxwellMatrix(tuple(names), m, asym, solver_info, roles)
 
 
+def _check_epsilon_r(epsilon_r):
+    # a NaN permittivity makes every entry NaN, and NaN passes each check of _finalize
+    if not 0.0 < epsilon_r < math.inf:
+        raise ValueError(f"epsilon_r must be finite and positive, got {epsilon_r:g}")
+
+
+def _solver_info(mode, n_panels, **extra):
+    """The artifact's solver dict, its leading keys the same in both modes."""
+    return {"mode": mode, "mac_ratio": tree.MAC_RATIO, "tol": KRYLOV_TOL,
+            "n_panels": n_panels, **extra}
+
+
 def _conductor_rhs(mesh):
     n, nc = mesh.n_panels, mesh.n_cond
     rhs = np.zeros((n, nc))
@@ -149,14 +145,13 @@ class DenseFactor:
     on several threads at once.
     """
 
-    def __init__(self, mesh, opts: SolveOptions):
-        if opts.mode != "dense":
-            raise ValueError("a dense factor requires opts.mode == 'dense'")
+    def __init__(self, mesh, epsilon_r):
+        _check_epsilon_r(epsilon_r)
         _check_dense_size(mesh)
-        A = assemble_system(mesh, opts.epsilon_r)  # Fortran order: factored in place
+        A = assemble_system(mesh, epsilon_r)  # Fortran order: factored in place
         self.lu, self.piv, self.rcond = _lu(A)
         self.mesh = mesh
-        self.opts = opts
+        self.epsilon_r = epsilon_r
         self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh)[0])
 
     @functools.cached_property
@@ -184,13 +179,10 @@ class DenseFactor:
         rhs, agg = _conductor_rhs(mesh)
         z = np.zeros((len(s_idx), mesh.n_cond))
         z[:, remap] = self.z
-        info_d = {
-            "mode": "dense", "mac_ratio": self.opts.mac_ratio,
-            "tol": self.opts.krylov_tol, "n_panels": mesh.n_panels, "rcond": self.rcond,
-        }
+        info_d = _solver_info("dense", mesh.n_panels, rcond=self.rcond)
         x = np.empty((mesh.n_panels, mesh.n_cond))
         if len(d_idx):
-            eps = self.opts.epsilon_r
+            eps = self.epsilon_r
             a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
             a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps, groups=self.groups)
             y = _lu_solve(self.lu, self.piv, a_sd)
@@ -202,8 +194,8 @@ class DenseFactor:
         return _finalize(agg @ x, names, info_d, roles)
 
 
-def solve_dense(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
-    return DenseFactor(mesh, opts).maxwell(mesh, roles)
+def solve_dense(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
+    return DenseFactor(mesh, epsilon_r).maxwell(mesh, roles)
 
 
 class _AcceleratedOperator:
@@ -217,12 +209,12 @@ class _AcceleratedOperator:
     blocks holds (leaf panels, cols_L, F_L, N_L) per leaf.
     """
 
-    def __init__(self, mesh, opts: SolveOptions):
+    def __init__(self, mesh, epsilon_r):
         centroids = mesh.centroids
         check_distinct_centroids(centroids)
         root, leaves = build_octree(mesh, LEAF_SIZE)
-        far_lists, near_lists = interaction_lists(root, leaves, opts.mac_ratio)
-        far, self.mom_m = build_far_operators(mesh, leaves, far_lists, opts.epsilon_r)
+        far_lists, near_lists = interaction_lists(root, leaves, tree.MAC_RATIO)
+        far, self.mom_m = build_far_operators(mesh, leaves, far_lists, epsilon_r)
         n = mesh.n_panels
         rank = {node: len(r) for node, _, r, _ in far.sources}
         far_blocks = _leaf_blocks(
@@ -253,7 +245,7 @@ class _AcceleratedOperator:
         diagonal = {}  # leaf -> first column of its self block in its own near block
         for s, targets in by_source(leaves, near_lists):
             tidx = np.concatenate([t.panels for t in targets])
-            block = potential_block(mesh, centroids[tidx], s.panels, opts.epsilon_r)
+            block = potential_block(mesh, centroids[tidx], s.panels, epsilon_r)
             diagonal[s] = at[s][1][2]  # every leaf is in its own near list
             place(s.panels, targets, block, 1)
         index = index_type(n + self.mom_m.shape[0])  # int32 halves the index arrays
@@ -386,34 +378,32 @@ def gmres(apply_a, apply_m, B, rtol, restart, max_cycles):
     return X, iters, res
 
 
-def solve_accelerated(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
+def solve_accelerated(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
     """One block GMRES over all conductors: a single Krylov space for every right-hand side."""
-    if opts.mode != "accelerated":
-        raise ValueError("solve_accelerated requires opts.mode == 'accelerated'")
+    _check_epsilon_r(epsilon_r)
     if mesh.n_panels == 0:
         raise AssemblyError("empty mesh")
-    op = _AcceleratedOperator(mesh, opts)
+    op = _AcceleratedOperator(mesh, epsilon_r)
     rhs, agg = _conductor_rhs(mesh)
     cycles = max(1, math.ceil(GMRES_ITER_CAP / GMRES_RESTART))
-    x, iters, res = gmres(op.matvec, lambda q: op.precond @ q, rhs,
-                          opts.krylov_tol, GMRES_RESTART, cycles)
-    if not np.all(res <= opts.krylov_tol):
+    tol = KRYLOV_TOL
+    x, iters, res = gmres(op.matvec, lambda q: op.precond @ q, rhs, tol, GMRES_RESTART, cycles)
+    if not np.all(res <= tol):
         # each cycle on the p-column block runs at most min(restart, n // p) block steps
         cap = cycles * min(GMRES_RESTART, mesh.n_panels // mesh.n_cond)
         raise SolverError(
-            f"GMRES failed to reach {opts.krylov_tol} within {cap} "
+            f"GMRES failed to reach {tol} within {cap} "
             f"iterations (relative residual {res.max():.3e})"
         )
-    raw = agg @ x
-    info_d = {
-        "mode": "accelerated", "mac_ratio": opts.mac_ratio,
-        "tol": opts.krylov_tol, "n_panels": mesh.n_panels,
-        "gmres_iterations": iters.tolist(), "n_leaves": op.n_leaves,
-    }
-    return _finalize(raw, mesh.conductor_names, info_d, roles)
+    info_d = _solver_info("accelerated", mesh.n_panels,
+                          gmres_iterations=iters.tolist(), n_leaves=op.n_leaves)
+    return _finalize(agg @ x, mesh.conductor_names, info_d, roles)
 
 
-def solve(mesh, opts: SolveOptions, roles=None) -> MaxwellMatrix:
-    if opts.mode == "dense":
-        return solve_dense(mesh, opts, roles=roles)
-    return solve_accelerated(mesh, opts, roles=roles)
+def solve(mesh, mode, epsilon_r, roles=None) -> MaxwellMatrix:
+    """The Maxwell matrix of mesh in mode "dense" or "accelerated"."""
+    if mode == "dense":
+        return solve_dense(mesh, epsilon_r, roles=roles)
+    if mode == "accelerated":
+        return solve_accelerated(mesh, epsilon_r, roles=roles)
+    raise ValueError(f"unknown solve mode {mode!r}")

@@ -1,7 +1,7 @@
 """Octree partitioning and cluster-to-point far-field operators.
 
 A source node is admitted for a target leaf by the acceptance rule
-r_source + r_target < mac_ratio * (distance between centers).  The block of
+r_source + r_target < MAC_RATIO * (distance between centers).  The block of
 all far targets of one source node against its panels is approximated by
 adaptive cross approximation with partial pivoting (ACA; Bebendorf 2000): a
 sum of rank-one terms, each an exact row and an exact column of the
@@ -26,6 +26,7 @@ SLAB_VALUES = 1 << 20  # U values per shared allocation of the far field (4 MB)
 # far value by at most 2**-24 of itself.  All arithmetic on it stays float64.
 FAR_DTYPE = np.float32
 LEAF_SIZE = 32  # most panels per octree leaf
+MAC_RATIO = 0.5  # the acceptance rule's ratio: of 0.4 to 0.7, the best trade of time and accuracy
 
 
 class Node:

@@ -67,6 +67,9 @@ class ModelCaps:
         self._validate()
 
     def _validate(self):
+        # NaN passes every sign check below, and stability's window search on it never ends
+        if not (np.isfinite(self.cmat).all() and np.isfinite(self.gates).all()):
+            raise ChargingError("capacitances must be finite")
         d = np.diag(self.cmat)
         if np.any(d <= 0):
             raise ChargingError("all Csum must be positive")

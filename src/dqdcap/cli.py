@@ -31,13 +31,12 @@ from .analysis import (
     misalign_sweep,
     stability_diagram,
 )
-from .capsolve import AssemblyError, MaxwellMatrix, SolveOptions, SolverError, solve
+from .capsolve import AssemblyError, MaxwellMatrix, SolverError, solve
 from .charging import ChargingError, ModelCaps, delta_q, delta_q_oracle, reduce_caps
 from .constants import MV
 from .geometry import DEFAULT_H_MAX_NM, DeviceError, load_device, mesh_device
 from .validation import run_validation
 
-JOBS_ENV = "DQDCAP_JOBS"
 _RANGE_FLAGS = ("--dx", "--dy", "--r", "--window-mv", "--air-gap-nm")
 _RANGE_RE = re.compile(r"^-\d+(\.\d+)?(:-?\d+(\.\d+)?){0,2}$")
 
@@ -47,7 +46,7 @@ class CliError(ValueError):
 
 
 class UsageError(CliError):
-    """A bad flag or environment value: exit code 2."""
+    """A bad flag value or output path: exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -121,10 +120,8 @@ def _sha256(path):
 
 
 def _write_manifest(out_path, argv, inputs, args, outputs, t0):
-    """The run's manifest: its options are the parsed flags, with the worker count resolved."""
+    """The run's manifest: its options are the parsed flags, as the run used them."""
     options = {k: v for k, v in vars(args).items() if k != "func"}
-    if "jobs" in options:
-        options["jobs"] = _jobs(args)
     manifest = {
         "command": ["dqdcap"] + list(argv),
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -168,22 +165,13 @@ def _join_range_args(argv):
     return out
 
 
-def _solver_options(args, epsilon_r):
-    try:
-        return SolveOptions(
-            mode=args.mode, epsilon_r=epsilon_r,
-            mac_ratio=args.mac_ratio, krylov_tol=args.tol,
-        )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
 def _check_solver_flags(args):
-    """Reject bad solver flags and a bad $DQDCAP_JOBS before any input is read."""
+    """Reject bad solver flags before any input is read, and raise --jobs to at least 1."""
     if not 0.0 < args.h_max < math.inf:
         raise UsageError(f"--h-max must be finite and positive, got {args.h_max:g}")
-    _solver_options(args, 1.0 if args.epsilon_r is None else args.epsilon_r)
-    _jobs(args)
+    if args.epsilon_r is not None and not 0.0 < args.epsilon_r < math.inf:
+        raise UsageError(f"--epsilon-r must be finite and positive, got {args.epsilon_r:g}")
+    args.jobs = max(1, args.jobs)
 
 
 def _add_solver_flags(sub):
@@ -191,22 +179,8 @@ def _add_solver_flags(sub):
     sub.add_argument("--h-max", type=float, default=DEFAULT_H_MAX_NM, help="max panel edge, nm")
     sub.add_argument("--epsilon-r", type=float, default=None,
                      help="override the device relative permittivity")
-    sub.add_argument("--mac-ratio", type=float, default=SolveOptions.mac_ratio)
-    sub.add_argument("--tol", type=float, default=SolveOptions.krylov_tol,
-                     help="Krylov relative residual")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help=f"sweep cells run at once (default ${JOBS_ENV} or 1); "
-                          "extract ignores it")
-
-
-def _jobs(args):
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    text = os.environ.get(JOBS_ENV, "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise UsageError(f"${JOBS_ENV} must be an integer, got {text!r}") from None
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="sweep cells run at once (default 1); extract ignores it")
 
 
 def _read_json(path):
@@ -245,7 +219,10 @@ def _load_caps(path):
         maxwell = _load_maxwell(path, obj)
         return reduce_caps(maxwell), maxwell
     if isinstance(obj, dict) and "Csum_d1" in obj:
-        return ModelCaps.from_json(obj), None
+        try:
+            return ModelCaps.from_json(obj), None
+        except (KeyError, TypeError, ValueError) as e:
+            raise CliError(f"{path} is not a valid ModelCaps JSON ({e!r})") from None
     raise CliError(f"{path} is neither a Maxwell JSON nor a ModelCaps JSON")
 
 
@@ -267,7 +244,7 @@ def _cmd_extract(args, argv):
     if args.air_gap_nm is not None:
         spec = spec.with_air_gap(args.air_gap_nm)
     mesh = mesh_device(spec, args.h_max)
-    maxwell = solve(mesh, _solver_options(args, spec.epsilon_r), roles=spec.roles)
+    maxwell = solve(mesh, args.mode, spec.epsilon_r, roles=spec.roles)
     _write_json(args.out, maxwell.to_json())
     print(f"wrote {args.out}: {maxwell.n_cond} conductors, {mesh.n_panels} panels, "
           f"asymmetry {maxwell.asymmetry:.2e}")
@@ -344,8 +321,7 @@ def _cmd_sweep(args, argv):
     _check_solver_flags(args)
     _check_writable(args.out, _manifest_path(args.out))
     spec = _load_spec(args)
-    settings = dict(opts=_solver_options(args, spec.epsilon_r), h_max_nm=args.h_max,
-                    jobs=_jobs(args))
+    settings = dict(mode=args.mode, h_max_nm=args.h_max, jobs=args.jobs)
     if args.command == "sweep-misalign":
         sweep = misalign_sweep(spec, parse_range(args.dx), parse_range(args.dy), **settings)
         axis_fields = ("dx_nm", "dy_nm")

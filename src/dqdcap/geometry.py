@@ -96,8 +96,12 @@ def validate_device(spec: DeviceSpec) -> DeviceSpec:
         raise DeviceError(f"epsilon_r must be finite and positive, got {spec.epsilon_r:g}")
     if not 0.0 <= spec.air_gap_nm < math.inf:
         raise DeviceError(f"air_gap_nm must be finite and non-negative, got {spec.air_gap_nm:g}")
-    if spec.domain_nm is not None and not _finite(spec.domain_nm[0] + spec.domain_nm[1]):
-        raise DeviceError("domain_nm must be finite")
+    if spec.domain_nm is not None:
+        lo, hi = spec.domain_nm
+        if not _finite(lo + hi):
+            raise DeviceError("domain_nm must be finite")
+        if any(h <= l for l, h in zip(lo, hi)):
+            raise DeviceError(f"domain_nm must have max above min on every axis, got {lo}, {hi}")
     if not all(0.0 <= bound < math.inf for bound in spec.sweep_bounds_nm):
         raise DeviceError("sweep_bounds_nm must be finite and non-negative, "
                           f"got {spec.sweep_bounds_nm}")
@@ -113,7 +117,7 @@ def validate_device(spec: DeviceSpec) -> DeviceSpec:
         if not _finite(b.dims_nm):
             raise DeviceError(f"box {b.name!r}: dims_nm must be finite")
         if any(d <= 0 for d in b.dims_nm):
-            raise DeviceError(f"box {b.name!r}: dims must be strictly positive")
+            raise DeviceError(f"box {b.name!r}: dims_nm must be strictly positive")
         prev = group_role.setdefault(b.group, b.role)
         if prev != b.role:
             raise DeviceError(f"group {b.group!r} has conflicting roles {prev!r}/{b.role!r}")
@@ -138,6 +142,38 @@ def validate_device(spec: DeviceSpec) -> DeviceSpec:
     return spec
 
 
+def _floats(value, n):
+    """A JSON list of n numbers, as a tuple of floats."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"expected a list of {n} numbers, got {value!r}")
+    return tuple(float(x) for x in value)
+
+
+def _box(i, rb):
+    return Box(
+        name=str(rb.get("name", f"box{i}")),
+        group=str(rb["group"]),
+        role=str(rb.get("role", "other")),
+        min_nm=_floats(rb["min_nm"], 3),
+        dims_nm=_floats(rb["dims_nm"], 3),
+    )
+
+
+def _domain(value):
+    if value is None:
+        return None
+    lo, hi = value
+    return _floats(lo, 3), _floats(hi, 3)
+
+
+def _parsed(what, parse, *args):
+    """parse(*args), with a malformed value turned into a DeviceError that names what."""
+    try:
+        return parse(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise DeviceError(f"bad {what}: {e}") from None
+
+
 def loads_device(text: str) -> DeviceSpec:
     """Parse a device config (JSON object, see README for the schema)."""
     try:
@@ -146,30 +182,14 @@ def loads_device(text: str) -> DeviceSpec:
         raise DeviceError(f"config parse error: {e}") from None
     if not isinstance(raw, dict):
         raise DeviceError("config must be a JSON object")
-    boxes = []
-    for i, rb in enumerate(raw.get("boxes", [])):
-        try:
-            boxes.append(Box(
-                name=str(rb.get("name", f"box{i}")),
-                group=str(rb["group"]),
-                role=str(rb.get("role", "other")),
-                min_nm=tuple(float(x) for x in rb["min_nm"]),
-                dims_nm=tuple(float(x) for x in rb["dims_nm"]),
-            ))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DeviceError(f"bad box entry #{i}: {e}") from None
-        if len(boxes[-1].min_nm) != 3 or len(boxes[-1].dims_nm) != 3:
-            raise DeviceError(f"bad box entry #{i}: min_nm/dims_nm must have 3 components")
-    domain = raw.get("domain_nm")
-    if domain is not None:
-        domain = (tuple(float(x) for x in domain[0]), tuple(float(x) for x in domain[1]))
-    bounds = raw.get("sweep_bounds_nm", (DEFAULT_SWEEP_BOUND_NM, DEFAULT_SWEEP_BOUND_NM))
+    entries = _parsed("boxes", list, raw.get("boxes", []))
+    bounds = raw.get("sweep_bounds_nm", [DEFAULT_SWEEP_BOUND_NM, DEFAULT_SWEEP_BOUND_NM])
     spec = DeviceSpec(
-        boxes=tuple(boxes),
-        epsilon_r=float(raw.get("epsilon_r", DEFAULT_EPSILON_R)),
-        air_gap_nm=float(raw.get("air_gap_nm", 0.0)),
-        domain_nm=domain,
-        sweep_bounds_nm=(float(bounds[0]), float(bounds[1])),
+        boxes=tuple(_parsed(f"box entry #{i}", _box, i, rb) for i, rb in enumerate(entries)),
+        epsilon_r=_parsed("epsilon_r", float, raw.get("epsilon_r", DEFAULT_EPSILON_R)),
+        air_gap_nm=_parsed("air_gap_nm", float, raw.get("air_gap_nm", 0.0)),
+        domain_nm=_parsed("domain_nm", _domain, raw.get("domain_nm")),
+        sweep_bounds_nm=_parsed("sweep_bounds_nm", _floats, bounds, 2),
     )
     return validate_device(spec)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import coulomb_period, transfer_metrics
-from .capsolve import SolveOptions, solve_accelerated, solve_dense
+from .capsolve import solve
 from .charging import (
     Bias,
     ModelCaps,
@@ -64,8 +64,8 @@ def run_validation(rng_seed=20240817):
     # isolated sphere vs 4 pi eps0 R, both modes
     exact = 4.0 * np.pi * EPS0 * 10.0 * NM
     mesh = sphere_mesh(10.0, 8)
-    for mode, solver in (("dense", solve_dense), ("accelerated", solve_accelerated)):
-        m = solver(mesh, SolveOptions(mode=mode, epsilon_r=1.0))
+    for mode in ("dense", "accelerated"):
+        m = solve(mesh, mode, 1.0)
         rel = abs(m.entries[0, 0] - exact) / exact
         check(f"sphere capacitance ({mode})", rel < 0.02, f"rel err {rel:.2e}")
 
@@ -74,7 +74,7 @@ def run_validation(rng_seed=20240817):
         sphere_mesh(5.0, 6, name="S1"),
         sphere_mesh(5.0, 6, center_nm=(100.0, 0.0, 0.0), name="S2"),
     ])
-    m = solve_dense(pair, SolveOptions(epsilon_r=1.0))
+    m = solve(pair, "dense", 1.0)
     mut = -m.entries[0, 1]
     expect = 4.0 * np.pi * EPS0 * (5.0 * NM) ** 2 / (100.0 * NM)
     rel = abs(mut - expect) / expect
@@ -82,7 +82,7 @@ def run_validation(rng_seed=20240817):
 
     # parallel plates: fringing only adds to eps0 A / d
     plates = plate_pair_mesh(100.0, 5.0, 5.0)
-    m = solve_dense(plates, SolveOptions(epsilon_r=1.0))
+    m = solve(plates, "dense", 1.0)
     lower = EPS0 * (100.0 * NM) ** 2 / (5.0 * NM)
     check("parallel-plate lower bound", -m.entries[0, 1] >= lower,
           f"{-m.entries[0, 1] / AF:.2f} aF >= {lower / AF:.2f} aF")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dqdcap.analysis import coulomb_period, stability_diagram, transfer_metrics
-from dqdcap.capsolve import SolveOptions, solve_accelerated, solve_dense
+from dqdcap.capsolve import solve_accelerated, solve_dense
 from dqdcap.charging import (
     Bias,
     ChargingError,
@@ -46,15 +46,12 @@ def spec():
 
 @pytest.fixture(scope="module")
 def dense_ref(spec):
-    return solve_dense(mesh_device(spec, H_REF), SolveOptions(epsilon_r=spec.epsilon_r),
-                       roles=spec.roles)
+    return solve_dense(mesh_device(spec, H_REF), spec.epsilon_r, roles=spec.roles)
 
 
 @pytest.fixture(scope="module")
 def accel_ref(spec):
-    return solve_accelerated(
-        mesh_device(spec, H_REF),
-        SolveOptions(mode="accelerated", epsilon_r=spec.epsilon_r), roles=spec.roles)
+    return solve_accelerated(mesh_device(spec, H_REF), spec.epsilon_r, roles=spec.roles)
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +67,7 @@ def caps_at(spec):
         key = (dx, dy, r)
         if key not in cache:
             moved = transform_dots(spec, dx, dy, r)
-            m = solve_dense(mesh_device(moved, H_REF),
-                            SolveOptions(epsilon_r=spec.epsilon_r), roles=moved.roles)
+            m = solve_dense(mesh_device(moved, H_REF), spec.epsilon_r, roles=moved.roles)
             cache[key] = reduce_caps(m)
         return cache[key]
 
@@ -99,7 +95,7 @@ def test_criterion_1_sphere_capacitance_both_modes():
     times, errs = {}, {}
     for mode, solver in (("dense", solve_dense), ("accelerated", solve_accelerated)):
         t0 = time.perf_counter()
-        m = solver(mesh, SolveOptions(mode=mode, epsilon_r=1.0))
+        m = solver(mesh, 1.0)
         times[mode] = time.perf_counter() - t0
         errs[mode] = abs(m.entries[0, 0] - SPHERE_C) / SPHERE_C
     ok = all(e <= 0.02 for e in errs.values()) and all(t < 30.0 for t in times.values())
@@ -128,10 +124,10 @@ def test_criterion_3_accelerated_matches_and_outruns_dense(spec, dense_ref, acce
     mesh16 = mesh_device(spec, 3.9)
     assert 15000 <= mesh16.n_panels <= 18000
     t0 = time.perf_counter()
-    solve_accelerated(mesh16, SolveOptions(mode="accelerated", epsilon_r=spec.epsilon_r))
+    solve_accelerated(mesh16, spec.epsilon_r)
     t_acc = time.perf_counter() - t0
     t0 = time.perf_counter()
-    solve_dense(mesh16, SolveOptions(epsilon_r=spec.epsilon_r))
+    solve_dense(mesh16, spec.epsilon_r)
     t_dense = time.perf_counter() - t0
     ok = ok_entries and t_acc < t_dense
     report(3, "accelerated within 1% of dense; faster at a 16k-panel refinement", ok,
@@ -250,7 +246,7 @@ def test_criterion_9_invariances(caps_ref, full_sweep):
 def test_criterion_10_convergence(spec):
     errs = []
     for k in (4, 8, 16):
-        m = solve_dense(sphere_mesh(10.0, k), SolveOptions(epsilon_r=1.0))
+        m = solve_dense(sphere_mesh(10.0, k), 1.0)
         errs.append(abs(m.entries[0, 0] - SPHERE_C))
     sphere_ok = errs[0] > errs[1] > errs[2]
 
@@ -258,8 +254,7 @@ def test_criterion_10_convergence(spec):
     c = {}
     for g in gaps:
         moved = spec.with_air_gap(g)
-        m = solve_dense(mesh_device(moved, H_REF),
-                        SolveOptions(epsilon_r=spec.epsilon_r), roles=spec.roles)
+        m = solve_dense(mesh_device(moved, H_REF), spec.epsilon_r, roles=spec.roles)
         caps = reduce_caps(m)
         c[g] = caps.gate("d1", "SL")
     dev = [abs(c[g] - c[0.001]) for g in gaps[:-1]]

@@ -11,6 +11,7 @@ from dqdcap.analysis import (
     AnalysisError,
     _cell_solver,
     _crossing_points,
+    _degeneracy_metrics,
     _grid_terms,
     compare_report,
     coulomb_period,
@@ -20,7 +21,7 @@ from dqdcap.analysis import (
     stability_diagram,
     transfer_metrics,
 )
-from dqdcap.capsolve import MaxwellMatrix, SolveOptions, solve_dense
+from dqdcap.capsolve import MaxwellMatrix, solve_dense
 from dqdcap.capsolve import solve as capsolve_solve
 from dqdcap.charging import (
     Bias,
@@ -102,6 +103,19 @@ class TestStabilityDiagram:
     def test_min_grid_size(self):
         with pytest.raises(AnalysisError):
             stability_diagram(toy_caps(), n=1)
+
+    def test_component_zero_within_rounding_gives_none(self):
+        """SL coupled 1 aF to both dots: g_SL is zero, though the product rounds to -1.5e-16."""
+        gates = np.zeros((2, 4))
+        gates[0, 0] = gates[1, 0] = gates[1, 1] = 1.0 * AF
+        caps = ModelCaps(("d1", "d2"), toy_caps().cmat, gates)
+        gmap, kappa = _grid_terms(caps)
+        assert gmap[0] == 0.0
+        dv_sl, dv_sr, theta = _degeneracy_metrics(gmap, kappa)
+        assert dv_sl is None and theta is None
+        assert dv_sr == pytest.approx(2.0 * Q_E / AF, rel=1e-12)  # q_e kappa / |g_SR|
+        diag = stability_diagram(caps)
+        assert (diag.dv_sl, diag.dv_sr, diag.theta_deg) == (None, dv_sr, None)
 
 
 def loop_crossing_points(g, v, step):
@@ -205,9 +219,7 @@ class TestCoulombPeriod:
 
 def _tiny_sweep(jobs=1):
     spec = build_reference_device()
-    opts = SolveOptions(epsilon_r=spec.epsilon_r)
-    return misalign_sweep(spec, [-20.0, 0.0, 20.0], [0.0],
-                          opts=opts, h_max_nm=16.0, jobs=jobs)
+    return misalign_sweep(spec, [-20.0, 0.0, 20.0], [0.0], h_max_nm=16.0, jobs=jobs)
 
 
 class TestSweeps:
@@ -254,8 +266,7 @@ class TestSweeps:
         ]}
         spec = loads_device(json.dumps(cfg))
         # dx = -40 drives dot1 into the buried marker: that cell must fail
-        sweep = misalign_sweep(spec, [-40.0, 0.0], [0.0],
-                               opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0)
+        sweep = misalign_sweep(spec, [-40.0, 0.0], [0.0], h_max_nm=16.0)
         statuses = [r["status"] for r in sweep.rows]
         assert statuses[0] == "failed" and statuses[1] == "ok"
         assert "error" in sweep.rows[0]
@@ -371,29 +382,27 @@ class TestStaticBlockSweep:
     ])
     def test_cells_match_full_solve(self, h, cells):
         spec = build_reference_device()
-        opts = SolveOptions(epsilon_r=spec.epsilon_r)
-        maxwell_of = _cell_solver(spec, opts, h)
+        maxwell_of = _cell_solver(spec, "dense", h)
         for dx, dy, r in cells:
             moved = transform_dots(spec, dx, dy, r)
             mesh = mesh_device(moved, h)
             got = maxwell_of(mesh, moved.roles)
-            want = solve_dense(mesh, opts, roles=moved.roles)
+            want = solve_dense(mesh, spec.epsilon_r, roles=moved.roles)
             assert got.conductor_names == want.conductor_names
             rel = np.abs(got.entries - want.entries) / np.abs(want.entries)
             assert rel.max() <= 1e-9, (dx, dy, r)
 
     def test_accelerated_mode_solves_each_cell(self):
         spec = build_reference_device()
-        opts = SolveOptions(mode="accelerated", epsilon_r=spec.epsilon_r)
         moved = transform_dots(spec, 20.0, 0.0, 40.0)
         mesh = mesh_device(moved, 16.0)
-        got = _cell_solver(spec, opts, 16.0)(mesh, moved.roles)
-        assert np.array_equal(got.entries, capsolve_solve(mesh, opts, roles=moved.roles).entries)
+        got = _cell_solver(spec, "accelerated", 16.0)(mesh, moved.roles)
+        want = capsolve_solve(mesh, "accelerated", spec.epsilon_r, roles=moved.roles)
+        assert np.array_equal(got.entries, want.entries)
 
     def test_dots_only_device_sweeps(self):
         spec = loads_device(json.dumps(DOTS_ONLY))
-        sweep = misalign_sweep(spec, [-10.0, 0.0, 10.0], [0.0],
-                               opts=SolveOptions(epsilon_r=6.0), h_max_nm=16.0)
+        sweep = misalign_sweep(spec, [-10.0, 0.0, 10.0], [0.0], h_max_nm=16.0)
         assert [r["status"] for r in sweep.rows] == ["ok"] * 3
         sizes = dotsize_sweep(spec, (20.0, 30.0), h_max_nm=16.0)
         assert [r["status"] for r in sizes.rows] == ["ok"] * 2
@@ -480,7 +489,7 @@ def toy_caps_with_gates(c_gate_aF, zero_gate=None):
 def reference_caps():
     spec = build_reference_device()
     mesh = mesh_device(spec, 16.0)
-    return reduce_caps(solve_dense(mesh, SolveOptions(epsilon_r=spec.epsilon_r), roles=spec.roles))
+    return reduce_caps(solve_dense(mesh, spec.epsilon_r, roles=spec.roles))
 
 
 # Worst relative gap over 2000 random_model_caps draws: 7.0e-14.

@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import mmap
 import sys
@@ -17,7 +18,6 @@ from dqdcap.capsolve import (
     AssemblyError,
     DenseFactor,
     MaxwellMatrix,
-    SolveOptions,
     SolverError,
     assemble_system,
     potential_block,
@@ -244,15 +244,14 @@ class TestSharedNodeKernel:
     def test_maxwell_matches_loop_assembled_solve(self, monkeypatch):
         spec = build_reference_device()
         mesh = mesh_device(spec, 16.0)
-        opts = SolveOptions(epsilon_r=6.0)
-        got = solve_dense(mesh, opts, roles=spec.roles)
+        got = solve_dense(mesh, 6.0, roles=spec.roles)
 
         def loop_assemble(mesh, epsilon_r):
             c = mesh.centroids
             return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r)
 
         monkeypatch.setattr(solve_module, "assemble_system", loop_assemble)
-        want = solve_dense(mesh, opts, roles=spec.roles)
+        want = solve_dense(mesh, 6.0, roles=spec.roles)
         assert np.all(np.abs(got.entries - want.entries) <= 1e-9 * np.abs(want.entries))
 
 
@@ -267,7 +266,7 @@ FAR_FIELD_MESHES = {
 def operator_and_dense(request):
     make_mesh, eps = FAR_FIELD_MESHES[request.param]
     mesh = make_mesh()
-    op = _AcceleratedOperator(mesh, SolveOptions(mode="accelerated", epsilon_r=eps))
+    op = _AcceleratedOperator(mesh, eps)
     return op, assemble_system(mesh, eps)
 
 
@@ -405,7 +404,7 @@ def coo_operator(mesh, leaves, near_lists, eps):
     return near, precond
 
 
-def recorded_operator(mesh, opts):
+def recorded_operator(mesh, eps):
     """The accelerated operator, with copies of its far sources and its M blocks as built.
 
     The operator drops each U once it is copied into the leaf blocks, so
@@ -434,7 +433,7 @@ def recorded_operator(mesh, opts):
         mp.setattr(solve_module, "build_far_operators", recording_far)
         mp.setattr(tree, "block_csr", recording_block_csr)
         mp.setattr(tree, "_cross_approximation", recording_aca)
-        op = _AcceleratedOperator(mesh, opts)
+        op = _AcceleratedOperator(mesh, eps)
     ranks = np.concatenate([np.arange(0)] + [r for _, _, r, _ in sources])
     assert np.array_equal(ranks, np.arange(op.mom_m.shape[0]))
     assert len(aca_u) == len(sources)
@@ -474,10 +473,9 @@ def operator_and_reference(request):
     """
     make_mesh, eps = FAR_FIELD_MESHES[request.param]
     mesh = make_mesh()
-    opts = SolveOptions(mode="accelerated", epsilon_r=eps)
-    op, sources, m_blocks, _ = recorded_operator(mesh, opts)
+    op, sources, m_blocks, _ = recorded_operator(mesh, eps)
     root, leaves = build_octree(mesh, LEAF_SIZE)
-    near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
+    near_lists = interaction_lists(root, leaves, tree.MAC_RATIO)[1]
     near, precond = coo_operator(mesh, leaves, near_lists, eps)
     e_rows = [(target_panels(targets), u) for _, targets, _, u in sources]
     assert all(u.dtype == np.float32 for _, u in e_rows)
@@ -588,10 +586,11 @@ LEAF_BLOCK_MESHES = {
 def operator_and_csr(request):
     make_mesh, eps, mac = LEAF_BLOCK_MESHES[request.param]
     mesh = make_mesh()
-    opts = SolveOptions(mode="accelerated", epsilon_r=eps, mac_ratio=mac)
-    op, sources, _, aca_u = recorded_operator(mesh, opts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "MAC_RATIO", mac)
+        op, sources, _, aca_u = recorded_operator(mesh, eps)
     root, leaves = build_octree(mesh, LEAF_SIZE)
-    near_lists = interaction_lists(root, leaves, opts.mac_ratio)[1]
+    near_lists = interaction_lists(root, leaves, mac)[1]
     near, e = csr_operator(mesh, leaves, near_lists, sources, eps)
     e64 = block_csr([(ranks, target_panels(targets), u64)
                      for (_, targets, ranks, _), u64 in zip(sources, aca_u)],
@@ -663,7 +662,7 @@ class TestLeafBlockOperator:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tree, "mapped_zeros", recording_slab)
             mp.setattr(solve_module, "potential_block", recording_block)
-            op = _AcceleratedOperator(mesh, SolveOptions(mode="accelerated", epsilon_r=6.0))
+            op = _AcceleratedOperator(mesh, 6.0)
         assert slabs and live_at_near and set(live_at_near) == {0}
         assert all(f.flags.f_contiguous and b.flags.f_contiguous for _, _, f, b in op.blocks)
 
@@ -691,7 +690,7 @@ def true_residuals(op, B, X):
 
 def op_and_rhs(mesh, eps):
     """(operator, conductor right-hand sides, charge aggregation) of a mesh."""
-    op = _AcceleratedOperator(mesh, SolveOptions(mode="accelerated", epsilon_r=eps))
+    op = _AcceleratedOperator(mesh, eps)
     return op, *_conductor_rhs(mesh)
 
 
@@ -766,9 +765,9 @@ class TestBlockGmres:
         # two cycles of min(5, n // 9) block steps on the nine conductors
         monkeypatch.setattr(solve_module, "GMRES_RESTART", 5)
         monkeypatch.setattr(solve_module, "GMRES_ITER_CAP", 10)
+        monkeypatch.setattr(solve_module, "KRYLOV_TOL", 1e-12)
         with pytest.raises(SolverError, match=r"within 10 iterations \(relative residual \d"):
-            solve_accelerated(mesh_device(build_reference_device(), 16.0), SolveOptions(
-                mode="accelerated", epsilon_r=6.0, krylov_tol=1e-12))
+            solve_accelerated(mesh_device(build_reference_device(), 16.0), 6.0)
 
 
 def without_dots(spec):
@@ -780,8 +779,7 @@ def without_dots(spec):
 def static_h16():
     """The reference device and its static block factored at h = 16."""
     spec = build_reference_device()
-    opts = SolveOptions(epsilon_r=spec.epsilon_r)
-    return spec, DenseFactor(mesh_device(without_dots(spec), 16.0), opts)
+    return spec, DenseFactor(mesh_device(without_dots(spec), 16.0), spec.epsilon_r)
 
 
 class TestDenseFactor:
@@ -792,12 +790,11 @@ class TestDenseFactor:
         dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
         spec = replace(spec, boxes=tuple(sorted(spec.boxes, key=lambda b: b.group not in dots)))
         assert spec.boxes[0].group in dots and spec.boxes[1].group in dots
-        opts = SolveOptions(epsilon_r=spec.epsilon_r)
-        factor = DenseFactor(mesh_device(without_dots(spec), 16.0), opts)
+        factor = DenseFactor(mesh_device(without_dots(spec), 16.0), spec.epsilon_r)
         moved = transform_dots(spec, -30.0, 20.0, 30.0)
         mesh = mesh_device(moved, 16.0)
         got = factor.maxwell(mesh, roles=moved.roles)
-        want = solve_dense(mesh, opts, roles=moved.roles)
+        want = solve_dense(mesh, spec.epsilon_r, roles=moved.roles)
         assert got.conductor_names == want.conductor_names
         assert np.abs(got.entries - want.entries).max() <= 1e-9 * np.abs(want.entries).min()
 
@@ -835,7 +832,7 @@ class TestDenseFactor:
 class TestSolveDense:
     def test_sphere_within_2pct(self):
         mesh = sphere_mesh(10.0, 16)
-        m = solve_dense(mesh, SolveOptions(epsilon_r=1.0))
+        m = solve_dense(mesh, 1.0)
         exact = 4.0 * np.pi * EPS0 * 10.0 * NM  # 1.1127 aF
         assert abs(exact / AF - 1.1127) < 1e-3
         assert abs(m.entries[0, 0] - exact) <= 0.02 * exact
@@ -845,33 +842,33 @@ class TestSolveDense:
             sphere_mesh(5.0, 8, name="S1"),
             sphere_mesh(5.0, 8, center_nm=(100.0, 0.0, 0.0), name="S2"),
         ])
-        m = solve_dense(mesh, SolveOptions(epsilon_r=1.0))
+        m = solve_dense(mesh, 1.0)
         expect = 4.0 * np.pi * EPS0 * (5.0 * NM) ** 2 / (100.0 * NM)
         assert abs(expect / AF - 0.0278) < 2e-4
         assert abs(-m.entries[0, 1] - expect) <= 0.10 * expect
 
     def test_parallel_plate_lower_bound(self):
         mesh = plate_pair_mesh(100.0, 5.0, 5.0)
-        m = solve_dense(mesh, SolveOptions(epsilon_r=1.0))
+        m = solve_dense(mesh, 1.0)
         lower = EPS0 * (100.0 * NM) ** 2 / (5.0 * NM)
         assert -m.entries[0, 1] >= lower
 
     def test_permittivity_scales_entries_linearly(self):
         mesh = sphere_mesh(8.0, 4)
-        m1 = solve_dense(mesh, SolveOptions(epsilon_r=1.0))
-        m2 = solve_dense(mesh, SolveOptions(epsilon_r=6.0))
+        m1 = solve_dense(mesh, 1.0)
+        m2 = solve_dense(mesh, 6.0)
         assert np.allclose(m2.entries, 6.0 * m1.entries, rtol=1e-10)
 
     def test_refinement_convergence(self):
         exact = 4.0 * np.pi * EPS0 * 10.0 * NM
-        errs = [abs(solve_dense(sphere_mesh(10.0, k), SolveOptions(epsilon_r=1.0)).entries[0, 0] - exact)
+        errs = [abs(solve_dense(sphere_mesh(10.0, k), 1.0).entries[0, 0] - exact)
                 for k in (4, 8, 16)]
         assert errs[0] > errs[1] > errs[2]
 
     def test_maxwell_invariants_on_reference(self):
         spec = build_reference_device()
         mesh = mesh_device(spec, 12.0)
-        m = solve_dense(mesh, SolveOptions(epsilon_r=6.0), roles=spec.roles)
+        m = solve_dense(mesh, 6.0, roles=spec.roles)
         diag = np.diag(m.entries)
         tol = 1e-3 * diag.max()
         assert np.all(diag > 0)
@@ -884,54 +881,53 @@ class TestSolveDense:
     def test_panel_guard(self):
         mesh = sphere_mesh(10.0, 60)  # 21600 panels
         with pytest.raises(SolverError, match="guard"):
-            solve_dense(mesh, SolveOptions(epsilon_r=1.0))
+            solve_dense(mesh, 1.0)
 
     def test_mode_dispatch(self):
         mesh = sphere_mesh(5.0, 2)
-        with pytest.raises(ValueError):
-            solve_dense(mesh, SolveOptions(mode="accelerated", epsilon_r=1.0))
-        m = solve(mesh, SolveOptions(epsilon_r=1.0))
-        assert m.solver["mode"] == "dense"
+        with pytest.raises(ValueError, match="unknown solve mode 'direct'"):
+            solve(mesh, "direct", 1.0)
+        assert solve(mesh, "dense", 1.0).solver["mode"] == "dense"
+        assert solve(mesh, "accelerated", 1.0).solver["mode"] == "accelerated"
 
 
 class TestSolveAccelerated:
-    def test_tiny_mac_reproduces_dense_to_machine_precision(self):
+    def test_tiny_mac_reproduces_dense_to_machine_precision(self, monkeypatch):
         mesh = sphere_mesh(10.0, 6)
-        md = solve_dense(mesh, SolveOptions(epsilon_r=1.0))
-        ma = solve_accelerated(mesh, SolveOptions(
-            mode="accelerated", epsilon_r=1.0, mac_ratio=1e-9, krylov_tol=1e-13))
+        md = solve_dense(mesh, 1.0)
+        monkeypatch.setattr(tree, "MAC_RATIO", 1e-9)
+        monkeypatch.setattr(solve_module, "KRYLOV_TOL", 1e-13)
+        ma = solve_accelerated(mesh, 1.0)
         assert abs(ma.entries[0, 0] - md.entries[0, 0]) <= 1e-10 * md.entries[0, 0]
 
     def test_sphere_within_2pct(self):
         mesh = sphere_mesh(10.0, 16)
-        m = solve_accelerated(mesh, SolveOptions(mode="accelerated", epsilon_r=1.0))
+        m = solve_accelerated(mesh, 1.0)
         exact = 4.0 * np.pi * EPS0 * 10.0 * NM
         assert abs(m.entries[0, 0] - exact) <= 0.02 * exact
 
     def test_reference_device_entries_within_1pct_of_dense(self):
         spec = build_reference_device()
         mesh = mesh_device(spec, 12.0)
-        md = solve_dense(mesh, SolveOptions(epsilon_r=6.0), roles=spec.roles)
-        ma = solve_accelerated(mesh, SolveOptions(mode="accelerated", epsilon_r=6.0),
-                               roles=spec.roles)
+        md = solve_dense(mesh, 6.0, roles=spec.roles)
+        ma = solve_accelerated(mesh, 6.0, roles=spec.roles)
         rel = np.abs(ma.entries - md.entries) / np.abs(md.entries)
         assert rel.max() <= 0.01
 
-    def test_jobs_deterministic(self):
+    def test_bitwise_deterministic(self):
         """Two runs on one input give bitwise-equal entries."""
         spec = build_reference_device()
         mesh = mesh_device(spec, 16.0)
-        opts = SolveOptions(mode="accelerated", epsilon_r=6.0)
-        m1 = solve_accelerated(mesh, opts)
-        m2 = solve_accelerated(mesh, opts)
+        m1 = solve_accelerated(mesh, 6.0)
+        m2 = solve_accelerated(mesh, 6.0)
         assert np.array_equal(m1.entries, m2.entries)
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         mesh = sphere_mesh(10.0, 8)
         # absurdly tight tolerance cannot be met within the iteration cap
+        monkeypatch.setattr(solve_module, "KRYLOV_TOL", 1e-300)
         with pytest.raises(SolverError, match="residual"):
-            solve_accelerated(mesh, SolveOptions(
-                mode="accelerated", epsilon_r=1.0, krylov_tol=1e-300))
+            solve_accelerated(mesh, 1.0)
 
     @pytest.fixture
     def gmres_counts(self, monkeypatch):
@@ -949,20 +945,20 @@ class TestSolveAccelerated:
     def test_nonconvergence_states_the_enforced_cap(self, monkeypatch, gmres_counts):
         """The loop runs whole restart cycles: a cap of 100 allows 2 x 60 iterations."""
         monkeypatch.setattr(solve_module, "GMRES_ITER_CAP", 100)
+        monkeypatch.setattr(solve_module, "KRYLOV_TOL", 1e-300)
         mesh = sphere_mesh(10.0, 8)
         assert mesh.n_panels > GMRES_RESTART
         with pytest.raises(SolverError, match=r"within 120 iterations \(relative residual"):
-            solve_accelerated(mesh, SolveOptions(
-                mode="accelerated", epsilon_r=1.0, krylov_tol=1e-300))
+            solve_accelerated(mesh, 1.0)
         assert gmres_counts[0].max() == 120
 
-    def test_nonconvergence_states_the_block_cap(self, gmres_counts):
+    def test_nonconvergence_states_the_block_cap(self, monkeypatch, gmres_counts):
         """With p columns a cycle runs at most n // p block steps: 9 cycles x 50 // 2 = 225."""
+        monkeypatch.setattr(solve_module, "KRYLOV_TOL", 1e-300)
         mesh = plate_pair_mesh(20.0, 5.0, 4.0)
         assert (mesh.n_panels, mesh.n_cond) == (50, 2)
         with pytest.raises(SolverError, match=r"within 225 iterations \(relative residual"):
-            solve_accelerated(mesh, SolveOptions(
-                mode="accelerated", epsilon_r=1.0, krylov_tol=1e-300))
+            solve_accelerated(mesh, 1.0)
         assert gmres_counts[0].tolist() == [225, 225]
 
 
@@ -1015,7 +1011,7 @@ def check_invariance(mode, transforms):
     spec = build_reference_device()
 
     def caps(device, h):
-        return solve(mesh_device(device, h), SolveOptions(mode=mode, epsilon_r=6.0))
+        return solve(mesh_device(device, h), mode, 6.0)
 
     base = caps(spec, 16.0)
     scale = np.abs(np.diag(base.entries)).max()
@@ -1048,21 +1044,30 @@ class TestMaxwellSerialization:
     def test_json_roundtrip(self):
         spec = build_reference_device()
         mesh = mesh_device(spec, 16.0)
-        m = solve_dense(mesh, SolveOptions(epsilon_r=6.0), roles=spec.roles)
+        m = solve_dense(mesh, 6.0, roles=spec.roles)
         again = MaxwellMatrix.from_json(m.to_json())
         assert again.conductor_names == m.conductor_names
         assert np.allclose(again.entries, m.entries, rtol=1e-15)
         assert again.roles == m.roles
-        for key in ("mode", "mac_ratio", "tol"):
-            assert key in again.solver
+        assert again.solver == m.solver
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("dense", ["rcond"]), ("accelerated", ["gmres_iterations", "n_leaves"]),
+    ])
+    def test_solver_dict_is_pinned(self, mode, extra):
+        """The artifact's solver dict: its keys in order, and the constants' values."""
+        m = solve(sphere_mesh(5.0, 4), mode, 1.0)
+        assert list(m.solver) == ["mode", "mac_ratio", "tol", "n_panels", *extra]
+        assert m.solver["mode"] == mode
+        assert m.solver["mac_ratio"] == 0.5 and m.solver["tol"] == 1e-06
+        assert json.dumps(m.to_json()["solver"]).startswith(
+            f'{{"mode": "{mode}", "mac_ratio": 0.5, "tol": 1e-06, ')
 
     def test_bad_options_rejected(self):
-        with pytest.raises(ValueError):
-            SolveOptions(mac_ratio=1.5)
-        with pytest.raises(ValueError):
-            SolveOptions(krylov_tol=2.0)
-        with pytest.raises(ValueError):
-            SolveOptions(mode="direct")
+        mesh = sphere_mesh(5.0, 2)
+        with pytest.raises(ValueError, match="unknown solve mode"):
+            solve(mesh, "direct", 1.0)
         for eps in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="epsilon_r"):
-                SolveOptions(epsilon_r=eps)
+            for solver in (solve_dense, solve_accelerated, DenseFactor):
+                with pytest.raises(ValueError, match="epsilon_r"):
+                    solver(mesh, eps)

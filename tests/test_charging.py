@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -399,3 +401,10 @@ class TestModelCapsSerialization:
         assert again.targets == caps.targets
         assert np.allclose(again.cmat, caps.cmat, rtol=1e-15)
         assert np.allclose(again.gates, caps.gates, rtol=1e-15)
+
+    @pytest.mark.parametrize("key", ["Csum_d1", "C_d1d2", "C_SRd2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, key, value):
+        obj = {**island_caps().to_json(), key: value}
+        with pytest.raises(ChargingError, match="finite"):
+            ModelCaps.from_json(obj)

@@ -134,20 +134,19 @@ def test_artifacts_do_not_depend_on_jobs(workdir, argv):
 
 
 MANIFEST_KEYS = ["command", "inputs", "options", "version", "wall_time_s", "outputs"]
-SOLVER_OPTIONS = ["mode", "h_max", "epsilon_r", "mac_ratio", "tol", "jobs"]
+SOLVER_OPTIONS = ["mode", "h_max", "epsilon_r", "jobs"]
 
 
-@pytest.mark.parametrize("argv, env, options, jobs", [
-    (["extract", "--geometry", "reference_device.json", "--out", "out", "--h-max", "18"], "3",
+@pytest.mark.parametrize("argv, options, jobs", [
+    (["extract", "--geometry", "reference_device.json", "--out", "out", "--h-max", "18",
+      "--jobs", "3"],
      ["command", "geometry", "out", "air_gap_nm", *SOLVER_OPTIONS], 3),
     (["sweep-misalign", "--geometry", "reference_device.json", "--out", "out", "--dx", "0",
-      "--dy", "0", "--h-max", "18", "--jobs", "0"], None,
+      "--dy", "0", "--h-max", "18", "--jobs", "0"],
      ["command", "geometry", "out", "dx", "dy", *SOLVER_OPTIONS], 1),
 ], ids=["extract", "sweep-misalign"])
-def test_manifest_schema(workdir, monkeypatch, argv, env, options, jobs):
-    """The manifest's keys and option names are fixed; jobs is the resolved worker count."""
-    if env is not None:
-        monkeypatch.setenv("DQDCAP_JOBS", env)
+def test_manifest_schema(workdir, argv, options, jobs):
+    """The manifest's keys and option names are fixed; jobs is the worker count used."""
     assert run(argv) == 0
     manifest = json.loads((workdir / "out.manifest.json").read_text())
     assert list(manifest) == MANIFEST_KEYS
@@ -198,12 +197,6 @@ def test_validate_passes(workdir, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_jobs_env_default(workdir, monkeypatch):
-    monkeypatch.setenv("DQDCAP_JOBS", "3")
-    assert run(["extract", "--geometry", "reference_device.json",
-                "--out", "caps.json", "--h-max", "18"]) == 0
-
-
 TINY_CAPS = {"conductor_names": ["d1", "d2"], "entries_aF": [[12.0, -4.0], [-4.0, 9.0]]}
 
 
@@ -226,49 +219,66 @@ SWEEP = ["sweep-misalign", "--geometry", "reference_device.json", "--out", "s.cs
 DOTSIZE = ["sweep-dotsize", "--geometry", "reference_device.json", "--out", "s.csv",
            "--r", "40", "--h-max", "18"]
 STABILITY = ["stability", "--caps", "tiny_caps.json", "--out-prefix", "diag"]
+# malformed top-level fields of a device file, each one field over the reference device
+BAD_DEVICE_FIELDS = {
+    "epsilon-r-text": {"epsilon_r": "x"},
+    "air-gap-null": {"air_gap_nm": None},
+    "domain-short": {"domain_nm": [1, 2]},
+    "sweep-bounds-short": {"sweep_bounds_nm": [30]},
+    "sweep-bounds-text": {"sweep_bounds_nm": "ab"},
+    "boxes-number": {"boxes": 5},
+}
+BAD_MODEL_CAPS = {
+    "text": {"Csum_d1": "x", "Csum_d2": 3},
+    "null": {"Csum_d1": 2.0, "Csum_d2": 2.0, "C_d1d2": None},
+    "nan": {"Csum_d1": float("nan"), "Csum_d2": 2.0, "C_d1d2": 1.0, "C_SLd1": 1.0},
+}
 
 
-@pytest.mark.parametrize("argv, env, code, message", [
-    (EXTRACT + ["--mac-ratio", "2"], None, 2, "mac_ratio"),
-    (EXTRACT + ["--h-max", "0"], None, 2, "--h-max"),
-    (EXTRACT + ["--tol", "2"], None, 2, "krylov_tol"),
-    (EXTRACT, "x", 2, "DQDCAP_JOBS"),
+@pytest.mark.parametrize("argv, code, message", [
+    (EXTRACT + ["--h-max", "0"], 2, "--h-max"),
     (["sweep-dotsize", "--geometry", "reference_device.json", "--out", "s.csv",
-      "--h-max", "-1"], None, 2, "--h-max"),
-    (["stability", "--caps", "broken.json", "--out-prefix", "diag"], None, 1, "not valid JSON"),
-    (["induced-charge", "--caps", "broken.json", "--out", "dq.json"], None, 1, "not valid JSON"),
+      "--h-max", "-1"], 2, "--h-max"),
+    (["stability", "--caps", "broken.json", "--out-prefix", "diag"], 1, "not valid JSON"),
+    (["induced-charge", "--caps", "broken.json", "--out", "dq.json"], 1, "not valid JSON"),
     (["compare", "--caps", "broken.json", "--measured", "reference_measured.json",
-      "--out", "report.json"], None, 1, "not valid JSON"),
+      "--out", "report.json"], 1, "not valid JSON"),
     (["compare", "--caps", "tiny_caps.json", "--measured", "measured_list.json",
-      "--out", "report.json"], None, 1, "not a valid measured-pairs JSON"),
+      "--out", "report.json"], 1, "not a valid measured-pairs JSON"),
     (["compare", "--caps", "tiny_caps.json", "--measured", "measured_no_b.json",
-      "--out", "report.json"], None, 1, "not a valid measured-pairs JSON"),
+      "--out", "report.json"], 1, "not a valid measured-pairs JSON"),
     (["compare", "--caps", "tiny_caps.json", "--measured", "measured_text.json",
-      "--out", "report.json"], None, 1, "not a valid measured-pairs JSON"),
-    (["stability", "--caps", "reference_device.json", "--out-prefix", "diag"], None, 1,
+      "--out", "report.json"], 1, "not a valid measured-pairs JSON"),
+    (["stability", "--caps", "reference_device.json", "--out-prefix", "diag"], 1,
      "neither a Maxwell JSON nor a ModelCaps JSON"),
-    (["extract", "--geometry", "reference_device.json", "--out", "no_dir/caps.json"], None, 2,
+    (["extract", "--geometry", "reference_device.json", "--out", "no_dir/caps.json"], 2,
      "cannot write no_dir/caps.json"),
-    (["sweep-misalign", "--geometry", "reference_device.json", "--out", "no_dir/s.csv"], None, 2,
+    (["sweep-misalign", "--geometry", "reference_device.json", "--out", "no_dir/s.csv"], 2,
      "cannot write no_dir/s.csv"),
-    (["extract", "--geometry", "reference_device.json", "--out", "."], None, 2,
+    (["extract", "--geometry", "reference_device.json", "--out", "."], 2,
      "cannot write .: it is a directory"),
-    (["stability", "--caps", "reference_device.json", "--out-prefix", "no_dir/diag"], None, 2,
+    (["stability", "--caps", "reference_device.json", "--out-prefix", "no_dir/diag"], 2,
      "cannot write no_dir/diag_grid.csv"),
-    (EXTRACT + ["--epsilon-r", "nan"], None, 2, "epsilon_r"),
-    (EXTRACT + ["--epsilon-r", "inf"], None, 2, "epsilon_r"),
-    (EXTRACT + ["--h-max", "inf"], None, 2, "--h-max"),
-    (EXTRACT + ["--h-max", "nan"], None, 2, "--h-max"),
-    *[(SWEEP + ["--dx", text], None, 1, "bad range")
+    (EXTRACT + ["--epsilon-r", "nan"], 2, "--epsilon-r"),
+    (EXTRACT + ["--epsilon-r", "inf"], 2, "--epsilon-r"),
+    (EXTRACT + ["--h-max", "inf"], 2, "--h-max"),
+    (EXTRACT + ["--h-max", "nan"], 2, "--h-max"),
+    *[(SWEEP + ["--dx", text], 1, "bad range")
       for text in ("0:inf:1", "0:nan:1", "inf", "nan", "0:10:inf", "0:1:0")],
-    *[(EXTRACT + ["--air-gap-nm", text], None, 2, "--air-gap-nm")
+    *[(EXTRACT + ["--air-gap-nm", text], 2, "--air-gap-nm")
       for text in ("-5", "nan", "inf")],
-    (STABILITY + ["--n", "1"], None, 2, "--n must be at least 2"),
-    *[(STABILITY + ["--window-mv", text], None, 2, "--window-mv")
+    (STABILITY + ["--n", "1"], 2, "--n must be at least 2"),
+    *[(STABILITY + ["--window-mv", text], 2, "--window-mv")
       for text in ("nan", "inf")],
-    *[(["extract", "--geometry", f"{field}_nan.json", "--out", "caps.json"], None, 1, field)
+    *[(["extract", "--geometry", f"{field}_nan.json", "--out", "caps.json"], 1, field)
       for field in ("epsilon_r", "air_gap_nm")],
-], ids=["mac-ratio", "h-max-zero", "tol", "jobs-env", "sweep-h-max", "stability-bad-json",
+    *[(["extract", "--geometry", f"device_{case}.json", "--out", "caps.json"], 1,
+       f"bad {next(iter(BAD_DEVICE_FIELDS[case]))}:") for case in BAD_DEVICE_FIELDS],
+    *[([command, "--caps", f"model_{case}.json", *out], 1, "not a valid ModelCaps JSON")
+      for case in BAD_MODEL_CAPS
+      for command, out in (("stability", ["--out-prefix", "diag"]),
+                           ("induced-charge", ["--out", "dq.json"]))],
+], ids=["h-max-zero", "sweep-h-max", "stability-bad-json",
         "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
         "compare-measured-no-b", "compare-measured-text", "stability-device-file",
         "extract-no-out-dir", "sweep-no-out-dir", "extract-out-is-dir", "stability-no-out-dir",
@@ -276,8 +286,11 @@ STABILITY = ["stability", "--caps", "tiny_caps.json", "--out-prefix", "diag"]
         "range-max-nan", "range-single-inf", "range-single-nan", "range-step-inf",
         "range-step-zero", "air-gap-negative", "air-gap-nan", "air-gap-inf",
         "stability-n-1", "window-mv-nan",
-        "window-mv-inf", "device-epsilon-r-nan", "device-air-gap-nan"])
-def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, code, message):
+        "window-mv-inf", "device-epsilon-r-nan", "device-air-gap-nan",
+        *[f"device-{case}" for case in BAD_DEVICE_FIELDS],
+        *[f"{command}-model-caps-{case}" for case in BAD_MODEL_CAPS
+          for command in ("stability", "induced-charge")]])
+def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
     (workdir / "measured_list.json").write_text('[{"a": "d1", "b": "d2"}]')
@@ -288,8 +301,11 @@ def test_bad_input_is_one_error_line(workdir, monkeypatch, capsys, argv, env, co
         device = json.loads((workdir / "reference_device.json").read_text())
         device[field] = float("nan")
         (workdir / f"{field}_nan.json").write_text(json.dumps(device))
-    if env is not None:
-        monkeypatch.setenv("DQDCAP_JOBS", env)
+    for case, edit in BAD_DEVICE_FIELDS.items():
+        device = json.loads((workdir / "reference_device.json").read_text())
+        (workdir / f"device_{case}.json").write_text(json.dumps({**device, **edit}))
+    for case, caps in BAD_MODEL_CAPS.items():
+        (workdir / f"model_{case}.json").write_text(json.dumps(caps))
     before = set(workdir.iterdir())
     assert run(argv) == code
     err = capsys.readouterr().err

@@ -7,7 +7,10 @@ import pytest
 
 from dqdcap.constants import NM
 from dqdcap.geometry import (
+    ROLES,
+    Box,
     DeviceError,
+    DeviceSpec,
     PanelMesh,
     concat_meshes,
     dumps_device,
@@ -18,6 +21,7 @@ from dqdcap.geometry import (
     plate_pair_mesh,
     sphere_mesh,
     transform_dots,
+    validate_device,
 )
 from dqdcap.reference import build_reference_device
 
@@ -141,6 +145,124 @@ def _rotation_symmetric(spec):
          (-b.min_nm[0], -b.min_nm[1], b.max_nm[2]))
         for b in spec.boxes)
     return rotated == extents
+
+
+# Seeded property tests over generated devices.  Each box lies inside its own
+# cell of a coarse grid, at least CELL_MARGIN_NM from the cell's faces, so every
+# pair of boxes has positive clearance.
+GRID_CELLS = (6, 6, 4)
+CELL_NM = 50.0
+CELL_MARGIN_NM = 1.0
+DEVICE_SEEDS = range(300)
+
+
+def random_device(rng):
+    """A valid DeviceSpec: both dots, 0-6 more boxes in random groups and roles, random
+    permittivity, air gap, sweep bounds and (or no) domain, boxes in random order."""
+    n = int(rng.integers(2, 9))
+    cells = rng.choice(math.prod(GRID_CELLS), size=n, replace=False)
+    others = [r for r in ROLES if r not in ("d1", "d2")]
+    roles = ["d1", "d2"] + [str(rng.choice(others)) for _ in range(n - 2)]
+    groups = ["dot1", "dot2"] + [f"{role}{rng.integers(2)}" for role in roles[2:]]
+    boxes = []
+    for k, (cell, role, group) in enumerate(zip(cells, roles, groups)):
+        corner = np.array(np.unravel_index(cell, GRID_CELLS)) - np.array(GRID_CELLS) // 2
+        dims = rng.uniform(1.0, CELL_NM - 4 * CELL_MARGIN_NM, size=3)
+        offset = rng.uniform(CELL_MARGIN_NM, CELL_NM - CELL_MARGIN_NM - dims)
+        lo = corner * CELL_NM + offset
+        boxes.append(Box(f"box{k}", group, role, tuple(lo.tolist()), tuple(dims.tolist())))
+    boxes = [boxes[k] for k in rng.permutation(n)]
+    domain = None
+    if rng.random() < 0.5:
+        pad = rng.uniform(0.0, 50.0, size=2)
+        domain = (tuple(min(b.min_nm[a] for b in boxes) - pad[0] for a in range(3)),
+                  tuple(max(b.max_nm[a] for b in boxes) + pad[1] for a in range(3)))
+    return validate_device(DeviceSpec(
+        boxes=tuple(boxes),
+        epsilon_r=float(rng.uniform(1.0, 12.0)),
+        air_gap_nm=float(rng.uniform(0.0, 5.0)) if rng.random() < 0.5 else 0.0,
+        domain_nm=domain,
+        sweep_bounds_nm=tuple(rng.uniform(0.0, 300.0, size=2).tolist()),
+    ))
+
+
+def corruptions(cfg, rng):
+    """(field, config) pairs: cfg, a dumped device, with one field made invalid."""
+    i, j = rng.choice(len(cfg["boxes"]), size=2, replace=False)
+    axis = int(rng.integers(3))
+
+    def edited(edit):
+        bad = json.loads(json.dumps(cfg))
+        edit(bad)
+        return bad
+
+    def set_at(*path, value):
+        def edit(bad):
+            *head, last = path
+            target = bad
+            for key in head:
+                target = target[key]
+            target[last] = value
+        return edit
+
+    def touching(bad):  # box j moved onto box i's +x face
+        a, b = bad["boxes"][i], bad["boxes"][j]
+        b["min_nm"] = [a["min_nm"][0] + a["dims_nm"][0], a["min_nm"][1], a["min_nm"][2]]
+
+    def swapped_domain(bad):  # the domain's extent along axis made negative
+        lo, hi = bad["domain_nm"]
+        lo[axis], hi[axis] = hi[axis], lo[axis]
+
+    out = []
+    for value in (math.nan, math.inf):
+        out += [("epsilon_r", set_at("epsilon_r", value=value)),
+                ("air_gap_nm", set_at("air_gap_nm", value=value)),
+                ("sweep_bounds_nm", set_at("sweep_bounds_nm", axis % 2, value=value)),
+                ("min_nm", set_at("boxes", i, "min_nm", axis, value=value)),
+                ("dims_nm", set_at("boxes", i, "dims_nm", axis, value=value))]
+        if "domain_nm" in cfg:
+            out.append(("domain_nm", set_at("domain_nm", axis % 2, axis, value=value)))
+    out += [("epsilon_r", set_at("epsilon_r", value=-cfg["epsilon_r"])),
+            ("air_gap_nm", set_at("air_gap_nm", value=-1.0 - cfg["air_gap_nm"])),
+            ("sweep_bounds_nm", set_at("sweep_bounds_nm", axis % 2, value=-1.0)),
+            ("dims_nm", set_at("boxes", i, "dims_nm", axis,
+                               value=-cfg["boxes"][i]["dims_nm"][axis])),
+            ("boxes", touching),
+            ("d1", lambda bad: bad["boxes"].pop(
+                [b["role"] for b in bad["boxes"]].index("d1")))]
+    if "domain_nm" in cfg:
+        out.append(("domain_nm", swapped_domain))
+    return [(field, edited(edit)) for field, edit in out]
+
+
+class TestGeneratedDevices:
+    def test_dump_load_round_trip(self):
+        for seed in DEVICE_SEEDS:
+            spec = random_device(np.random.default_rng(seed))
+            assert loads_device(dumps_device(spec)) == spec, seed
+
+    def test_each_corruption_names_its_field(self):
+        failures = []
+        for seed in DEVICE_SEEDS:
+            rng = np.random.default_rng(seed)
+            cfg = json.loads(dumps_device(random_device(rng)))
+            for field, bad in corruptions(cfg, rng):
+                try:
+                    loads_device(json.dumps(bad))
+                    failures.append((seed, field, "accepted"))
+                except DeviceError as e:
+                    if field not in str(e):
+                        failures.append((seed, field, str(e)))
+        assert not failures
+
+    def test_generator_covers_the_schema(self):
+        specs = [random_device(np.random.default_rng(seed)) for seed in DEVICE_SEEDS]
+        assert {r for s in specs for r in s.roles.values()} == set(ROLES)
+        assert any(s.domain_nm for s in specs) and not all(s.domain_nm for s in specs)
+        assert any(s.air_gap_nm for s in specs) and not all(s.air_gap_nm for s in specs)
+        assert any(len(s.groups) < len(s.boxes) for s in specs)  # a group of several boxes
+        assert any(b.min_nm[2] < 0 for s in specs for b in s.boxes)
+        assert any(b.min_nm[2] >= 0 for s in specs for b in s.boxes)
 
 
 class TestTransformDots:
