@@ -9,6 +9,7 @@ from ..constants import EPS0
 _TINY = 1e-300
 BLOCK_PANELS = 256  # source panels per block; corner nodes are shared within a block
 _TILE = 1 << 14  # target x node values per kernel evaluation (128 kB per array)
+COINCIDENT_M = 1e-12  # centroids closer than this (in metres) coincide
 
 
 class AssemblyError(RuntimeError):
@@ -27,50 +28,58 @@ def _corner_term(u, v, z):
             - z * np.arctan2(u * v, z * r))
 
 
-def _bits(rows):
-    """Rows of floats as rows of their exact bit patterns, for np.unique."""
-    return np.ascontiguousarray(rows).view(np.int64)
+def panel_frames(corners):
+    """Each panel's frame (n, 3, 3): unit edge directions uhat, vhat and normal what = uhat x vhat."""
+    edges = corners[:, [1, 3]] - corners[:, :1]
+    uv = edges / np.linalg.norm(edges, axis=2)[:, :, None]
+    return np.concatenate([uv, np.cross(uv[:, 0], uv[:, 1])[:, None]], axis=1)
+
+
+def panel_sums(proj, u_off, v_off, w_off):
+    """Panel integrals of 1/r as signed corner sums F(c0) - F(c1) + F(c2) - F(c3).
+
+    proj (3, m) holds field points projected on panel frames (uhat, vhat,
+    what); u_off and v_off (4, m) or (4, 1) hold the panel corners projected
+    on the same frames, w_off (m,) or a scalar the panel planes.
+    """
+    f = _corner_term(proj[0] - u_off, proj[1] - v_off, np.abs(proj[2] - w_off))
+    return f[0] - f[3] - f[1] + f[2]
+
+
+def _unique_rows(rows):
+    """(first, inverse) of the distinct rows of a float array, compared on their exact bits.
+
+    first holds the first position of each distinct row and inverse each
+    row's distinct-row number; rows are ordered as np.unique(bits, axis=0)
+    orders them, lexicographically on the signed int64 bit patterns.
+    """
+    bits = np.ascontiguousarray(rows).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    s = bits[order]
+    new = np.empty(len(s), dtype=bool)
+    new[:1] = True
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(s), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _frame_groups(quads):
     """Split a block of panels by frame, and find each frame's shared corner nodes.
 
-    Yields (uhat, vhat, panels, nodes, inc): the unit edge directions, the
-    block positions of the panels in that frame, their unique corner points,
-    and each panel's four corner indices into nodes.  Frames and points are
+    Yields (frame, panels, nodes, inc): the panel_frames row, the block
+    positions of the panels in that frame, their unique corner points, and
+    each panel's four corner indices into nodes.  Frames and points are
     compared on their exact float bits, so panels on one box face share
     their nodes and nothing else is assumed about the mesh.
     """
-    eu = quads[:, 1] - quads[:, 0]
-    ev = quads[:, 3] - quads[:, 0]
-    frames = np.concatenate([eu / np.linalg.norm(eu, axis=1)[:, None],
-                             ev / np.linalg.norm(ev, axis=1)[:, None]], axis=1)
-    _, first, frame_of = np.unique(_bits(frames), axis=0,
-                                   return_index=True, return_inverse=True)
-    frame_of = frame_of.reshape(-1)
+    frames = panel_frames(quads)
+    first, frame_of = _unique_rows(frames[:, :2].reshape(-1, 6))
     for f, j in enumerate(first):
         panels = np.flatnonzero(frame_of == f)
         points = quads[panels].reshape(-1, 3)
-        _, at, inverse = np.unique(_bits(points), axis=0,
-                                   return_index=True, return_inverse=True)
-        yield frames[j, :3], frames[j, 3:], panels, points[at], inverse.reshape(-1, 4)
-
-
-def frame_groups(corners):
-    """The _frame_groups of each BLOCK_PANELS chunk of a source panel list, computed once.
-
-    potential_block(..., groups=frame_groups(mesh.corners[source_idx])) then
-    skips the grouping.  The arrays are read-only, so one result can serve
-    concurrent calls.
-    """
-    chunks = []
-    for s in range(0, len(corners), BLOCK_PANELS):
-        groups = tuple(_frame_groups(corners[s:s + BLOCK_PANELS]))
-        for group in groups:
-            for a in group:
-                a.flags.writeable = False
-        chunks.append(groups)
-    return tuple(chunks)
+        at, inverse = _unique_rows(points)
+        yield frames[j], panels, points[at], inverse.reshape(-1, 4)
 
 
 def _dot(rel, e):
@@ -82,8 +91,8 @@ def _dot(rel, e):
     return total
 
 
-def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
-    """Write potential_block(mesh, target_points, source_idx, epsilon_r, groups) into out.
+def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
+    """Write potential_block(mesh, target_points, source_idx, epsilon_r) into out.
 
     The corner term is evaluated once per (target, shared corner node) in
     row tiles of about _TILE values; every value depends only on its target
@@ -96,9 +105,7 @@ def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
         idx = source_idx[s:s + BLOCK_PANELS]
         cols = out[:, s:s + len(idx)]
         scale = pref / mesh.areas[idx]
-        chunk = _frame_groups(mesh.corners[idx]) if groups is None else groups[s // BLOCK_PANELS]
-        for uhat, vhat, panels, nodes, inc in chunk:
-            what = np.cross(uhat, vhat)
+        for (uhat, vhat, what), panels, nodes, inc in _frame_groups(mesh.corners[idx]):
             px, py, pz = nodes.T
             step = max(1, _TILE // len(nodes))
             for r in range(0, m, step):
@@ -109,29 +116,28 @@ def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
                                             - f[:, inc[:, 1]] + f[:, inc[:, 2]]) * scale[panels]
 
 
-def potential_block(mesh, target_points, source_idx, epsilon_r, groups=None):
+def potential_block(mesh, target_points, source_idx, epsilon_r):
     """Dense block: potential at target_points per unit total charge on each source panel.
 
     Evaluates the corner term once per shared corner node of each block of
     BLOCK_PANELS source panels; each column equals the per-panel signed
     corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding,
-    and is bitwise independent of the blocking.  groups, when given, is
-    frame_groups(mesh.corners[source_idx]).
+    and is bitwise independent of the blocking.
     """
     target_points = np.asarray(target_points, dtype=np.float64)
     source_idx = np.asarray(source_idx)
     block = np.empty((len(target_points), len(source_idx)))
-    _fill_block(mesh, target_points, source_idx, epsilon_r, block, groups)
+    _fill_block(mesh, target_points, source_idx, epsilon_r, block)
     return block
 
 
-def check_distinct_centroids(centroids, tol=1e-12):
+def check_distinct_centroids(centroids):
     """Coincident collocation points make the system singular; reject early."""
     order = np.lexsort(centroids.T)
     c = centroids[order]
     if len(c) > 1:
         d = np.linalg.norm(np.diff(c, axis=0), axis=1)
-        if np.any(d < tol):
+        if np.any(d < COINCIDENT_M):
             k = int(np.argmin(d))
             raise AssemblyError(
                 f"panels {order[k]} and {order[k + 1]} have coincident centroids"

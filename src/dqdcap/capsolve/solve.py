@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -11,9 +10,7 @@ from scipy import linalg, sparse
 
 from ..constants import AF, OFFDIAG_TOL
 from . import tree
-from .kernels import (
-    AssemblyError, assemble_system, check_distinct_centroids, frame_groups, potential_block,
-)
+from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
 from .tree import (
     FAR_DTYPE, LEAF_SIZE, block_csr, build_far_operators, build_octree, by_source, index_type,
     interaction_lists, mapped_zeros,
@@ -154,14 +151,6 @@ class DenseFactor:
         self.epsilon_r = epsilon_r
         self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh)[0])
 
-    @functools.cached_property
-    def groups(self):
-        """Frame groups of the static panels, the sources of every cell's A_ds strip.
-
-        Computed at the first cell, read-only after: concurrent cells share them.
-        """
-        return frame_groups(self.mesh.corners)
-
     def maxwell(self, mesh, roles=None) -> MaxwellMatrix:
         _check_dense_size(mesh)
         names = mesh.conductor_names
@@ -184,7 +173,7 @@ class DenseFactor:
         if len(d_idx):
             eps = self.epsilon_r
             a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
-            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps, groups=self.groups)
+            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps)
             y = _lu_solve(self.lu, self.piv, a_sd)
             s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from ..constants import EPS0
-from .kernels import _corner_term
+from .kernels import panel_frames, panel_sums
 
 ACA_TOL = 1e-4  # a rank-one term is small below ACA_TOL x the block's Frobenius norm
 ACA_SMALL_STEPS = 2  # stop after this many small terms in a row; one alone is not robust
@@ -50,42 +50,44 @@ def build_octree(mesh, leaf_size):
     hi = centroids.max(axis=0)
     center = 0.5 * (lo + hi)
     half = 0.5 * float((hi - lo).max()) * 1.0000001 + 1e-30
-
-    leaves = []
-
-    def split(node, idx):
-        if len(idx) <= leaf_size:
-            node.panels = idx
-            leaves.append(node)
-            return
-        rel = centroids[idx] > node.center
-        octant = rel[:, 0] * 1 + rel[:, 1] * 2 + rel[:, 2] * 4
-        for o in range(8):
-            sub = idx[octant == o]
-            if not len(sub):
-                continue
-            off = np.array([(o & 1), (o >> 1) & 1, (o >> 2) & 1]) - 0.5
-            child = Node(node.center + off * node.half, 0.5 * node.half)
-            node.children.append(child)
-            split(child, sub)
-
     root = Node(center, half)
-    split(root, np.arange(mesh.n_panels))
-
-    # conservative cluster radii from panel corners, propagated upward
-    def set_radius(node):
-        if node.is_leaf:
-            pts = mesh.corners[node.panels].reshape(-1, 3)
-            node.radius = float(np.linalg.norm(pts - node.center, axis=1).max())
-        else:
-            node.radius = max(
-                set_radius(ch) + float(np.linalg.norm(ch.center - node.center))
-                for ch in node.children
-            )
-        return node.radius
-
-    set_radius(root)
+    leaves = []
+    _split(root, np.arange(mesh.n_panels), centroids, leaf_size, leaves)
+    _set_radius(root, mesh.corners)
     return root, leaves
+
+
+# Module functions, not closures: a nested function that calls itself is a
+# reference cycle, and would keep the mesh alive until the cyclic GC runs.
+def _split(node, idx, centroids, leaf_size, leaves):
+    """Split node's panels idx by octant down to leaf_size, appending leaves depth first."""
+    if len(idx) <= leaf_size:
+        node.panels = idx
+        leaves.append(node)
+        return
+    rel = centroids[idx] > node.center
+    octant = rel[:, 0] * 1 + rel[:, 1] * 2 + rel[:, 2] * 4
+    for o in range(8):
+        sub = idx[octant == o]
+        if not len(sub):
+            continue
+        off = np.array([(o & 1), (o >> 1) & 1, (o >> 2) & 1]) - 0.5
+        child = Node(node.center + off * node.half, 0.5 * node.half)
+        node.children.append(child)
+        _split(child, sub, centroids, leaf_size, leaves)
+
+
+def _set_radius(node, corners):
+    """Conservative cluster radii from panel corners, propagated upward; returns node's."""
+    if node.is_leaf:
+        pts = corners[node.panels].reshape(-1, 3)
+        node.radius = float(np.linalg.norm(pts - node.center, axis=1).max())
+    else:
+        node.radius = max(
+            _set_radius(ch, corners) + float(np.linalg.norm(ch.center - node.center))
+            for ch in node.children
+        )
+    return node.radius
 
 
 def _preorder(root):
@@ -150,17 +152,6 @@ def _subtree_panels(node):
     if node.is_leaf:
         return node.panels
     return np.concatenate([_subtree_panels(ch) for ch in node.children])
-
-
-def _panel_sums(proj, u_off, v_off, w_off):
-    """Panel integrals of 1/r as signed corner sums F(c0) - F(c1) + F(c2) - F(c3).
-
-    proj (3, m) holds field points projected on panel frames (uhat, vhat,
-    what); u_off and v_off (4, m) or (4, 1) hold the panel corners projected
-    on the same frames, w_off (m,) or a scalar the panel planes.
-    """
-    f = _corner_term(proj[0] - u_off, proj[1] - v_off, np.abs(proj[2] - w_off))
-    return f[0] - f[3] - f[1] + f[2]
 
 
 def _cross_approximation(row, col, n_rows, n_cols):
@@ -283,9 +274,7 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     V fills rows of M, and U stays with its node in the FarField.
     """
     corners = mesh.corners
-    edges = corners[:, [1, 3]] - corners[:, :1]
-    uv = edges / np.linalg.norm(edges, axis=2)[:, :, None]
-    frames = np.concatenate([uv, np.cross(uv[:, 0], uv[:, 1])[:, None]], axis=1)  # uhat, vhat, what
+    frames = panel_frames(corners)
     scale = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r * mesh.areas)
     centroids = mesh.centroids
 
@@ -307,11 +296,11 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
 
         def row(i):
             proj = (fr_stack @ tpts[i]).reshape(3, -1)
-            return _panel_sums(proj, u_off, v_off, w_off) * sc
+            return panel_sums(proj, u_off, v_off, w_off) * sc
 
         def col(j):
             proj = fr[j] @ tpts_t
-            return _panel_sums(proj, u_off[:, j, None], v_off[:, j, None], w_off[j]) * sc[j]
+            return panel_sums(proj, u_off[:, j, None], v_off[:, j, None], w_off[j]) * sc[j]
 
         U, V = _cross_approximation(row, col, len(tidx), len(idx))
         # an exact-size FAR_DTYPE copy, without the ACA's spare rows, in a shared slab

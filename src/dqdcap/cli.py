@@ -256,15 +256,15 @@ def _cmd_stability(args, argv):
     t0 = time.perf_counter()
     if args.n < 2:
         raise UsageError(f"--n must be at least 2, got {args.n}")
-    if args.window_mv is not None and not math.isfinite(args.window_mv):
-        raise UsageError(f"--window-mv must be finite, got {args.window_mv:g}")
+    if args.window_mv is not None and not 0.0 < args.window_mv < math.inf:
+        raise UsageError(f"--window-mv must be finite and positive, got {args.window_mv:g}")
     grid_path = f"{args.out_prefix}_grid.csv"
     lines_path = f"{args.out_prefix}_boundaries.json"
     _check_writable(grid_path, lines_path, _manifest_path(args.out_prefix))
     caps, _ = _load_caps(args.caps)
     ranges = None
     if args.window_mv is not None:
-        w = abs(args.window_mv) * MV
+        w = args.window_mv * MV
         ranges = ((-w, w), (-w, w))
     diag = stability_diagram(caps, v_ranges=ranges, n=args.n)
     with _atomic_open(grid_path) as f:

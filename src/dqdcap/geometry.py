@@ -260,7 +260,7 @@ class PanelMesh:
     """
 
     def __init__(self, corners_m: np.ndarray, cond_ids: np.ndarray,
-                 conductor_names: list[str], check: bool = True):
+                 conductor_names: list[str]):
         self.corners = np.ascontiguousarray(corners_m, dtype=np.float64)
         self.cond_ids = np.ascontiguousarray(cond_ids, dtype=np.int64)
         self.conductor_names = list(conductor_names)
@@ -272,10 +272,9 @@ class PanelMesh:
         self.areas = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
         for a in (self.corners, self.cond_ids, self.centroids, self.areas):
             a.flags.writeable = False
-        if check and len(self.cond_ids):
-            dots = np.abs(np.einsum("ij,ij->i", u, v))
-            if np.any(self.areas <= 0) or np.any(dots > 1e-9 * self.areas):
-                raise ValueError("panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)")
+        dots = np.abs(np.einsum("ij,ij->i", u, v))
+        if np.any(self.areas <= 0) or np.any(dots > 1e-9 * self.areas):
+            raise ValueError("panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)")
 
     @property
     def n_panels(self) -> int:
@@ -309,7 +308,7 @@ def concat_meshes(meshes: list[PanelMesh]) -> PanelMesh:
         offset = len(names)
         names.extend(m.conductor_names)
         ids.append(m.cond_ids + offset)
-    return PanelMesh(corners, np.concatenate(ids), names, check=False)
+    return PanelMesh(corners, np.concatenate(ids), names)
 
 
 # face -> (fixed axis, sign, u axis, v axis); fixed order for determinism
@@ -372,7 +371,7 @@ def mesh_device(spec: DeviceSpec, h_max_nm: float) -> PanelMesh:
         all_corners.append(c)
         all_ids.append(np.full(len(c), gid[b.group], dtype=np.int64))
     corners_m = np.concatenate(all_corners, axis=0) * NM
-    return PanelMesh(corners_m, np.concatenate(all_ids), list(groups), check=False)
+    return PanelMesh(corners_m, np.concatenate(all_ids), list(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +407,7 @@ def import_panels(text: str) -> PanelMesh:
             names.append(name)
         corners.append(np.array([float(x) for x in parts[2:]]).reshape(4, 3))
         ids.append(index[name])
-    if not corners:
-        return PanelMesh(np.zeros((0, 4, 3)), np.zeros(0, dtype=np.int64), names, check=False)
-    return PanelMesh(np.array(corners), np.array(ids, dtype=np.int64), names)
+    return PanelMesh(np.reshape(corners, (-1, 4, 3)), np.array(ids, dtype=np.int64), names)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import math
@@ -26,7 +27,6 @@ from dqdcap.capsolve import (
     solve_dense,
 )
 from dqdcap.capsolve import kernels, tree
-from dqdcap.capsolve.kernels import frame_groups
 from dqdcap.capsolve.solve import GMRES_RESTART, _AcceleratedOperator, _conductor_rhs, gmres
 from dqdcap.capsolve.tree import (
     LEAF_SIZE,
@@ -229,17 +229,31 @@ class TestSharedNodeKernel:
         want = loop_potential_block(mesh, targets, idx, 6.0)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
-    def test_precomputed_frame_groups_are_bitwise_equal(self):
+    def test_columns_do_not_depend_on_the_blocking(self):
         mesh = mesh_device(build_reference_device(), 16.0)
         rng = np.random.default_rng(6)
-        idx = rng.permutation(mesh.n_panels)[:600]  # three chunks of BLOCK_PANELS
+        idx = rng.permutation(mesh.n_panels)[:600]  # three blocks of BLOCK_PANELS
         targets = mesh.centroids[rng.permutation(mesh.n_panels)[:150]]
-        groups = frame_groups(mesh.corners[idx])
-        assert len(groups) == 3
         want = potential_block(mesh, targets, idx, 6.0)
-        assert np.array_equal(potential_block(mesh, targets, idx, 6.0, groups=groups), want)
-        with pytest.raises(ValueError, match="read-only"):
-            groups[0][0][2][0] = 0  # shared between threads: nothing may write to it
+        parts = np.split(idx, [100, 130, 431])
+        got = np.hstack([potential_block(mesh, targets, part, 6.0) for part in parts])
+        assert np.array_equal(got, want)
+        assert np.array_equal(potential_block(mesh, targets[7:8], idx, 6.0), want[7:8])
+
+    def test_unique_rows_matches_np_unique(self):
+        """Rows are grouped on their exact bits, as np.unique(bits, axis=0) groups them."""
+        rng = np.random.default_rng(8)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.25, -2.5e-9, 5e-324])
+        for m, k in ((1, 3), (2, 6), (50, 3), (400, 6), (1024, 3)):
+            rows = values[rng.integers(len(values), size=(m, k))]
+            _, first, inverse = np.unique(rows.view(np.int64), axis=0,
+                                          return_index=True, return_inverse=True)
+            got_first, got_inverse = kernels._unique_rows(rows)
+            assert np.array_equal(got_first, first)
+            assert np.array_equal(got_inverse, inverse.reshape(-1))
+        signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        first, inverse = kernels._unique_rows(signed)
+        assert len(first) == 2 and inverse[0] == inverse[2] != inverse[1]
 
     def test_maxwell_matches_loop_assembled_solve(self, monkeypatch):
         spec = build_reference_device()
@@ -913,6 +927,20 @@ class TestSolveAccelerated:
         ma = solve_accelerated(mesh, 6.0, roles=spec.roles)
         rel = np.abs(ma.entries - md.entries) / np.abs(md.entries)
         assert rel.max() <= 0.01
+
+    def test_solve_leaves_no_cycle_holding_the_mesh(self):
+        """With the cyclic GC off, the mesh is freed as soon as its last reference goes."""
+        mesh = mesh_device(build_reference_device(), 16.0)
+        ref = weakref.ref(mesh)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solve_accelerated(mesh, 6.0)
+            del mesh
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_bitwise_deterministic(self):
         """Two runs on one input give bitwise-equal entries."""

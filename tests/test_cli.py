@@ -268,8 +268,8 @@ BAD_MODEL_CAPS = {
     *[(EXTRACT + ["--air-gap-nm", text], 2, "--air-gap-nm")
       for text in ("-5", "nan", "inf")],
     (STABILITY + ["--n", "1"], 2, "--n must be at least 2"),
-    *[(STABILITY + ["--window-mv", text], 2, "--window-mv")
-      for text in ("nan", "inf")],
+    *[(STABILITY + ["--window-mv", text], 2, "--window-mv must be finite and positive")
+      for text in ("nan", "inf", "0", "-5")],
     *[(["extract", "--geometry", f"{field}_nan.json", "--out", "caps.json"], 1, field)
       for field in ("epsilon_r", "air_gap_nm")],
     *[(["extract", "--geometry", f"device_{case}.json", "--out", "caps.json"], 1,
@@ -285,8 +285,8 @@ BAD_MODEL_CAPS = {
         "epsilon-r-nan", "epsilon-r-inf", "h-max-inf", "h-max-nan", "range-max-inf",
         "range-max-nan", "range-single-inf", "range-single-nan", "range-step-inf",
         "range-step-zero", "air-gap-negative", "air-gap-nan", "air-gap-inf",
-        "stability-n-1", "window-mv-nan",
-        "window-mv-inf", "device-epsilon-r-nan", "device-air-gap-nan",
+        "stability-n-1", "window-mv-nan", "window-mv-inf", "window-mv-zero",
+        "window-mv-negative", "device-epsilon-r-nan", "device-air-gap-nan",
         *[f"device-{case}" for case in BAD_DEVICE_FIELDS],
         *[f"{command}-model-caps-{case}" for case in BAD_MODEL_CAPS
           for command in ("stability", "induced-charge")]])
