@@ -35,17 +35,6 @@ def panel_frames(corners):
     return np.concatenate([uv, np.cross(uv[:, 0], uv[:, 1])[:, None]], axis=1)
 
 
-def panel_sums(proj, u_off, v_off, w_off):
-    """Panel integrals of 1/r as signed corner sums F(c0) - F(c1) + F(c2) - F(c3).
-
-    proj (3, m) holds field points projected on panel frames (uhat, vhat,
-    what); u_off and v_off (4, m) or (4, 1) hold the panel corners projected
-    on the same frames, w_off (m,) or a scalar the panel planes.
-    """
-    f = _corner_term(proj[0] - u_off, proj[1] - v_off, np.abs(proj[2] - w_off))
-    return f[0] - f[3] - f[1] + f[2]
-
-
 def _unique_rows(rows):
     """(first, inverse) of the distinct rows of a float array, compared on their exact bits.
 

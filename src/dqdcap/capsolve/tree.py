@@ -4,9 +4,12 @@ A source node is admitted for a target leaf by the acceptance rule
 r_source + r_target < MAC_RATIO * (distance between centers).  The block of
 all far targets of one source node against its panels is approximated by
 adaptive cross approximation with partial pivoting (ACA; Bebendorf 2000): a
-sum of rank-one terms, each an exact row and an exact column of the
-collocation matrix minus the terms before it.  Rows and columns come from
-the same corner antiderivative as the exact near field.
+sum of rank-one terms, each a row and a column of the collocation matrix
+minus the terms before it.  A row or column whose entries all lie at least
+SERIES_DIAGONALS panel diagonals from their panels comes from each panel's
+order-4 moment series, within 6e-7 of the panel integral and without the
+corner sum's cancellation at distance; any other comes from potential_block,
+the corner sum of the exact near field.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from ..constants import EPS0
-from .kernels import panel_frames, panel_sums
+from .kernels import panel_frames, potential_block
 
 ACA_TOL = 1e-4  # a rank-one term is small below ACA_TOL x the block's Frobenius norm
 ACA_SMALL_STEPS = 2  # stop after this many small terms in a row; one alone is not robust
@@ -27,6 +30,9 @@ SLAB_VALUES = 1 << 20  # U values per shared allocation of the far field (4 MB)
 FAR_DTYPE = np.float32
 LEAF_SIZE = 32  # most panels per octree leaf
 MAC_RATIO = 0.5  # the acceptance rule's ratio: of 0.4 to 0.7, the best trade of time and accuracy
+# ACA rows and columns use the panels' moment series only this many panel diagonals
+# out, where its relative error is below 6e-7; nearer entries take the corner sum
+SERIES_DIAGONALS = 4.0
 
 
 class Node:
@@ -266,17 +272,57 @@ class FarField:
         self.nnz = sum(u.size for *_, u in sources)
 
 
+def _series_forms(quads, pref):
+    """Each panel's far form K (4, 4, m): its potential per unit charge is e^T K e / R.
+
+    For a uniformly charged a x b rectangle and a field point (x, y, z) from
+    its centre in its own frame, R^2 = x^2 + y^2 + z^2 and
+    e = (1, 1/R^2, x^2/R^4, y^2/R^4).  This is the order-4 moment series:
+    the monopole, the second moments a^2/12 and b^2/12 and the fourth
+    moments a^4/80, a^2 b^2/144 and b^4/80 against the derivatives of 1/R,
+    times pref.  Its relative error is O((a/R)^6 + (b/R)^6).  Also returns
+    each panel's gate, (SERIES_DIAGONALS diagonals)^2.
+    """
+    a2 = np.sum((quads[:, 1] - quads[:, 0]) ** 2, axis=1)
+    b2 = np.sum((quads[:, 3] - quads[:, 0]) ** 2, axis=1)
+    a4, ab, b4 = a2 * a2, a2 * b2, b2 * b2
+    K = np.zeros((4, 4, len(quads)))
+    K[0, 0] = 1.0
+    K[0, 1] = -(a2 + b2) / 24.0
+    K[0, 2] = a2 / 8.0
+    K[0, 3] = b2 / 8.0
+    K[1, 1] = 3.0 * (a4 + b4) / 640.0 + ab / 192.0
+    K[1, 2] = -3.0 * a4 / 64.0 - 5.0 * ab / 192.0
+    K[1, 3] = -3.0 * b4 / 64.0 - 5.0 * ab / 192.0
+    K[2, 2] = 7.0 * a4 / 128.0
+    K[2, 3] = 35.0 * ab / 192.0
+    K[3, 3] = 7.0 * b4 / 128.0
+    K *= pref
+    return K, SERIES_DIAGONALS ** 2 * (a2 + b2)
+
+
+def _powers(d, r2):
+    """e = (1, 1/R^2, x^2/R^4, y^2/R^4) from squared frame offsets d (3, m) and R^2."""
+    e = np.empty((4, len(r2)))
+    e[0] = 1.0
+    np.divide(1.0, r2, out=e[1])
+    np.multiply(d[:2], e[1] * e[1], out=e[2:])
+    return e
+
+
 def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     """Far field by cross approximation: (FarField, M), M sparse with one row per rank.
 
     Each source node admitted by some target leaf gets one cross
     approximation U.T @ V of its far targets against its subtree panels;
-    V fills rows of M, and U stays with its node in the FarField.
+    V fills rows of M, and U stays with its node in the FarField.  A row or
+    column of the block comes from the panels' moment series when each of
+    its entries is at least SERIES_DIAGONALS panel diagonals from its
+    panel's centre, and from potential_block otherwise.
     """
     corners = mesh.corners
-    frames = panel_frames(corners)
-    scale = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r * mesh.areas)
     centroids = mesh.centroids
+    pref = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
 
     sources, m_blocks = [], []
     k = 0  # rows of M so far
@@ -285,22 +331,31 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
         idx = _subtree_panels(node)
         tidx = np.concatenate([t.panels for t in targets])
         # coordinates relative to the node center, so far values keep their digits
-        fr = frames[idx]
-        rel = corners[idx] - node.center
-        u_off, v_off = np.einsum("pax,pcx->acp", fr[:, :2], rel)
-        w_off = np.einsum("px,px->p", fr[:, 2], rel[:, 0])
+        quads = corners[idx]
+        fr = panel_frames(quads)
+        off = np.einsum("pax,px->ap", fr, centroids[idx] - node.center)
         fr_stack = np.ascontiguousarray(fr.transpose(1, 0, 2)).reshape(-1, 3)
-        sc = scale[idx]
+        K, gate = _series_forms(quads, pref)
         tpts = centroids[tidx] - node.center
         tpts_t = np.ascontiguousarray(tpts.T)
 
         def row(i):
-            proj = (fr_stack @ tpts[i]).reshape(3, -1)
-            return panel_sums(proj, u_off, v_off, w_off) * sc
+            d = (fr_stack @ tpts[i]).reshape(3, -1) - off
+            d *= d
+            r2 = d.sum(axis=0)
+            if not np.all(r2 >= gate):
+                return potential_block(mesh, centroids[tidx[i], None], idx, epsilon_r)[0]
+            e = _powers(d, r2)
+            return np.einsum("klm,km,lm->m", K, e, e) * np.sqrt(e[1])
 
         def col(j):
-            proj = fr[j] @ tpts_t
-            return panel_sums(proj, u_off[:, j, None], v_off[:, j, None], w_off[j]) * sc[j]
+            d = fr[j] @ tpts_t - off[:, j, None]
+            d *= d
+            r2 = d.sum(axis=0)
+            if r2.min() < gate[j]:
+                return potential_block(mesh, centroids[tidx], idx[j:j + 1], epsilon_r)[:, 0]
+            e = _powers(d, r2)
+            return np.sum(e * (K[:, :, j] @ e), axis=0) * np.sqrt(e[1])
 
         U, V = _cross_approximation(row, col, len(tidx), len(idx))
         # an exact-size FAR_DTYPE copy, without the ACA's spare rows, in a shared slab

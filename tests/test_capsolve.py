@@ -47,6 +47,7 @@ from dqdcap.geometry import (
     transform_dots,
 )
 from dqdcap.reference import build_reference_device
+from test_geometry import random_device
 
 solve_module = importlib.import_module("dqdcap.capsolve.solve")
 
@@ -167,6 +168,11 @@ def mp_panel_integral(mpmath, corner, far_corner, point):
         return f(x, y) - f(x - a, y) - f(x, y - b) + f(x - a, y - b)
 
 
+_k = np.arange(100) + 0.5  # a Fibonacci sphere of directions
+_polar, _azimuth = np.arccos(1.0 - _k / 50.0), np.pi * (1.0 + 5.0 ** 0.5) * _k
+FIBONACCI_DIRECTIONS = np.stack([np.cos(_azimuth) * np.sin(_polar),
+                                 np.sin(_azimuth) * np.sin(_polar), np.cos(_polar)], axis=1)
+
 # worst relative error of potential_block over 100 directions, by distance over
 # panel side: about 40 (R/a)^2 eps, the cancellation of the four-corner sum
 KERNEL_ERROR_AT_DISTANCE = {10: 8.9e-13, 30: 6.9e-12, 100: 9.0e-11, 300: 5.4e-10, 1000: 6.5e-9}
@@ -181,15 +187,54 @@ def test_kernel_error_at_distance_against_mpmath():
     quad = corner + np.array([[0.0, 0.0, 0.0], [a, 0.0, 0.0], [a, a, 0.0], [0.0, a, 0.0]])
     mesh = PanelMesh(quad[None], np.zeros(1, dtype=np.int64), ["P"])
     scale = 1.0 / (4.0 * np.pi * EPS0 * mesh.areas[0])
-    k = np.arange(100) + 0.5  # a Fibonacci sphere of directions
-    polar, azimuth = np.arccos(1.0 - k / 50.0), np.pi * (1.0 + 5.0 ** 0.5) * k
-    directions = np.stack([np.cos(azimuth) * np.sin(polar), np.sin(azimuth) * np.sin(polar),
-                           np.cos(polar)], axis=1)
     for ratio, measured in KERNEL_ERROR_AT_DISTANCE.items():
-        points = mesh.centroids[0] + ratio * a * directions
+        points = mesh.centroids[0] + ratio * a * FIBONACCI_DIRECTIONS
         want = np.array([float(mp_panel_integral(mpmath, quad[0], quad[2], p)) for p in points])
         got = potential_block(mesh, points, np.array([0]), 1.0)[:, 0]
         assert np.abs(got / (want * scale) - 1.0).max() <= KERNEL_ERROR_MARGIN * measured, ratio
+
+
+# worst relative error of the ACA's moment series over the same 100 directions, by
+# distance in panel diagonals, on a square and a 1:8 panel: its truncation, which
+# for any panel shape stays below about (d/R)^6 / 448 (5.5e-7 at 4 diagonals),
+# down to rounding at 100.  From 20 diagonals on the square panel, and at 100 on
+# the 1:8 one, it is below the corner sum's own error at the same points; the
+# 1:8 panel's truncation at 20 diagonals (2.7e-11) is still above it (2.2e-11).
+FAR_SERIES_ERROR = {
+    1: {4: 8.2e-8, 8: 1.3e-9, 20: 5.3e-12, 100: 4.5e-16},
+    8: {4: 4.3e-7, 8: 6.7e-9, 20: 2.8e-11, 100: 2.2e-15},
+}
+FAR_SERIES_BEATS_CORNER_SUM = {(1, 20), (1, 100), (8, 100)}
+
+
+def test_far_series_error_against_mpmath():
+    """The moment series stays on its curve within the 3x margin, at most 1e-7 at the gate
+    on a square panel, and from 20 diagonals beats the corner sum where it is listed to."""
+    mpmath = pytest.importorskip("mpmath")
+    pref = 1.0 / (4.0 * np.pi * EPS0)
+    diagonal = 5.0 * NM
+    corner = np.array([40.0, -25.0, 12.0]) * NM
+    for aspect, table in FAR_SERIES_ERROR.items():
+        b = diagonal / math.hypot(aspect, 1.0)
+        a = aspect * b
+        quad = corner + np.array([[0.0, 0.0, 0.0], [a, 0.0, 0.0], [a, b, 0.0], [0.0, b, 0.0]])
+        mesh = PanelMesh(quad[None], np.zeros(1, dtype=np.int64), ["P"])
+        K = tree._series_forms(quad[None], pref)[0][:, :, 0]
+        for ratio, measured in table.items():
+            offsets = ratio * diagonal * FIBONACCI_DIRECTIONS  # the panel frame is x, y, z
+            points = mesh.centroids[0] + offsets
+            want = pref / (a * b) * np.array(
+                [float(mp_panel_integral(mpmath, quad[0], quad[2], p)) for p in points])
+            d = offsets.T ** 2
+            e = tree._powers(d, d.sum(axis=0))
+            got = np.sum(e * (K @ e), axis=0) * np.sqrt(e[1])
+            err = np.abs(got / want - 1.0).max()
+            assert err <= KERNEL_ERROR_MARGIN * measured, (aspect, ratio, err)
+            if (aspect, ratio) == (1, 4):  # a square panel at the gate
+                assert err <= 1e-7
+            corner_sum = potential_block(mesh, points, np.array([0]), 1.0)[:, 0]
+            if (aspect, ratio) in FAR_SERIES_BEATS_CORNER_SUM:
+                assert err < np.abs(corner_sum / want - 1.0).max(), (aspect, ratio)
 
 
 def loop_potential_block(mesh, target_points, source_idx, epsilon_r):
@@ -326,6 +371,58 @@ class TestCrossApproximationFarField:
         U, V = _cross_approximation(lambda i: block[i], lambda j: block[:, j], 40, 30)
         assert len(U) <= 3 + 2
         assert np.abs(U.T @ V - block).max() <= 1e-12 * np.abs(block).max()
+
+
+def rows_and_columns_against_potential_block(mesh, eps):
+    """Each row and column the ACA of build_far_operators computed, and the same entries
+    from potential_block on the node's far targets and panels."""
+    calls = []
+
+    def recording_aca(row, col, n_rows, n_cols):
+        rows, cols = {}, {}
+        calls.append((rows, cols))
+        return _cross_approximation(lambda i: rows.setdefault(i, row(i)),
+                                    lambda j: cols.setdefault(j, col(j)), n_rows, n_cols)
+
+    root, leaves = build_octree(mesh, LEAF_SIZE)
+    far_lists = interaction_lists(root, leaves, tree.MAC_RATIO)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_cross_approximation", recording_aca)
+        build_far_operators(mesh, leaves, far_lists, eps)
+    for (node, targets), (rows, cols) in zip(by_source(leaves, far_lists), calls, strict=True):
+        tidx = target_panels(targets)
+        block = potential_block(mesh, mesh.centroids[tidx], tree._subtree_panels(node), eps)
+        yield from ((r, block[i]) for i, r in rows.items())
+        yield from ((c, block[:, j]) for j, c in cols.items())
+
+
+# the moment series' worst relative error at tree.SERIES_DIAGONALS, over panel
+# shapes: 5.5e-7 in the limit of a thin panel
+SERIES_ERROR_AT_GATE = 6e-7
+
+
+class TestFarSeriesRowsAndColumns:
+    """The ACA's rows and columns against potential_block, the corner sum they replace."""
+
+    @pytest.mark.parametrize("name", sorted(FAR_FIELD_MESHES))
+    def test_within_the_series_bound(self, name):
+        make_mesh, eps = FAR_FIELD_MESHES[name]
+        pairs = list(rows_and_columns_against_potential_block(make_mesh(), eps))
+        assert pairs and any(not np.array_equal(got, want) for got, want in pairs)
+        for got, want in pairs:
+            assert np.all(np.abs(got - want) <= SERIES_ERROR_AT_GATE * np.abs(want))
+
+    def test_inside_the_gate_they_are_potential_block(self, monkeypatch):
+        """With every entry inside the gate, each row and column is potential_block's, and
+        the solve still agrees with dense."""
+        monkeypatch.setattr(tree, "SERIES_DIAGONALS", 1e9)
+        spec = build_reference_device()
+        mesh = mesh_device(spec, 16.0)
+        pairs = list(rows_and_columns_against_potential_block(mesh, 6.0))
+        assert pairs and all(np.array_equal(got, want) for got, want in pairs)
+        md = solve_dense(mesh, 6.0, roles=spec.roles)
+        ma = solve_accelerated(mesh, 6.0, roles=spec.roles)
+        assert (np.abs(ma.entries - md.entries) / np.abs(md.entries)).max() <= 0.01
 
 
 def norm_rule_lists(root, leaves, mac_ratio):
@@ -1066,6 +1163,44 @@ def test_maxwell_matrix_invariant_under_scale_reflection_rotation_and_far_transl
     """Scaling by 2 (with h), swapping x and y, a 90 degree turn about z and a 1e5 nm
     shift give the same Maxwell matrix, scaled by the length factor, up to rounding."""
     check_invariance(mode, ["scale2", "swap_xy", "rotate_z90", "translate_1e5"])
+
+
+# seeds of random_device; 252 and 275 are the two of seeds 0-299 whose far field at
+# h = 16 has ACA rows or columns inside the series gate.  Measured on these seeds:
+# accelerated within 1.2e-4 of dense, and a box permutation moves the accelerated
+# entries by 8.1e-8 of the largest diagonal and the dense ones by 7.3e-16
+GENERATED_SEEDS = (*range(40), 252, 275)
+
+
+def test_generated_devices_accelerated_matches_dense_and_box_order():
+    """On generated devices at h = 16, accelerated is within 1% of dense, and a random box
+    order changes neither mode's Maxwell matrix by more than a reversed reference device's."""
+    near_gate = set()
+    block = tree.potential_block
+
+    def recording_block(*args):
+        near_gate.add(seed)
+        return block(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "potential_block", recording_block)
+        for seed in GENERATED_SEEDS:
+            rng = np.random.default_rng(seed)
+            spec = random_device(rng)
+            shuffled = replace(spec, boxes=tuple(spec.boxes[k]
+                                                 for k in rng.permutation(len(spec.boxes))))
+            entries = {}
+            for mode in ("dense", "accelerated"):
+                m = solve(mesh_device(spec, 16.0), mode, spec.epsilon_r)
+                p = solve(mesh_device(shuffled, 16.0), mode, spec.epsilon_r)
+                perm = [p.conductor_names.index(c) for c in m.conductor_names]
+                e = np.abs(p.entries[np.ix_(perm, perm)] - m.entries).max()
+                scale = np.abs(np.diag(m.entries)).max()
+                assert e <= INVARIANCE_BOUNDS[mode, "reverse"] * scale, (seed, mode)
+                entries[mode] = m.entries
+            rel = np.abs(entries["accelerated"] - entries["dense"]) / np.abs(entries["dense"])
+            assert rel.max() <= 0.01, seed
+    assert near_gate
 
 
 class TestMaxwellSerialization:
