@@ -190,12 +190,13 @@ def solve_dense(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
 class _AcceleratedOperator:
     """phi = A q, exact near field and ACA far field, as two dense row blocks per target leaf.
 
-    Every row of a target leaf sees the same columns: the rows of M (ACA
-    ranks) of its far nodes, then the panels of its near leaves, in the
-    order they were placed.  The far columns hold U in FAR_DTYPE, the near
-    ones the exact float64 entries.  With xw = [q; M q] and g = xw[cols_L],
-    the leaf's potentials are F_L @ g[:k] + N_L @ g[k:], k the far width;
-    blocks holds (leaf panels, cols_L, F_L, N_L) per leaf.
+    Every row of a target leaf sees the same columns: the far columns of its
+    far nodes (their rows of M, or the panels of a whole block), then the
+    panels of its near leaves, in the order they were placed.  The far
+    columns hold U in FAR_DTYPE, the near ones the exact float64 entries.
+    With xw = [q; M q] and g = xw[cols_L], the leaf's potentials are
+    F_L @ g[:k] + N_L @ g[k:], k the far width; blocks holds (leaf panels,
+    cols_L, F_L, N_L) per leaf.
     """
 
     def __init__(self, mesh, epsilon_r):
@@ -205,9 +206,9 @@ class _AcceleratedOperator:
         far_lists, near_lists = interaction_lists(root, leaves, tree.MAC_RATIO)
         far, self.mom_m = build_far_operators(mesh, leaves, far_lists, epsilon_r)
         n = mesh.n_panels
-        rank = {node: len(r) for node, _, r, _ in far.sources}
+        width = {node: len(c) for node, _, c, _ in far.sources}
         far_blocks = _leaf_blocks(
-            leaves, [sum(map(rank.get, nodes)) for nodes in far_lists], FAR_DTYPE)
+            leaves, [sum(map(width.get, nodes)) for nodes in far_lists], FAR_DTYPE)
         near_blocks = _leaf_blocks(
             leaves, [sum(len(s.panels) for s in near) for near in near_lists], np.float64)
         # leaf -> its far and near side, each [block, its columns so far, their count]
@@ -228,8 +229,8 @@ class _AcceleratedOperator:
         # each U goes to its target leaves and is dropped, last first, so that each
         # far-field slab is unmapped once its last U is placed
         while far.sources:
-            _, targets, ranks, u = far.sources.pop()
-            place(n + ranks, targets, u.T, 0)
+            _, targets, cols, u = far.sources.pop()
+            place(cols, targets, u.T, 0)
             del u
         diagonal = {}  # leaf -> first column of its self block in its own near block
         for s, targets in by_source(leaves, near_lists):

@@ -5,11 +5,12 @@ r_source + r_target < MAC_RATIO * (distance between centers).  The block of
 all far targets of one source node against its panels is approximated by
 adaptive cross approximation with partial pivoting (ACA; Bebendorf 2000): a
 sum of rank-one terms, each a row and a column of the collocation matrix
-minus the terms before it.  A row or column whose entries all lie at least
-SERIES_DIAGONALS panel diagonals from their panels comes from each panel's
-order-4 moment series, within 6e-7 of the panel integral and without the
-corner sum's cancellation at distance; any other comes from potential_block,
-the corner sum of the exact near field.
+minus the terms before it.  A source node of at most WHOLE_BLOCK_PANELS
+panels keeps its block whole instead.  A row or column of the block whose
+entries all lie at least SERIES_DIAGONALS panel diagonals from their panels
+comes from each panel's order-4 moment series, within 6e-7 of the panel
+integral and without the corner sum's cancellation at distance; any other
+comes from potential_block, the corner sum of the exact near field.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ MAC_RATIO = 0.5  # the acceptance rule's ratio: of 0.4 to 0.7, the best trade of
 # ACA rows and columns use the panels' moment series only this many panel diagonals
 # out, where its relative error is below 6e-7; nearer entries take the corner sum
 SERIES_DIAGONALS = 4.0
+# A source node of at most this many panels (always a leaf) keeps its far block
+# whole.  At h = 5 on the reference device the ACA reaches full rank on every such
+# node of up to 8 panels, and rank 11.0 on 11.8 panels for 9 to 16, so its steps
+# save almost no values.  It truly truncates larger leaves (rank 14 to 16 for 20 to
+# 30 panels): keeping those whole too adds 5-8% far values at h = 5, and the small
+# g1-g2 mutual at h = 16 then reads 2.2e-3 (24) or 2.9e-3 (32) from dense, not 6.6e-4.
+WHOLE_BLOCK_PANELS = LEAF_SIZE // 2
 
 
 class Node:
@@ -256,15 +264,16 @@ def mapped_zeros(values, dtype=np.float64):
 
 
 class FarField:
-    """The U side of the far field: far potentials U.T @ (M @ charges), per source node.
+    """The U side of the far field: far potentials U.T @ g, per source node.
 
-    sources holds (node, target leaves, ranks, U) for each admitted source
-    node: ranks are its rows of M, and U (k, far targets) has the rows of
-    its target leaves' panels, in leaf order, rounded to FAR_DTYPE from the
-    cross approximation's float64.  nnz counts the U values.
-    The U are views of SLAB_VALUES-sized slabs (mapped_zeros), filled in
-    source order, so a consumer that drops the sources last to first
-    unmaps each slab as soon as its last U is gone.
+    sources holds (node, target leaves, cols, U) for each admitted source
+    node.  cols are its far columns, indices into g = [q; M @ charges]: n
+    plus its rows of M for a cross approximation, or its own panels for a
+    whole block.  U (len(cols), far targets) has the rows of its target
+    leaves' panels, in leaf order, rounded to FAR_DTYPE from float64.
+    nnz counts the U values.  The U are views of SLAB_VALUES-sized slabs
+    (mapped_zeros), filled in source order, so a consumer that drops the
+    sources last to first unmaps each slab as soon as its last U is gone.
     """
 
     def __init__(self, sources):
@@ -310,18 +319,41 @@ def _powers(d, r2):
     return e
 
 
-def build_far_operators(mesh, leaves, far_lists, epsilon_r):
-    """Far field by cross approximation: (FarField, M), M sparse with one row per rank.
+def _whole_block(mesh, idx, tidx, epsilon_r, K, gate, fr_stack, off, tpts_t):
+    """The far block of panels idx at the centroids of tidx, transposed: (panels, targets).
 
-    Each source node admitted by some target leaf gets one cross
-    approximation U.T @ V of its far targets against its subtree panels;
-    V fills rows of M, and U stays with its node in the FarField.  A row or
-    column of the block comes from the panels' moment series when each of
-    its entries is at least SERIES_DIAGONALS panel diagonals from its
-    panel's centre, and from potential_block otherwise.
+    Every panel column comes from the panels' moment series at once (K,
+    gate, the stacked frames fr_stack, the node-relative panel centres off
+    in each frame and targets tpts_t, as in build_far_operators), except
+    those with an entry inside the gate, which come from potential_block.
+    """
+    p = len(idx)
+    d = (fr_stack @ tpts_t).reshape(3, p, -1) - off[:, :, None]
+    d *= d
+    r2 = d.sum(axis=0)
+    e = _powers(d.reshape(3, -1), r2.reshape(-1)).reshape(4, p, -1)
+    w = np.einsum("klp,kpt,lpt->pt", K, e, e) * np.sqrt(e[1])
+    near = r2.min(axis=1) < gate
+    if near.any():
+        w[near] = potential_block(mesh, mesh.centroids[tidx], idx[near], epsilon_r).T
+    return w
+
+
+def build_far_operators(mesh, leaves, far_lists, epsilon_r):
+    """Far field: (FarField, M), M sparse with one row per rank of a cross approximation.
+
+    Each source node admitted by some target leaf gets one block of its far
+    targets against its subtree panels.  A node of at most
+    WHOLE_BLOCK_PANELS panels keeps the whole block, its columns its panels;
+    a larger one gets a cross approximation U.T @ V, V filling rows of M and
+    U staying with its node in the FarField.  A row or column of the block
+    comes from the panels' moment series when each of its entries is at
+    least SERIES_DIAGONALS panel diagonals from its panel's centre, and
+    from potential_block otherwise.
     """
     corners = mesh.corners
     centroids = mesh.centroids
+    n = mesh.n_panels
     pref = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
 
     sources, m_blocks = [], []
@@ -357,15 +389,20 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
             e = _powers(d, r2)
             return np.sum(e * (K[:, :, j] @ e), axis=0) * np.sqrt(e[1])
 
-        U, V = _cross_approximation(row, col, len(tidx), len(idx))
+        if len(idx) <= WHOLE_BLOCK_PANELS:
+            U = _whole_block(mesh, idx, tidx, epsilon_r, K, gate, fr_stack, off, tpts_t)
+            cols = idx
+        else:
+            U, V = _cross_approximation(row, col, len(tidx), len(idx))
+            ranks = np.arange(k, k + len(U))
+            k += len(U)
+            m_blocks.append((ranks, idx, V))
+            cols = n + ranks
         # an exact-size FAR_DTYPE copy, without the ACA's spare rows, in a shared slab
         if used + U.size > len(slab):
             slab, used = mapped_zeros(max(SLAB_VALUES, U.size), FAR_DTYPE), 0
         u = slab[used:used + U.size].reshape(U.shape)
         u[...] = U
         used += U.size
-        ranks = np.arange(k, k + len(U))
-        k += len(U)
-        sources.append((node, targets, ranks, u))
-        m_blocks.append((ranks, idx, V))
-    return FarField(sources), block_csr(m_blocks, (k, mesh.n_panels))
+        sources.append((node, targets, cols, u))
+    return FarField(sources), block_csr(m_blocks, (k, n))

@@ -184,11 +184,15 @@ def _add_solver_flags(sub):
 
 
 def _read_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise CliError(f"{path} is not valid JSON ({e})") from None
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"cannot read {path}: {e}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CliError(f"{path} is not valid JSON ({e})") from None
 
 
 def _load_maxwell(path, obj):

@@ -195,8 +195,12 @@ def loads_device(text: str) -> DeviceSpec:
 
 
 def load_device(path) -> DeviceSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return loads_device(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DeviceError(f"cannot read {path}: {e}") from None
+    return loads_device(text)
 
 
 def dumps_device(spec: DeviceSpec) -> str:

@@ -3,9 +3,12 @@ import shutil
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dqdcap.cli import parse_range, run
+from dqdcap.geometry import dumps_device
+from test_geometry import random_device
 
 pytestmark = pytest.mark.usefixtures("workdir")
 
@@ -119,6 +122,18 @@ def test_extract_is_byte_reproducible(workdir):
         for out in ("a.json", "b.json"):
             assert run(["extract", "--geometry", "reference_device.json",
                         "--out", out, "--h-max", "18", "--mode", mode]) == 0
+        assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes(), mode
+
+
+@pytest.mark.parametrize("seed", [0, 252])
+def test_extract_on_a_generated_device_is_byte_reproducible(workdir, seed):
+    """Seed 252's far field at h = 16 has blocks inside the series gate."""
+    spec = random_device(np.random.default_rng(seed))
+    (workdir / "device.json").write_text(dumps_device(spec))
+    for mode in ("dense", "accelerated"):
+        for out in ("a.json", "b.json"):
+            assert run(["extract", "--geometry", "device.json", "--out", out,
+                        "--h-max", "16", "--mode", mode]) == 0
         assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes(), mode
 
 
@@ -278,6 +293,12 @@ BAD_MODEL_CAPS = {
       for case in BAD_MODEL_CAPS
       for command, out in (("stability", ["--out-prefix", "diag"]),
                            ("induced-charge", ["--out", "dq.json"]))],
+    (["extract", "--geometry", "a_dir", "--out", "caps.json"], 1, "cannot read a_dir"),
+    (["stability", "--caps", "a_dir", "--out-prefix", "diag"], 1, "cannot read a_dir"),
+    (["extract", "--geometry", "latin1.json", "--out", "caps.json"], 1,
+     "cannot read latin1.json"),
+    (["compare", "--caps", "tiny_caps.json", "--measured", "latin1.json",
+      "--out", "report.json"], 1, "cannot read latin1.json"),
 ], ids=["h-max-zero", "sweep-h-max", "stability-bad-json",
         "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
         "compare-measured-no-b", "compare-measured-text", "stability-device-file",
@@ -289,7 +310,9 @@ BAD_MODEL_CAPS = {
         "window-mv-negative", "device-epsilon-r-nan", "device-air-gap-nan",
         *[f"device-{case}" for case in BAD_DEVICE_FIELDS],
         *[f"{command}-model-caps-{case}" for case in BAD_MODEL_CAPS
-          for command in ("stability", "induced-charge")]])
+          for command in ("stability", "induced-charge")],
+        "extract-geometry-is-dir", "stability-caps-is-dir", "extract-geometry-not-utf8",
+        "compare-measured-not-utf8"])
 def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
@@ -306,6 +329,8 @@ def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
         (workdir / f"device_{case}.json").write_text(json.dumps({**device, **edit}))
     for case, caps in BAD_MODEL_CAPS.items():
         (workdir / f"model_{case}.json").write_text(json.dumps(caps))
+    (workdir / "a_dir").mkdir()
+    (workdir / "latin1.json").write_bytes('{"name": "Fl\u00e4che"}'.encode("latin-1"))
     before = set(workdir.iterdir())
     assert run(argv) == code
     err = capsys.readouterr().err
