@@ -1,13 +1,23 @@
-"""Run the loaded OpenBLAS libraries on one thread for the span of a block.
+"""The process's numeric threads: how many cores a step may use, and BLAS on one.
 
-numpy and scipy each bundle their own threaded OpenBLAS.  A sweep runs its
-cells on a thread pool of its own, and each cell's small solves lose more to
-BLAS worker threads competing for the same cores than they gain from them.
+numpy and scipy each bundle their own threaded OpenBLAS, which by default
+runs on every core this process may use; dense assembly sizes its pool the
+same way (worker_count).  A sweep runs its cells on a thread pool of its own,
+and each cell's small solves lose more to BLAS worker threads competing for
+the same cores than they gain from them, so the cells run inside
+single_threaded_blas, where both counts are one.
 """
 
 import ctypes
 import os
+import threading
 from contextlib import contextmanager
+
+# OpenBLAS thread counts belong to the whole process, so the blocks that set
+# them share one count of open blocks and one record of the counts to restore.
+_lock = threading.Lock()
+_open_blocks = 0
+_restore = []
 
 
 def _openblas_setters():
@@ -36,19 +46,42 @@ def _openblas_setters():
     return setters
 
 
+def worker_count():
+    """Threads a numeric step may run on: 1 inside single_threaded_blas, else one per core.
+
+    The cores are those this process may run on, the count OpenBLAS starts
+    with, so an assembly and the LU that follows it use the same cores.
+    """
+    with _lock:
+        if _open_blocks:
+            return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
 @contextmanager
 def single_threaded_blas():
     """Set every loaded OpenBLAS to one thread, and restore each count on exit.
 
     The call sets the count for the whole process, not for the calling
     thread, so it wraps a whole thread pool: entered before the pool starts
-    and left after it has joined.  Two such blocks that overlap in different
-    threads can leave the count at one.
+    and left after it has joined.  Blocks may overlap in different threads:
+    the first to enter saves and sets the counts, and the last to leave
+    restores them.
     """
-    setters = _openblas_setters()
-    previous = [set_threads(1) for set_threads in setters]
+    global _open_blocks, _restore
+    with _lock:
+        if not _open_blocks:
+            _restore = [(set_threads, set_threads(1)) for set_threads in _openblas_setters()]
+        _open_blocks += 1
     try:
         yield
     finally:
-        for set_threads, n in zip(setters, previous):
-            set_threads(n)
+        with _lock:
+            _open_blocks -= 1
+            if not _open_blocks:
+                for set_threads, n in _restore:
+                    set_threads(n)
+                _restore = []

@@ -302,12 +302,12 @@ _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, Analysis
 
 
 def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
-    """Solve spec at every cell on a pool of jobs threads, the package's one thread pool.
+    """Solve spec at every cell on a pool of jobs threads.
 
     place(cell) gives the cell's dot placement (dx, dy, R).  Rows keep the
     order of cells, so the sweep does not depend on jobs.  While the pool
-    runs, BLAS runs on one thread: the cells are the parallelism, and BLAS
-    worker threads only slow a cell's small solves.
+    runs, BLAS and dense assembly run on one thread: the cells are the
+    parallelism, and more threads only slow a cell's small solves.
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be at least 1, got {jobs}")

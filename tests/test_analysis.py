@@ -1,7 +1,9 @@
 import importlib
 import json
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -362,6 +364,33 @@ class TestSingleThreadedBlas:
         assert len(rows) == len(want)
         for got, ref in zip(rows, want):
             assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_overlapping_blocks_restore_counts_when_the_last_one_ends(self, openblas_at_three):
+        """Two blocks in two threads, the first left while the second is open."""
+        first_open, both_open, first_left = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def first():
+            with _blas.single_threaded_blas():
+                first_open.set()
+                assert both_open.wait(30)
+                seen["both open"] = _blas_counts(openblas_at_three), _blas.worker_count()
+            first_left.set()
+
+        def second():
+            assert first_open.wait(30)
+            with _blas.single_threaded_blas():
+                both_open.set()
+                assert first_left.wait(30)
+                seen["second open"] = _blas_counts(openblas_at_three), _blas.worker_count()
+
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            for future in [ex.submit(first), ex.submit(second)]:
+                future.result(timeout=60)
+        ones = [1] * len(openblas_at_three)
+        assert seen == {"both open": (ones, 1), "second open": (ones, 1)}
+        assert _blas_counts(openblas_at_three) == [3] * len(openblas_at_three)
+        assert _blas.worker_count() == len(os.sched_getaffinity(0))
 
 
 DOTS_ONLY = {"boxes": [

@@ -4,6 +4,7 @@ import json
 import math
 import mmap
 import sys
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -92,6 +93,15 @@ def quad_oracle(a, b, px, py, pz):
     return total
 
 
+@pytest.fixture
+def no_assembly_pool(monkeypatch):
+    """Fails the test if assemble_system makes its thread pool."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("assembly pool made")
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", no_pool)
+
+
 class TestKernel:
     def test_self_term_matches_quadrature(self):
         c = np.zeros(3)
@@ -129,7 +139,7 @@ class TestKernel:
         a2 = assemble_system(mesh, 2.0)
         assert np.allclose(a2, 0.5 * a1, rtol=1e-14)
 
-    def test_coincident_centroids_rejected(self):
+    def test_coincident_centroids_rejected(self, no_assembly_pool):
         quad = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                          [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]) * NM
         corners = np.stack([quad, quad + np.array([0.0, 0.0, 0.0])])
@@ -137,17 +147,19 @@ class TestKernel:
         with pytest.raises(AssemblyError, match="coincident"):
             assemble_system(mesh, 1.0)
 
-    def test_empty_mesh_rejected(self):
+    def test_empty_mesh_rejected(self, no_assembly_pool):
         mesh = PanelMesh(np.zeros((0, 4, 3)), np.zeros(0, dtype=np.int64), [])
         with pytest.raises(AssemblyError):
             assemble_system(mesh, 1.0)
 
-    def test_jobs_bitwise_deterministic(self, monkeypatch):
-        """Bitwise equal for any column chunk size."""
+    def test_bitwise_equal_for_any_chunk_size_and_worker_count(self, monkeypatch):
         mesh = mesh_device(build_reference_device(), 16.0)
         a1 = assemble_system(mesh, 6.0)
-        monkeypatch.setattr(kernels, "BLOCK_PANELS", 100)
-        assert np.array_equal(a1, assemble_system(mesh, 6.0))
+        for block_panels in (kernels.BLOCK_PANELS, 100):
+            monkeypatch.setattr(kernels, "BLOCK_PANELS", block_panels)
+            for workers in (1, 2):
+                monkeypatch.setattr(kernels, "worker_count", lambda: workers)
+                assert np.array_equal(a1, assemble_system(mesh, 6.0)), (block_panels, workers)
 
 
 def mp_panel_integral(mpmath, corner, far_corner, point):
@@ -312,6 +324,81 @@ class TestSharedNodeKernel:
         monkeypatch.setattr(solve_module, "assemble_system", loop_assemble)
         want = solve_dense(mesh, 6.0, roles=spec.roles)
         assert np.all(np.abs(got.entries - want.entries) <= 1e-9 * np.abs(want.entries))
+
+
+def chunk_loop_assembly(mesh, epsilon_r):
+    """Reference for assemble_system: potential_block over each column chunk in turn."""
+    n, size = mesh.n_panels, kernels.BLOCK_PANELS
+    return np.hstack([potential_block(mesh, mesh.centroids, np.arange(s, min(s + size, n)),
+                                      epsilon_r) for s in range(0, n, size)])
+
+
+ASSEMBLY_MESHES = {
+    "reference_h16": lambda: mesh_device(build_reference_device(), 16.0),  # 5 chunks
+    "generated0_h10": lambda: mesh_device(random_device(np.random.default_rng(0)), 10.0),
+    "generated4_h10": lambda: mesh_device(random_device(np.random.default_rng(4)), 10.0),
+    "under_one_chunk": lambda: mesh_device(random_device(np.random.default_rng(1)), 16.0),
+}
+
+
+class TestThreadedAssembly:
+    """assemble_system's pool against the serial chunk loop, and how the pool ends."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_MESHES))
+    def test_equals_serial_chunk_loop(self, name, workers, monkeypatch):
+        mesh = ASSEMBLY_MESHES[name]()
+        monkeypatch.setattr(kernels, "worker_count", lambda: workers)
+        got = assemble_system(mesh, 6.0)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, chunk_loop_assembly(mesh, 6.0))
+
+    def test_every_chunk_filled_once_under_contention(self, monkeypatch):
+        """Eight threads on small chunks, switching every microsecond."""
+        mesh = ASSEMBLY_MESHES["reference_h16"]()
+        monkeypatch.setattr(kernels, "BLOCK_PANELS", 16)
+        want = chunk_loop_assembly(mesh, 6.0)
+        starts = []
+        fill = kernels._fill_block
+
+        def counted(mesh, targets, source_idx, epsilon_r, out):
+            starts.append(int(source_idx[0]))
+            fill(mesh, targets, source_idx, epsilon_r, out)
+
+        monkeypatch.setattr(kernels, "_fill_block", counted)
+        monkeypatch.setattr(kernels, "worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = assemble_system(mesh, 6.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(starts) == list(range(0, mesh.n_panels, 16))
+        assert np.array_equal(got, want)
+
+    def test_error_in_a_chunk_reaches_the_caller_and_ends_the_pool(self, monkeypatch):
+        mesh = ASSEMBLY_MESHES["reference_h16"]()
+        monkeypatch.setattr(kernels, "BLOCK_PANELS", 32)
+        chunks = len(range(0, mesh.n_panels, 32))
+        calls = []
+        lock = threading.Lock()
+        fill = kernels._fill_block
+
+        def second_fails(*args):
+            with lock:
+                calls.append(args[2][0])
+                k = len(calls)
+            if k == 2:
+                raise MemoryError("chunk 2")
+            fill(*args)
+
+        monkeypatch.setattr(kernels, "_fill_block", second_fails)
+        monkeypatch.setattr(kernels, "worker_count", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="chunk 2"):
+            assemble_system(mesh, 6.0)
+        assert threading.active_count() == threads
+        assert len(calls) < chunks  # the chunks left after the error are not filled
 
 
 FAR_FIELD_MESHES = {

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dqdcap.capsolve import kernels
 from dqdcap.cli import parse_range, run
 from dqdcap.geometry import dumps_device
+from test_analysis import DOTS_ONLY
 from test_geometry import random_device
 
 pytestmark = pytest.mark.usefixtures("workdir")
@@ -146,6 +148,25 @@ def test_artifacts_do_not_depend_on_jobs(workdir, argv):
     for jobs in ("1", "2"):
         assert run([arg.format(f"jobs{jobs}.out") for arg in argv] + ["--jobs", jobs]) == 0
     assert (workdir / "jobs1.out").read_bytes() == (workdir / "jobs2.out").read_bytes()
+
+
+def test_dots_only_sweep_assembles_each_cell_on_one_thread(workdir, monkeypatch):
+    """With nothing but the dots, every cell assembles inside the cell pool, on one thread."""
+    (workdir / "dots.json").write_text(json.dumps(DOTS_ONLY))
+    counts = []
+    worker_count = kernels.worker_count
+
+    def recorded():
+        n = worker_count()
+        counts.append(n)
+        return n
+
+    monkeypatch.setattr(kernels, "worker_count", recorded)
+    for jobs in ("1", "2"):
+        assert run(["sweep-misalign", "--geometry", "dots.json", "--out", f"jobs{jobs}.csv",
+                    "--dx", "-10:10:10", "--dy", "0", "--h-max", "10", "--jobs", jobs]) == 0
+    assert counts == [1] * 6
+    assert (workdir / "jobs1.csv").read_bytes() == (workdir / "jobs2.csv").read_bytes()
 
 
 MANIFEST_KEYS = ["command", "inputs", "options", "version", "wall_time_s", "outputs"]
