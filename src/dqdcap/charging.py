@@ -258,143 +258,19 @@ def stable_config(caps: ModelCaps, v_sl: float, v_sr: float) -> int:
     return int(integer_minimizer((ws @ qt) / (Q_E * (ws @ s))))
 
 
-def _affine_root(f, t_lo, t_hi):
-    """Root of an affine f on [t_lo, t_hi]: one secant step through the ends."""
-    f_lo, f_hi = f(t_lo), f(t_hi)
-    if f_lo == 0.0:
-        return t_lo
-    if f_hi == 0.0:
-        return t_hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise ChargingError("no sign change on the bias segment")
-    return t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
+def delta_q(caps: ModelCaps) -> float:
+    """Fractional SET1 induced-charge shift caused by one d1 -> d2 transfer.
 
-
-def degeneracy_bias(caps: ModelCaps, ray, x: int) -> float:
-    """Root t* of E_x = E_{x+1} along the segment bias0 + t * direction, t in [0, 1].
-
-    The energy difference is affine along any bias segment, so the secant
-    through the segment ends is the exact root, to rounding.
-    """
-    bias0, direction = ray
-    d = np.asarray(direction.vector if isinstance(direction, Bias) else direction, dtype=float)
-    b0 = np.asarray(bias0.vector)
-    if not d.any():
-        raise ChargingError("degeneracy ray has zero direction")
-
-    def f(t):
-        b = Bias(*(b0 + t * d))
-        return config_energy(caps, b, x) - config_energy(caps, b, x + 1)
-
-    return _affine_root(f, 0.0, 1.0)
-
-
-def _island_row(caps: ModelCaps):
-    """C^-1 e_3: the SET1-island column of the inverse 3x3 capacitance matrix."""
-    e3 = np.zeros(3)
-    e3[2] = 1.0
-    return np.linalg.solve(caps.energy_matrix(island=True), e3)
-
-
-def _best_y(caps, bias, x):
-    """Minimum-energy island configuration at fixed dot configuration x.
-
-    With a = Qtilde - q_e (-x, x, 0) the continuous minimizer is
-    e_3^T C^-1 a / (q_e (C^-1)_33), rounded with ties to the smallest |y|.
-    """
-    a = caps.gate_block(island=True) @ np.asarray(bias.vector) - Q_E * excess_vector(x, 0)
-    w = _island_row(caps)
-    return int(integer_minimizer((w @ a) / (Q_E * w[2])))
-
-
-def _transfer_points(caps, base: Bias, gate: str, x: int, v_range) -> list[float]:
-    """Sweep-gate values where the stable island charge y steps by one."""
-    lo, hi = float(v_range[0]), float(v_range[1])
-    if not hi > lo:
-        raise ChargingError("empty sweep range")
-    gi = GATES.index(gate)
-    b0 = np.asarray(base.vector)
-
-    def bias_at(v):
-        b = b0.copy()
-        b[gi] = v
-        return Bias(*b)
-
-    y_lo = _best_y(caps, bias_at(lo), x)
-    y_hi = _best_y(caps, bias_at(hi), x)
-    if y_lo == y_hi:
-        return []
-    step = 1 if y_hi > y_lo else -1
-    points = []
-    for k in range(y_lo, y_hi, step):
-        y_a, y_b = (k, k + 1) if step > 0 else (k - 1, k)
-
-        def f(v):
-            b = bias_at(v)
-            return config_energy(caps, b, x, y_a) - config_energy(caps, b, x, y_b)
-
-        points.append(_affine_root(f, lo, hi))
-    return sorted(points)
-
-
-def set_transfer_points(caps: ModelCaps, v_sl, v_sr, v_g2, x: int, vg1_range) -> list[float]:
-    """V_g1 values where the stable SET1 island charge changes by one electron.
-
-    The dot configuration [-x, x] is held fixed and SET2 is assumed
-    compensated (its bias enters through v_g2).
-    """
-    if not caps.has("i1"):
-        raise ChargingError("set_transfer_points requires an i1 island row")
-    return _transfer_points(caps, Bias(v_sl, v_sr, 0.0, v_g2), "g1", x, vg1_range)
-
-
-def _island_lever(caps: ModelCaps, gate: str):
-    """d yhat / d V_gate: how fast the continuous island minimizer moves."""
-    w = _island_row(caps)
-    g_col = caps.gate_block(island=True)[:, GATES.index(gate)]
-    return float(w @ g_col) / (Q_E * w[2])
-
-
-def delta_q_oracle(caps: ModelCaps) -> float:
-    """Electrostatic route: island induced-charge difference at fixed island potential.
-
-    One electron moves d1 -> d2; the dots float, the SET1 island is held at
-    0 V, and the gate contributions cancel in the difference.
+    One electron moves d1 -> d2 with the dots floating and the SET1 island
+    held at 0 V; the gate terms cancel in the difference.  The island charge
+    changes by c_{i,d} C_dd^-1 (1, -1) q_e, reported in units of q_e folded
+    into [0, 0.5].  By the block inverse this is the shift of the island's
+    transfer-point pattern between x = 0 and x = 1 in units of its period,
+    the route `validation.pattern_shift_delta_q` takes.
     """
     if not caps.has("i1"):
         raise ChargingError("delta_q requires an i1 island row")
     c = caps.energy_matrix(island=True)
-    dq_dots = -Q_E * (excess_vector(1) - excess_vector(0))  # physical dot charge change
-    dv = np.linalg.solve(c[:2, :2], dq_dots)
-    dq_island = c[2, :2] @ dv
-    frac = abs(dq_island) / Q_E % 1.0
+    dv = np.linalg.solve(c[:2, :2], Q_E * np.array([1.0, -1.0]))  # dot potentials
+    frac = abs(c[2, :2] @ dv) / Q_E % 1.0
     return min(frac, 1.0 - frac)
-
-
-def delta_q(caps: ModelCaps, sweep_gate: str = "g1") -> float:
-    """Fractional SET1 induced-charge shift caused by one d1 -> d2 transfer.
-
-    Measured as the shift of the island transfer-point pattern between dot
-    configurations [0, 0] and [-1, 1], in units of the pattern period, folded
-    into [0, 0.5].  Cross-checked against the electrostatic network oracle.
-    """
-    if not caps.has("i1"):
-        raise ChargingError("delta_q requires an i1 island row")
-    lever = _island_lever(caps, sweep_gate)
-    if abs(lever) <= 1e-30:
-        raise ChargingError(f"degenerate transfer period: zero {sweep_gate} island coupling")
-    half = 1.3 / abs(lever)  # window holding 2-3 transfer points
-
-    pts0 = _transfer_points(caps, Bias(), sweep_gate, 0, (-half, half))
-    pts1 = _transfer_points(caps, Bias(), sweep_gate, 1, (-half, half))
-    if len(pts0) < 2 or not pts1:
-        raise ChargingError("transfer-point window too narrow to measure a period")
-    period = float(np.median(np.diff(pts0)))
-    shift = (pts1[0] - pts0[0]) / period % 1.0
-    frac = min(shift, 1.0 - shift)
-
-    oracle = delta_q_oracle(caps)
-    if abs(frac - oracle) > 1e-6:
-        raise ChargingError(
-            f"pattern-shift delta_q {frac:.9f} disagrees with electrostatic oracle {oracle:.9f}")
-    return frac

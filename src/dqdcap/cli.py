@@ -32,10 +32,10 @@ from .analysis import (
     stability_diagram,
 )
 from .capsolve import AssemblyError, MaxwellMatrix, SolverError, solve
-from .charging import ChargingError, ModelCaps, delta_q, delta_q_oracle, reduce_caps
+from .charging import ChargingError, ModelCaps, delta_q, reduce_caps
 from .constants import MV
 from .geometry import DEFAULT_H_MAX_NM, DeviceError, load_device, mesh_device
-from .validation import run_validation
+from .validation import pattern_shift_delta_q, run_validation
 
 _RANGE_FLAGS = ("--dx", "--dy", "--r", "--window-mv", "--air-gap-nm")
 _RANGE_RE = re.compile(r"^-\d+(\.\d+)?(:-?\d+(\.\d+)?){0,2}$")
@@ -297,7 +297,7 @@ def _cmd_induced_charge(args, argv):
         _check_writable(args.out, _manifest_path(args.out))
     caps, _ = _load_caps(args.caps)
     dq = delta_q(caps)
-    result = {"delta_q_e": dq, "oracle_delta_q_e": delta_q_oracle(caps)}
+    result = {"delta_q_e": dq, "oracle_delta_q_e": pattern_shift_delta_q(caps)}
     print(f"delta_q = {_fmt(dq)} e")
     if args.out:
         _write_json(args.out, result)

@@ -1,4 +1,5 @@
-"""Built-in oracle checks behind the `validate` subcommand."""
+"""Oracles for the closed forms in `charging` (energy scans and secant steps
+through configuration energies), and the built-in checks behind `validate`."""
 
 from __future__ import annotations
 
@@ -7,13 +8,15 @@ import numpy as np
 from .analysis import coulomb_period, transfer_metrics
 from .capsolve import solve
 from .charging import (
+    GATES,
     Bias,
+    ChargingError,
     ModelCaps,
     compensate,
     config_energy,
-    degeneracy_bias,
     delta_q,
-    delta_q_oracle,
+    excess_vector,
+    integer_minimizer,
     stable_config,
 )
 from .constants import AF, EPS0, NM, Q_E
@@ -52,6 +55,117 @@ def brute_force_stable_config(caps, v_sl, v_sr, half=10):
         if abs(best[2]) < half:
             return best[2]
         half *= 2
+
+
+def _affine_root(f, t_lo, t_hi):
+    """Root of an affine f on [t_lo, t_hi]: one secant step through the ends."""
+    f_lo, f_hi = f(t_lo), f(t_hi)
+    if f_lo == 0.0:
+        return t_lo
+    if f_hi == 0.0:
+        return t_hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise ChargingError("no sign change on the bias segment")
+    return t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
+
+
+def degeneracy_bias(caps: ModelCaps, ray, x: int) -> float:
+    """Root t* of E_x = E_{x+1} along the segment bias0 + t * direction, t in [0, 1].
+
+    The energy difference is affine along any bias segment, so the secant
+    through the segment ends is the exact root, to rounding.
+    """
+    bias0, direction = ray
+    d = np.asarray(direction.vector if isinstance(direction, Bias) else direction, dtype=float)
+    b0 = np.asarray(bias0.vector)
+    if not d.any():
+        raise ChargingError("degeneracy ray has zero direction")
+
+    def f(t):
+        b = Bias(*(b0 + t * d))
+        return config_energy(caps, b, x) - config_energy(caps, b, x + 1)
+
+    return _affine_root(f, 0.0, 1.0)
+
+
+def _island_row(caps: ModelCaps):
+    """C^-1 e_3: the SET1-island column of the inverse 3x3 capacitance matrix."""
+    return np.linalg.solve(caps.energy_matrix(island=True), np.eye(3)[2])
+
+
+def _best_y(caps, bias, x):
+    """Minimum-energy island configuration at fixed dot configuration x.
+
+    With a = Qtilde - q_e (-x, x, 0) the continuous minimizer is
+    e_3^T C^-1 a / (q_e (C^-1)_33), rounded with ties to the smallest |y|.
+    """
+    a = caps.gate_block(island=True) @ np.asarray(bias.vector) - Q_E * excess_vector(x, 0)
+    w = _island_row(caps)
+    return int(integer_minimizer((w @ a) / (Q_E * w[2])))
+
+
+def _transfer_points(caps, base: Bias, gate: str, x: int, v_range) -> list[float]:
+    """Sweep-gate values where the stable island charge y steps by one."""
+    lo, hi = float(v_range[0]), float(v_range[1])
+    if not hi > lo:
+        raise ChargingError("empty sweep range")
+    gi = GATES.index(gate)
+    b0 = np.asarray(base.vector)
+
+    def bias_at(v):
+        b = b0.copy()
+        b[gi] = v
+        return Bias(*b)
+
+    y_lo = _best_y(caps, bias_at(lo), x)
+    y_hi = _best_y(caps, bias_at(hi), x)
+    if y_lo == y_hi:
+        return []
+    step = 1 if y_hi > y_lo else -1
+    points = []
+    for k in range(y_lo, y_hi, step):
+        y_a, y_b = (k, k + 1) if step > 0 else (k - 1, k)
+
+        def f(v):
+            b = bias_at(v)
+            return config_energy(caps, b, x, y_a) - config_energy(caps, b, x, y_b)
+
+        points.append(_affine_root(f, lo, hi))
+    return sorted(points)
+
+
+def set_transfer_points(caps: ModelCaps, v_sl, v_sr, v_g2, x: int, vg1_range) -> list[float]:
+    """V_g1 values where the stable SET1 island charge changes by one electron.
+
+    The dot configuration [-x, x] is held fixed and SET2 is assumed
+    compensated (its bias enters through v_g2).
+    """
+    if not caps.has("i1"):
+        raise ChargingError("set_transfer_points requires an i1 island row")
+    return _transfer_points(caps, Bias(v_sl, v_sr, 0.0, v_g2), "g1", x, vg1_range)
+
+
+def pattern_shift_delta_q(caps: ModelCaps, sweep_gate: str = "g1") -> float:
+    """delta_q as the shift of the SET1 transfer-point pattern, the oracle for `delta_q`.
+
+    The island transfer points along the sweep gate are found for dot
+    configurations [0, 0] and [-1, 1]; their shift, in units of the pattern
+    period, is folded into [0, 0.5].
+    """
+    w = _island_row(caps)
+    g_col = caps.gate_block(island=True)[:, GATES.index(sweep_gate)]
+    lever = float(w @ g_col) / (Q_E * w[2])  # d yhat / d V_gate
+    if abs(lever) <= 1e-30:
+        raise ChargingError(f"degenerate transfer period: zero {sweep_gate} island coupling")
+    half = 1.3 / abs(lever)  # window holding 2-3 transfer points
+
+    pts0 = _transfer_points(caps, Bias(), sweep_gate, 0, (-half, half))
+    pts1 = _transfer_points(caps, Bias(), sweep_gate, 1, (-half, half))
+    if len(pts0) < 2 or not pts1:
+        raise ChargingError("transfer-point window too narrow to measure a period")
+    period = float(np.median(np.diff(pts0)))
+    shift = (pts1[0] - pts0[0]) / period % 1.0
+    return min(shift, 1.0 - shift)
 
 
 def run_validation(rng_seed=20240817):
@@ -109,11 +223,12 @@ def run_validation(rng_seed=20240817):
             break
     check("stable config vs brute force", agree)
 
-    # delta q dual route
-    caps = random_model_caps(np.random.default_rng(rng_seed + 1))
-    dq = delta_q(caps)
-    check("delta q pattern vs electrostatic oracle",
-          abs(dq - delta_q_oracle(caps)) < 1e-6, f"delta_q {dq:.4f} e")
+    # delta q closed form vs the transfer-point pattern shift
+    rng = np.random.default_rng(rng_seed + 1)
+    worst = max(abs(delta_q(caps) - pattern_shift_delta_q(caps))
+                for caps in (random_model_caps(rng) for _ in range(5)))
+    check("delta q closed form vs transfer-point pattern", worst < 1e-12,
+          f"max |diff| {worst:.1e} e over 5 draws")
 
     # metric arithmetic
     th_a, _ = transfer_metrics(2.0, 3.7, 1.0)

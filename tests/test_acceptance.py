@@ -18,16 +18,19 @@ from dqdcap.charging import (
     ModelCaps,
     compensate,
     config_energy,
-    degeneracy_bias,
     delta_q,
-    delta_q_oracle,
     reduce_caps,
 )
 from dqdcap.cli import run as cli_run
 from dqdcap.constants import AF, EPS0, MV, NM
 from dqdcap.geometry import mesh_device, sphere_mesh, transform_dots
 from dqdcap.reference import build_reference_device
-from dqdcap.validation import brute_force_stable_config, random_model_caps
+from dqdcap.validation import (
+    brute_force_stable_config,
+    degeneracy_bias,
+    pattern_shift_delta_q,
+    random_model_caps,
+)
 from dqdcap.charging import stable_config
 
 H_REF = 10.0
@@ -212,7 +215,7 @@ def test_criterion_8_oracle_equivalence():
 
     for _ in range(25):
         caps = random_model_caps(rng, island=True)
-        if abs(delta_q(caps) - delta_q_oracle(caps)) > 1e-6:
+        if abs(delta_q(caps) - pattern_shift_delta_q(caps)) > 1e-6:
             dq_ok = False
 
     ok = stable_ok and degeneracy_ok and dq_ok
@@ -225,9 +228,9 @@ def test_criterion_9_invariances(caps_ref, full_sweep):
                        caps_ref.gates * np.where(
                            (np.arange(caps_ref.gates.shape[1]) == 2)[None, :]
                            & (np.array(caps_ref.targets) == "i1")[:, None], 10.0, 1.0))
-    dq_scale = abs(delta_q(caps10) - delta_q(caps_ref))
-    dq_gates = max(abs(delta_q(caps_ref, g) - delta_q(caps_ref, "g1"))
-                   for g in ("SL", "SR"))
+    dq_scale = abs(pattern_shift_delta_q(caps10) - delta_q(caps_ref))
+    dq_gates = max(abs(pattern_shift_delta_q(caps_ref, g) - delta_q(caps_ref))
+                   for g in ("SL", "SR", "g1"))
     theta_sum_exact = all(
         transfer_metrics(a, b, 1.0)[0] + transfer_metrics(b, a, 1.0)[0] == 90.0
         for a, b in ((1.0, 7.3), (0.02, 0.011), (5.5, 5.5)))

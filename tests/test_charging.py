@@ -8,20 +8,24 @@ from dqdcap.charging import (
     Bias,
     ChargingError,
     ModelCaps,
-    _affine_root,
-    _best_y,
     compensate,
     config_energy,
-    degeneracy_bias,
     delta_q,
-    delta_q_oracle,
     integer_minimizer,
     reduce_caps,
-    set_transfer_points,
     stable_config,
 )
+from dqdcap.cli import _fmt
 from dqdcap.constants import AF, Q_E
-from dqdcap.validation import brute_force_stable_config, random_model_caps
+from dqdcap.validation import (
+    _affine_root,
+    _best_y,
+    brute_force_stable_config,
+    degeneracy_bias,
+    pattern_shift_delta_q,
+    random_model_caps,
+    set_transfer_points,
+)
 
 
 def toy_caps():
@@ -356,18 +360,29 @@ class TestTransferPoints:
 
 
 class TestDeltaQ:
+    """The closed form against the transfer-point pattern oracle."""
+
     def test_equal_coupling_is_invisible(self):
         caps = island_caps(c_d1i1=1.0, c_d2i1=1.0)
-        assert delta_q_oracle(caps) < 1e-12
+        assert delta_q(caps) < 1e-12
+        assert pattern_shift_delta_q(caps) < 1e-12
 
     def test_matches_oracle(self):
         caps = island_caps()
-        assert abs(delta_q(caps) - delta_q_oracle(caps)) < 1e-9
+        assert abs(delta_q(caps) - pattern_shift_delta_q(caps)) < 1e-12
+
+    def test_shift_beyond_half_a_charge_folds(self):
+        # island coupled mostly to d1: one transfer moves (15 - 0.4) / 22 e of
+        # island charge, which folds to 1 - 14.6 / 22
+        caps = island_caps(c_d1i1=15.0)
+        assert delta_q(caps) == pytest.approx(1.0 - 14.6 / 22.0, rel=1e-12)
+        assert abs(delta_q(caps) - pattern_shift_delta_q(caps)) < 1e-12
 
     def test_invariant_under_g1_scaling(self):
-        a = delta_q(island_caps(g1i1=5.0))
-        b = delta_q(island_caps(g1i1=50.0))
-        assert abs(a - b) < 1e-9
+        a = pattern_shift_delta_q(island_caps(g1i1=5.0))
+        b = pattern_shift_delta_q(island_caps(g1i1=50.0))
+        assert abs(a - b) < 1e-12
+        assert abs(a - delta_q(island_caps(g1i1=50.0))) < 1e-12
 
     def test_g1_scaling_divides_period(self):
         pts1 = set_transfer_points(island_caps(g1i1=5.0), 0, 0, 0, 0, (-0.3, 0.3))
@@ -377,19 +392,27 @@ class TestDeltaQ:
 
     def test_identical_across_sweep_gates(self):
         caps = island_caps()
-        base = delta_q(caps, "g1")
-        for gate in ("SL", "SR"):
-            assert abs(delta_q(caps, gate) - base) < 1e-6
+        for gate in ("SL", "SR", "g1"):
+            assert abs(pattern_shift_delta_q(caps, gate) - delta_q(caps)) < 1e-12
 
     def test_degenerate_period_rejected(self):
+        # only the pattern route needs a transfer period; delta q itself does
+        # not depend on C_g1i1
         with pytest.raises(ChargingError, match="period"):
-            delta_q(island_caps(g1i1=0.0))
+            pattern_shift_delta_q(island_caps(g1i1=0.0))
+        assert delta_q(island_caps(g1i1=0.0)) == delta_q(island_caps(g1i1=5.0))
 
     def test_randomized_dual_route(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
+        for _ in range(2000):
             caps = random_model_caps(rng)
-            assert abs(delta_q(caps) - delta_q_oracle(caps)) < 1e-6
+            closed, pattern = delta_q(caps), pattern_shift_delta_q(caps)
+            assert abs(closed - pattern) <= 1e-12
+            assert _fmt(closed) == _fmt(pattern)
+
+    def test_requires_island(self):
+        with pytest.raises(ChargingError, match="i1 island row"):
+            delta_q(toy_caps())
 
 
 class TestModelCapsSerialization:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from dqdcap.capsolve import kernels
-from dqdcap.cli import parse_range, run
+from dqdcap.cli import _fmt, parse_range, run
 from dqdcap.geometry import dumps_device
+from dqdcap.validation import pattern_shift_delta_q
 from test_analysis import DOTS_ONLY
+from test_charging import island_caps
 from test_geometry import random_device
 
 pytestmark = pytest.mark.usefixtures("workdir")
@@ -314,6 +316,9 @@ BAD_MODEL_CAPS = {
       for case in BAD_MODEL_CAPS
       for command, out in (("stability", ["--out-prefix", "diag"]),
                            ("induced-charge", ["--out", "dq.json"]))],
+    # delta q needs no transfer period, but the pattern oracle written beside it does
+    (["induced-charge", "--caps", "no_g1i1.json", "--out", "dq.json"], 1,
+     "zero g1 island coupling"),
     (["extract", "--geometry", "a_dir", "--out", "caps.json"], 1, "cannot read a_dir"),
     (["stability", "--caps", "a_dir", "--out-prefix", "diag"], 1, "cannot read a_dir"),
     (["extract", "--geometry", "latin1.json", "--out", "caps.json"], 1,
@@ -332,8 +337,8 @@ BAD_MODEL_CAPS = {
         *[f"device-{case}" for case in BAD_DEVICE_FIELDS],
         *[f"{command}-model-caps-{case}" for case in BAD_MODEL_CAPS
           for command in ("stability", "induced-charge")],
-        "extract-geometry-is-dir", "stability-caps-is-dir", "extract-geometry-not-utf8",
-        "compare-measured-not-utf8"])
+        "induced-charge-no-transfer-period", "extract-geometry-is-dir",
+        "stability-caps-is-dir", "extract-geometry-not-utf8", "compare-measured-not-utf8"])
 def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
@@ -350,6 +355,7 @@ def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
         (workdir / f"device_{case}.json").write_text(json.dumps({**device, **edit}))
     for case, caps in BAD_MODEL_CAPS.items():
         (workdir / f"model_{case}.json").write_text(json.dumps(caps))
+    (workdir / "no_g1i1.json").write_text(json.dumps(island_caps(g1i1=0.0).to_json()))
     (workdir / "a_dir").mkdir()
     (workdir / "latin1.json").write_bytes('{"name": "Fl\u00e4che"}'.encode("latin-1"))
     before = set(workdir.iterdir())
@@ -370,15 +376,36 @@ def test_sweeps_take_no_grid_flag(workdir, capsys, argv):
 
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+BENCH_SWEEP = ["sweep-misalign", "--geometry", str(BENCH_DATA / "reference_device.json"),
+               "--out", "sweep.csv", "--dx", "-90:90:30", "--dy", "-50:50:50",
+               "--mode", "dense", "--h-max", "16", "--jobs", "2"]
 
 
 def test_sweep_csv_matches_bench_reference(workdir):
     """The bench's seed-0 sweep (bench/workloads.py) reproduces its committed CSV byte for byte."""
-    assert run(["sweep-misalign", "--geometry", str(BENCH_DATA / "reference_device.json"),
-                "--out", "sweep.csv", "--dx", "-90:90:30", "--dy", "-50:50:50",
-                "--mode", "dense", "--h-max", "16", "--jobs", "2"]) == 0
+    assert run(BENCH_SWEEP) == 0
     want = (BENCH_DATA / "ref_sweep_misalign_h16.csv").read_bytes()
     assert (workdir / "sweep.csv").read_bytes() == want
+
+
+def test_delta_q_matches_pattern_oracle_on_bench_grid(workdir, monkeypatch):
+    """On every cell of the bench sweep, closed-form delta q equals the transfer-point pattern."""
+    from dqdcap import analysis
+
+    closed_form = analysis.delta_q
+    cells = []
+
+    def recording(caps):
+        cells.append(caps)
+        return closed_form(caps)
+
+    monkeypatch.setattr(analysis, "delta_q", recording)
+    assert run(BENCH_SWEEP) == 0
+    assert len(cells) == 21
+    for caps in cells:
+        dq, oracle = closed_form(caps), pattern_shift_delta_q(caps)
+        assert abs(dq - oracle) <= 1e-12
+        assert _fmt(dq) == _fmt(oracle)
 
 
 def test_failed_write_leaves_no_partial_file(workdir, monkeypatch):
