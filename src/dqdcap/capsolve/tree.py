@@ -5,12 +5,18 @@ r_source + r_target < MAC_RATIO * (distance between centers).  The block of
 all far targets of one source node against its panels is approximated by
 adaptive cross approximation with partial pivoting (ACA; Bebendorf 2000): a
 sum of rank-one terms, each a row and a column of the collocation matrix
-minus the terms before it.  A source node of at most WHOLE_BLOCK_PANELS
-panels keeps its block whole instead.  A row or column of the block whose
-entries all lie at least SERIES_DIAGONALS panel diagonals from their panels
-comes from each panel's order-4 moment series, within 6e-7 of the panel
-integral and without the corner sum's cancellation at distance; any other
-comes from potential_block, the corner sum of the exact near field.
+minus the terms before it.  The partial pivoting overshoots the rank the
+tolerance needs, so each cross approximation is then recompressed
+(Bebendorf 2008; Grasedyck 2005): an SVD of its k x k core, from the Gram
+matrices of its two factors, drops the trailing singular values whose
+Frobenius norm is at most ACA_TOL x the block's.  At h = 5 on the reference
+device that keeps 3 896 of 6 250 ranks.  A source node of at most
+WHOLE_BLOCK_PANELS panels keeps its block whole instead.  A row or column
+of the block whose entries all lie at least SERIES_DIAGONALS panel
+diagonals from their panels comes from each panel's order-4 moment series,
+within 6e-7 of the panel integral and without the corner sum's
+cancellation at distance; any other comes from potential_block, the corner
+sum of the exact near field.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from scipy import sparse
 from ..constants import EPS0
 from .kernels import panel_frames, potential_block
 
-ACA_TOL = 1e-4  # a rank-one term is small below ACA_TOL x the block's Frobenius norm
+# a rank-one term is small below ACA_TOL x the block's Frobenius norm, and the
+# recompression drops trailing singular values whose norm is at most that
+ACA_TOL = 1e-4
 ACA_SMALL_STEPS = 2  # stop after this many small terms in a row; one alone is not robust
 SLAB_VALUES = 1 << 20  # U values per shared allocation of the far field (4 MB)
 # U is accurate to ACA_TOL only, so it is stored in float32: rounding it moves each
@@ -38,8 +46,8 @@ SERIES_DIAGONALS = 4.0
 # whole.  At h = 5 on the reference device the ACA reaches full rank on every such
 # node of up to 8 panels, and rank 11.0 on 11.8 panels for 9 to 16, so its steps
 # save almost no values.  It truly truncates larger leaves (rank 14 to 16 for 20 to
-# 30 panels): keeping those whole too adds 5-8% far values at h = 5, and the small
-# g1-g2 mutual at h = 16 then reads 2.2e-3 (24) or 2.9e-3 (32) from dense, not 6.6e-4.
+# 30 panels): keeping those whole too adds 5-8% far values at h = 5 (all measured
+# before the ACA was recompressed).
 WHOLE_BLOCK_PANELS = LEAF_SIZE // 2
 
 
@@ -208,6 +216,36 @@ def _cross_approximation(row, col, n_rows, n_cols):
     return U[:k], V[:k]
 
 
+def _recompress(U, V):
+    """U.T @ V truncated to its ACA_TOL rank: (U, V) with fewer rows, or the same ones.
+
+    With the Gram matrices U U.T = P diag(a) P.T and V V.T = Q diag(b) Q.T,
+    U.T = (U.T P a^-1/2)(a^1/2 P.T) and V.T likewise, each first factor
+    with orthonormal columns, so the SVD W S Z.T of the k x k core
+    a^1/2 P.T Q b^1/2 gives the block's singular values S.  The trailing
+    ones are dropped while the Frobenius norm of the dropped tail is at most
+    ACA_TOL times the block's, ||S||.  The new U carries S, and the new V
+    has orthonormal rows.  Gram eigenvalues below k eps of the largest are
+    rounding, and their directions are left out.  When no rank is dropped,
+    k <= 1 included, U and V come back unchanged.
+    """
+    k = len(U)
+    if k <= 1:
+        return U, V
+    factors = []
+    for X in (U, V):
+        w, E = np.linalg.eigh(X @ X.T)  # ascending
+        keep = w > k * np.finfo(float).eps * w[-1]
+        factors.append((E[:, keep], np.sqrt(w[keep])))
+    (P, ra), (Q, rb) = factors  # ra = a^1/2, rb = b^1/2
+    W, S, Zt = np.linalg.svd(ra[:, None] * (P.T @ Q) * rb, full_matrices=False)
+    tail = np.sqrt(np.cumsum(S[::-1] ** 2))[::-1]  # tail[r]: the norm of S[r:]
+    r = int(np.count_nonzero(tail > ACA_TOL * tail[:1]))  # tail[0] is ||S||
+    if r == k:
+        return U, V
+    return ((P / ra) @ (W[:, :r] * S[:r])).T @ U, ((Q / rb) @ Zt[:r].T).T @ V
+
+
 def by_source(leaves, lists):
     """Invert per-target-leaf node lists: [(source node, its target leaves)].
 
@@ -345,8 +383,9 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
     Each source node admitted by some target leaf gets one block of its far
     targets against its subtree panels.  A node of at most
     WHOLE_BLOCK_PANELS panels keeps the whole block, its columns its panels;
-    a larger one gets a cross approximation U.T @ V, V filling rows of M and
-    U staying with its node in the FarField.  A row or column of the block
+    a larger one gets a cross approximation U.T @ V, recompressed to its
+    ACA_TOL rank (_recompress) before V fills rows of M and U stays with its
+    node in the FarField.  A row or column of the block
     comes from the panels' moment series when each of its entries is at
     least SERIES_DIAGONALS panel diagonals from its panel's centre, and
     from potential_block otherwise.
@@ -393,7 +432,7 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
             U = _whole_block(mesh, idx, tidx, epsilon_r, K, gate, fr_stack, off, tpts_t)
             cols = idx
         else:
-            U, V = _cross_approximation(row, col, len(tidx), len(idx))
+            U, V = _recompress(*_cross_approximation(row, col, len(tidx), len(idx)))
             ranks = np.arange(k, k + len(U))
             k += len(U)
             m_blocks.append((ranks, idx, V))

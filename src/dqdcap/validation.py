@@ -3,6 +3,8 @@ through configuration energies), and the built-in checks behind `validate`."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .analysis import coulomb_period, transfer_metrics
@@ -164,6 +166,9 @@ def pattern_shift_delta_q(caps: ModelCaps, sweep_gate: str = "g1") -> float:
     if len(pts0) < 2 or not pts1:
         raise ChargingError("transfer-point window too narrow to measure a period")
     period = float(np.median(np.diff(pts0)))
+    # a lever this small puts the transfer points so far out that they round together
+    if not (math.isfinite(period) and period > 0.0):
+        raise ChargingError(f"degenerate transfer period: {period!r} V along {sweep_gate}")
     shift = (pts1[0] - pts0[0]) / period % 1.0
     return min(shift, 1.0 - shift)
 

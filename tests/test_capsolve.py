@@ -598,6 +598,77 @@ class TestWholeFarBlocks:
         assert np.abs(m.entries - m_all.entries).max() <= 1e-6 * scale
 
 
+@pytest.fixture(scope="module")
+def recompressed_h16():
+    """build_far_operators on the h = 16 reference device: its FarField and M, and each
+    cross approximation (U, V) with its recompression, in source order."""
+    mesh = mesh_device(build_reference_device(), 16.0)
+    root, leaves = build_octree(mesh, LEAF_SIZE)
+    far_lists = interaction_lists(root, leaves, tree.MAC_RATIO)[0]
+    calls, recompress = [], tree._recompress
+
+    def recording_recompress(U, V):
+        calls.append(((U.copy(), V.copy()), recompress(U, V)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_recompress", recording_recompress)
+        far, mom = build_far_operators(mesh, leaves, far_lists, 6.0)
+    return far, mom, calls
+
+
+def svd_rank(block):
+    """The smallest r whose dropped singular values have a Frobenius norm of at most
+    ACA_TOL x the block's, from np.linalg.svd."""
+    s = np.linalg.svd(block, compute_uv=False)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    return int(np.count_nonzero(tail > tree.ACA_TOL * np.linalg.norm(s)))
+
+
+class TestRecompression:
+    """Each cross approximation truncated to its ACA_TOL rank, against the SVD of U.T @ V."""
+
+    def test_rank_and_block_against_svd(self, recompressed_h16):
+        *_, calls = recompressed_h16
+        assert calls
+        dropped = 0
+        for (U, V), (Ur, Vr) in calls:
+            block = U.T @ V
+            assert len(Ur) == len(Vr) == svd_rank(block) <= len(U)
+            norm = np.linalg.norm(block)
+            assert np.linalg.norm(Ur.T @ Vr - block) <= tree.ACA_TOL * norm
+            dropped += len(U) - len(Ur)
+        assert dropped > 0
+
+    def test_ranks_and_values_pinned(self, recompressed_h16):
+        """The work counters of the h = 16 far field, and no node above its ACA rank."""
+        far, mom, calls = recompressed_h16
+        assert len(calls) == 50 and mom.shape[0] == 348 and far.nnz == 377_797
+        aca = [(cols, u) for node, _, cols, u in far.sources
+               if len(tree._subtree_panels(node)) > tree.WHOLE_BLOCK_PANELS]
+        assert sum(len(cols) for cols, _ in aca) == mom.shape[0]
+        for (cols, u), ((U, _), (Ur, _)) in zip(aca, calls, strict=True):
+            assert len(cols) == len(u) == len(Ur) <= len(U)
+
+    def test_ranks_0_and_1_pass_through(self):
+        rng = np.random.default_rng(4)
+        for k in (0, 1):
+            U, V = rng.standard_normal((k, 9)), rng.standard_normal((k, 7))
+            Ur, Vr = tree._recompress(U, V)
+            assert Ur is U and Vr is V
+
+    def test_rank_deficient_u_is_finite(self):
+        """A repeated row of U makes U U.T singular; the block is still reproduced."""
+        rng = np.random.default_rng(6)
+        U, V = rng.standard_normal((5, 30)), rng.standard_normal((5, 20))
+        U[3] = U[1]
+        Ur, Vr = tree._recompress(U, V)
+        assert np.all(np.isfinite(Ur)) and np.all(np.isfinite(Vr))
+        assert len(Ur) == svd_rank(U.T @ V) == 4
+        block = U.T @ V
+        assert np.linalg.norm(Ur.T @ Vr - block) <= 1e-12 * np.linalg.norm(block)
+
+
 def norm_rule_lists(root, leaves, mac_ratio):
     """interaction_lists with the distance taken by np.linalg.norm."""
     far_lists, near_lists = [], []
@@ -694,10 +765,11 @@ def recorded_operator(mesh, eps):
     The operator drops each U once it is copied into the leaf blocks, so
     build_far_operators is wrapped to copy them first; M's (ranks, panels, V)
     blocks are recorded at its block_csr call, and the float64 U of each
-    cross approximation or whole block, in source order, as it returns.
+    recompressed cross approximation or whole block, in source order, as it
+    returns.
     """
     sources, m_calls, far_u = [], [], []
-    whole_block = tree._whole_block
+    whole_block, recompress = tree._whole_block, tree._recompress
 
     def recording_far(*args):
         far, mom = build_far_operators(*args)
@@ -709,8 +781,8 @@ def recorded_operator(mesh, eps):
         m_calls.append(blocks)
         return block_csr(blocks, shape)
 
-    def recording_aca(*args):
-        U, V = _cross_approximation(*args)
+    def recording_recompress(*args):
+        U, V = recompress(*args)
         far_u.append(U.copy())
         return U, V
 
@@ -722,7 +794,7 @@ def recorded_operator(mesh, eps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solve_module, "build_far_operators", recording_far)
         mp.setattr(tree, "block_csr", recording_block_csr)
-        mp.setattr(tree, "_cross_approximation", recording_aca)
+        mp.setattr(tree, "_recompress", recording_recompress)
         mp.setattr(tree, "_whole_block", recording_whole_block)
         op = _AcceleratedOperator(mesh, eps)
     # a whole block's columns are its panels, a cross approximation's its ranks after n

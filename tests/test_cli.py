@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from dqdcap.capsolve import kernels
+from dqdcap.charging import ModelCaps
 from dqdcap.cli import _fmt, parse_range, run
+from dqdcap.constants import AF
 from dqdcap.geometry import dumps_device
 from dqdcap.validation import pattern_shift_delta_q
 from test_analysis import DOTS_ONLY
@@ -273,6 +275,15 @@ BAD_MODEL_CAPS = {
 }
 
 
+def tiny_g1_lever_caps():
+    """Island caps with C_g1i1 = 0, g1 coupled 0.052 aF to d2 only, and d2 coupled
+    1e-9 aF to the island: g1 moves the island, but by only 1.6e-11 e per volt."""
+    caps = island_caps(c_d1i1=0.0, c_d2i1=1e-9, g1i1=0.0)
+    gates = caps.gates.copy()
+    gates[1, 2] = 0.052 * AF
+    return ModelCaps(caps.targets, caps.cmat, gates)
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (EXTRACT + ["--h-max", "0"], 2, "--h-max"),
     (["sweep-dotsize", "--geometry", "reference_device.json", "--out", "s.csv",
@@ -319,6 +330,9 @@ BAD_MODEL_CAPS = {
     # delta q needs no transfer period, but the pattern oracle written beside it does
     (["induced-charge", "--caps", "no_g1i1.json", "--out", "dq.json"], 1,
      "zero g1 island coupling"),
+    # a g1 lever of 1.6e-11 /V: the two x = 0 transfer points round to one value
+    (["induced-charge", "--caps", "tiny_g1_lever.json", "--out", "dq.json"], 1,
+     "degenerate transfer period: 0.0 V along g1"),
     (["extract", "--geometry", "a_dir", "--out", "caps.json"], 1, "cannot read a_dir"),
     (["stability", "--caps", "a_dir", "--out-prefix", "diag"], 1, "cannot read a_dir"),
     (["extract", "--geometry", "latin1.json", "--out", "caps.json"], 1,
@@ -337,7 +351,8 @@ BAD_MODEL_CAPS = {
         *[f"device-{case}" for case in BAD_DEVICE_FIELDS],
         *[f"{command}-model-caps-{case}" for case in BAD_MODEL_CAPS
           for command in ("stability", "induced-charge")],
-        "induced-charge-no-transfer-period", "extract-geometry-is-dir",
+        "induced-charge-no-transfer-period", "induced-charge-coincident-transfer-points",
+        "extract-geometry-is-dir",
         "stability-caps-is-dir", "extract-geometry-not-utf8", "compare-measured-not-utf8"])
 def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
@@ -356,6 +371,7 @@ def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     for case, caps in BAD_MODEL_CAPS.items():
         (workdir / f"model_{case}.json").write_text(json.dumps(caps))
     (workdir / "no_g1i1.json").write_text(json.dumps(island_caps(g1i1=0.0).to_json()))
+    (workdir / "tiny_g1_lever.json").write_text(json.dumps(tiny_g1_lever_caps().to_json()))
     (workdir / "a_dir").mkdir()
     (workdir / "latin1.json").write_bytes('{"name": "Fl\u00e4che"}'.encode("latin-1"))
     before = set(workdir.iterdir())
