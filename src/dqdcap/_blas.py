@@ -1,11 +1,14 @@
 """The process's numeric threads: how many cores a step may use, and BLAS on one.
 
-numpy and scipy each bundle their own threaded OpenBLAS, which by default
-runs on every core this process may use; dense assembly sizes its pool the
-same way (worker_count).  A sweep runs its cells on a thread pool of its own,
-and each cell's small solves lose more to BLAS worker threads competing for
-the same cores than they gain from them, so the cells run inside
-single_threaded_blas, where both counts are one.
+numpy bundles a threaded OpenBLAS, and so does scipy, whose copy is mapped
+only once dense mode first imports scipy.linalg; each by default runs on
+every core this process may use, and dense assembly sizes its pool the same
+way (worker_count).  A sweep runs its cells on a thread pool of its own, and
+each cell's small solves lose more to BLAS worker threads competing for the
+same cores than they gain from them, so the cells run inside
+single_threaded_blas, where every mapped library's count is one.  It pins
+only the libraries mapped when it is entered, so a dense sweep loads
+scipy.linalg before its pool starts.
 """
 
 import ctypes

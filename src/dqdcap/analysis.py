@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import single_threaded_blas
-from .capsolve import AssemblyError, DenseFactor, SolverError, solve
+from .capsolve import AssemblyError, DenseFactor, SolverError, dense_linalg, solve
 from .charging import (
     ChargingError,
     ModelCaps,
@@ -253,9 +253,13 @@ def _cell_solver(spec, mode, h_max_nm):
     for its dot panels only (DenseFactor.maxwell).  A static block that
     cannot be factored fails every cell with its reason.  The accelerated
     mode, and a device with nothing but the dots, solve every cell in full.
+    Dense mode loads scipy.linalg here, before the cell pool, so that
+    single_threaded_blas finds its OpenBLAS mapped and pins it too.
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
+    if mode == "dense":
+        dense_linalg()
     if mode != "dense" or not static.boxes:
         return lambda mesh, roles: solve(mesh, mode, spec.epsilon_r, roles=roles)
     try:

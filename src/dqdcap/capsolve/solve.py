@@ -6,13 +6,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, sparse
 
 from ..constants import AF, OFFDIAG_TOL
 from . import tree
 from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
 from .tree import (
-    FAR_DTYPE, LEAF_SIZE, block_csr, build_far_operators, build_octree, by_source, index_type,
+    FAR_DTYPE, LEAF_SIZE, build_far_operators, build_octree, by_source, index_type,
     interaction_lists, mapped_zeros,
 )
 
@@ -95,13 +94,31 @@ def _solver_info(mode, n_panels, **extra):
 
 
 def _conductor_rhs(mesh):
-    n, nc = mesh.n_panels, mesh.n_cond
-    rhs = np.zeros((n, nc))
+    """One right-hand side per conductor: 1 V on its panels, 0 on the others."""
+    n = mesh.n_panels
+    rhs = np.zeros((n, mesh.n_cond))
     rhs[np.arange(n), mesh.cond_ids] = 1.0
-    agg = sparse.csr_matrix(
-        (np.ones(n), (mesh.cond_ids, np.arange(n))), shape=(nc, n)
-    )
-    return rhs, agg
+    return rhs
+
+
+def _conductor_charges(mesh, x):
+    """Each conductor's total charge: the rows of x summed per conductor, in panel order."""
+    charges = np.zeros((mesh.n_cond,) + x.shape[1:])
+    np.add.at(charges, mesh.cond_ids, x)
+    return charges
+
+
+def dense_linalg():
+    """scipy.linalg, imported on its first use: only dense mode's LU needs scipy.
+
+    Accelerated mode and the commands that only read caps never load it,
+    which saves a fresh process the import's time and memory.  Importing it
+    also maps scipy's own OpenBLAS, and single_threaded_blas pins only the
+    libraries already mapped, so a dense sweep calls this before its pool.
+    """
+    from scipy import linalg
+
+    return linalg
 
 
 def _check_dense_size(mesh):
@@ -114,6 +131,7 @@ def _check_dense_size(mesh):
 
 def _lu(a):
     """LU-factor a in place and reject it when it is ill-conditioned; returns (lu, piv, rcond)."""
+    linalg = dense_linalg()
     anorm = linalg.lapack.dlange("1", a)
     lu, piv = linalg.lu_factor(a, overwrite_a=True)
     rcond, info = linalg.lapack.dgecon(lu, anorm, norm="1")
@@ -125,7 +143,7 @@ def _lu(a):
 def _lu_solve(lu, piv, b):
     # LAPACK getrs shifts piv in place while it runs, so concurrent solves on
     # one factor would see a half-shifted pivot vector: each call gets a copy
-    return linalg.lu_solve((lu, piv.copy()), b)
+    return dense_linalg().lu_solve((lu, piv.copy()), b)
 
 
 class DenseFactor:
@@ -149,7 +167,7 @@ class DenseFactor:
         self.lu, self.piv, self.rcond = _lu(A)
         self.mesh = mesh
         self.epsilon_r = epsilon_r
-        self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh)[0])
+        self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh))
 
     def maxwell(self, mesh, roles=None) -> MaxwellMatrix:
         _check_dense_size(mesh)
@@ -165,7 +183,7 @@ class DenseFactor:
             raise SolverError("the mesh's static panels differ from the factored static block")
         centroids = mesh.centroids
         check_distinct_centroids(centroids)
-        rhs, agg = _conductor_rhs(mesh)
+        rhs = _conductor_rhs(mesh)
         z = np.zeros((len(s_idx), mesh.n_cond))
         z[:, remap] = self.z
         info_d = _solver_info("dense", mesh.n_panels, rcond=self.rcond)
@@ -177,10 +195,10 @@ class DenseFactor:
             y = _lu_solve(self.lu, self.piv, a_sd)
             s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
-            x[d_idx] = linalg.lu_solve((lu_s, piv_s), rhs[d_idx] - a_ds @ z)
+            x[d_idx] = dense_linalg().lu_solve((lu_s, piv_s), rhs[d_idx] - a_ds @ z)
             z = z - y @ x[d_idx]
         x[s_idx] = z
-        return _finalize(agg @ x, names, info_d, roles)
+        return _finalize(_conductor_charges(mesh, x), names, info_d, roles)
 
 
 def solve_dense(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
@@ -245,11 +263,11 @@ class _AcceleratedOperator:
             cols = np.concatenate(far_cols + near_cols, dtype=index)
             self.blocks.append((leaf.panels, cols, f, b))
         # the block-diagonal preconditioner inverts the self blocks
-        inverses = []
+        self_blocks = []
         for leaf, (_, _, _, b) in zip(leaves, self.blocks):
             c = diagonal[leaf]
-            inverses.append((leaf.panels, leaf.panels, np.linalg.inv(b[:, c:c + len(b)])))
-        self.precond = block_csr(inverses, (n, n))
+            self_blocks.append((leaf.panels, b[:, c:c + len(b)]))
+        self.precond = _BlockJacobi(self_blocks)
         self.far_max = max(f.size for _, _, f, _ in self.blocks)
         self.n = n
         self.n_leaves = len(leaves)
@@ -266,6 +284,32 @@ class _AcceleratedOperator:
             up[...] = f
             y[rows] = up @ g[:k] + b @ g[k:]
         return y
+
+
+class _BlockJacobi:
+    """The block-diagonal preconditioner: each leaf's self-block inverse on its panels.
+
+    Built from (panels, self block) per leaf.  The leaves are grouped by
+    size, and each group stacks its panels (leaves x size) and inverts its
+    self blocks (leaves x size x size) in one call, so a product takes one
+    gather and one batched matmul per leaf size, bitwise inv @ q[panels]
+    leaf by leaf, for one vector or an n x p block.
+    """
+
+    def __init__(self, self_blocks):
+        by_size = {}
+        for panels, block in self_blocks:
+            by_size.setdefault(len(panels), []).append((panels, block))
+        self.groups = [(np.stack([p for p, _ in group]),
+                        np.linalg.inv(np.stack([b for _, b in group])))
+                       for group in by_size.values()]
+
+    def __matmul__(self, q):
+        out = np.empty(q.shape)
+        for rows, inverses in self.groups:
+            g = np.take(q, rows, axis=0)
+            out[rows] = inverses @ g if q.ndim > 1 else (inverses @ g[..., None])[..., 0]
+        return out
 
 
 def _leaf_blocks(leaves, widths, dtype):
@@ -374,7 +418,7 @@ def solve_accelerated(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
     if mesh.n_panels == 0:
         raise AssemblyError("empty mesh")
     op = _AcceleratedOperator(mesh, epsilon_r)
-    rhs, agg = _conductor_rhs(mesh)
+    rhs = _conductor_rhs(mesh)
     cycles = max(1, math.ceil(GMRES_ITER_CAP / GMRES_RESTART))
     tol = KRYLOV_TOL
     x, iters, res = gmres(op.matvec, lambda q: op.precond @ q, rhs, tol, GMRES_RESTART, cycles)
@@ -387,7 +431,7 @@ def solve_accelerated(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
         )
     info_d = _solver_info("accelerated", mesh.n_panels,
                           gmres_iterations=iters.tolist(), n_leaves=op.n_leaves)
-    return _finalize(agg @ x, mesh.conductor_names, info_d, roles)
+    return _finalize(_conductor_charges(mesh, x), mesh.conductor_names, info_d, roles)
 
 
 def solve(mesh, mode, epsilon_r, roles=None) -> MaxwellMatrix:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import mmap
 
 import numpy as np
-from scipy import sparse
 
 from ..constants import EPS0
 from .kernels import panel_frames, potential_block
@@ -264,26 +263,6 @@ def index_type(bound):
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-def block_csr(blocks, shape):
-    """CSR matrix from dense blocks (rows, cols, W), W[a, b] placed at (rows[a], cols[b]).
-
-    Each row lies in at most one block and keeps its block's column order.
-    """
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    for rows, cols, _ in blocks:
-        indptr[rows + 1] = len(cols)
-    nnz = int(np.cumsum(indptr, out=indptr)[-1])
-    # scipy keeps int32 indices that fit, and would copy int64 ones down to them
-    index_dtype = index_type(max(nnz, *shape))
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=index_dtype)
-    for rows, cols, w in blocks:
-        pos = indptr[rows][:, None] + np.arange(len(cols))
-        data[pos] = w
-        indices[pos] = cols
-    return sparse.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=shape)
-
-
 def mapped_zeros(values, dtype=np.float64):
     """A zeroed array in a private anonymous mapping of its own, off the heap.
 
@@ -317,6 +296,28 @@ class FarField:
     def __init__(self, sources):
         self.sources = sources
         self.nnz = sum(u.size for *_, u in sources)
+
+
+class FarRanks:
+    """M, the V side of the far field: M @ q, a k x n map from charges to ranks.
+
+    blocks holds (first rank, panels, V) for each cross approximation, in
+    source order: V (r, len(panels)) fills rows first to first + r of M at
+    the columns panels, and the blocks cover rows 0 to k once each.  The
+    product takes one V @ q[panels] per block, for one vector or an n x p
+    block.  nnz counts the V values.
+    """
+
+    def __init__(self, blocks, shape):
+        self.blocks = blocks
+        self.shape = shape
+        self.nnz = sum(v.size for *_, v in blocks)
+
+    def __matmul__(self, q):
+        out = np.empty(self.shape[:1] + q.shape[1:])
+        for first, panels, v in self.blocks:
+            out[first:first + len(v)] = v @ np.take(q, panels, axis=0)
+        return out
 
 
 def _series_forms(quads, pref):
@@ -378,14 +379,14 @@ def _whole_block(mesh, idx, tidx, epsilon_r, K, gate, fr_stack, off, tpts_t):
 
 
 def build_far_operators(mesh, leaves, far_lists, epsilon_r):
-    """Far field: (FarField, M), M sparse with one row per rank of a cross approximation.
+    """Far field: (FarField, M), M the FarRanks with one row per rank of a cross approximation.
 
     Each source node admitted by some target leaf gets one block of its far
     targets against its subtree panels.  A node of at most
     WHOLE_BLOCK_PANELS panels keeps the whole block, its columns its panels;
     a larger one gets a cross approximation U.T @ V, recompressed to its
-    ACA_TOL rank (_recompress) before V fills rows of M and U stays with its
-    node in the FarField.  A row or column of the block
+    ACA_TOL rank (_recompress), whose V is kept as one block of M and whose
+    U stays with its node in the FarField.  A row or column of the block
     comes from the panels' moment series when each of its entries is at
     least SERIES_DIAGONALS panel diagonals from its panel's centre, and
     from potential_block otherwise.
@@ -433,10 +434,10 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
             cols = idx
         else:
             U, V = _recompress(*_cross_approximation(row, col, len(tidx), len(idx)))
-            ranks = np.arange(k, k + len(U))
+            # an unchanged V is a view of the ACA's spare rows: keep an exact-size copy
+            m_blocks.append((k, idx, V if V.base is None else V.copy()))
+            cols = np.arange(n + k, n + k + len(U))
             k += len(U)
-            m_blocks.append((ranks, idx, V))
-            cols = n + ranks
         # an exact-size FAR_DTYPE copy, without the ACA's spare rows, in a shared slab
         if used + U.size > len(slab):
             slab, used = mapped_zeros(max(SLAB_VALUES, U.size), FAR_DTYPE), 0
@@ -444,4 +445,4 @@ def build_far_operators(mesh, leaves, far_lists, epsilon_r):
         u[...] = U
         used += U.size
         sources.append((node, targets, cols, u))
-    return FarField(sources), block_csr(m_blocks, (k, n))
+    return FarField(sources), FarRanks(m_blocks, (k, n))

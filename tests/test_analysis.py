@@ -2,6 +2,8 @@ import importlib
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -391,6 +393,74 @@ class TestSingleThreadedBlas:
         assert seen == {"both open": (ones, 1), "second open": (ones, 1)}
         assert _blas_counts(openblas_at_three) == [3] * len(openblas_at_three)
         assert _blas.worker_count() == len(os.sched_getaffinity(0))
+
+
+# Run in a fresh process, where scipy is not loaded yet: a dense sweep of the
+# dots-only device (argv[1]) that records each OpenBLAS's thread count when
+# the pool's single_threaded_blas block is entered, inside each cell, and
+# after the sweep.  numpy's OpenBLAS is set to 3 threads first.
+_FRESH_SWEEP = """
+import contextlib, json, sys, threading
+from dqdcap import _blas, analysis
+from dqdcap.geometry import loads_device
+
+lock = threading.Lock()
+
+def counts():
+    out = []
+    with lock:
+        for set_threads in _blas._openblas_setters():
+            n = set_threads(1)
+            set_threads(n)
+            out.append(n)
+    return out
+
+scipy_at_start = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+for set_threads in _blas._openblas_setters():
+    set_threads(3)
+entered, inside = [], []
+block, cell_metrics = analysis.single_threaded_blas, analysis._cell_metrics
+
+@contextlib.contextmanager
+def recording_block():
+    entered.append(counts())
+    with block():
+        yield
+
+def recording_cell_metrics(*args):
+    inside.append(counts())
+    return cell_metrics(*args)
+
+analysis.single_threaded_blas = recording_block
+analysis._cell_metrics = recording_cell_metrics
+sweep = analysis.misalign_sweep(loads_device(sys.argv[1]), [-10.0, 0.0, 10.0], [0.0],
+                                mode="dense", h_max_nm=16.0, jobs=2)
+print(json.dumps({"scipy_at_start": scipy_at_start, "entered": entered, "inside": inside,
+                  "after": counts(), "status": [r["status"] for r in sweep.rows]}))
+"""
+
+
+def run_fresh(code, *args, cwd=None):
+    """Run code in a fresh Python process that imports this dqdcap; its last output line as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=300, check=True, env={**os.environ, "PYTHONPATH": path})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_fresh_dense_sweep_pins_every_openblas():
+    """scipy's OpenBLAS, loaded by the first dense solve, is mapped before the pool starts,
+    so every OpenBLAS runs each cell on one thread and gets its count back after."""
+    got = run_fresh(_FRESH_SWEEP, json.dumps(DOTS_ONLY))
+    assert got["scipy_at_start"] == []
+    assert got["status"] == ["ok"] * 3
+    (entered,) = got["entered"]
+    if not entered:
+        pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+    # a library first mapped inside the pool would make each cell's list longer
+    assert 3 in entered and got["inside"] == [[1] * len(entered)] * 3
+    assert got["after"] == entered
 
 
 DOTS_ONLY = {"boxes": [

@@ -28,11 +28,16 @@ from dqdcap.capsolve import (
     solve_dense,
 )
 from dqdcap.capsolve import kernels, tree
-from dqdcap.capsolve.solve import GMRES_RESTART, _AcceleratedOperator, _conductor_rhs, gmres
+from dqdcap.capsolve.solve import (
+    GMRES_RESTART,
+    _AcceleratedOperator,
+    _conductor_charges,
+    _conductor_rhs,
+    gmres,
+)
 from dqdcap.capsolve.tree import (
     LEAF_SIZE,
     _cross_approximation,
-    block_csr,
     build_far_operators,
     build_octree,
     by_source,
@@ -430,7 +435,7 @@ class TestCrossApproximationFarField:
     def test_far_entries_match_dense(self, operator_and_dense):
         op, dense = operator_and_dense
         near, far_u = leaf_factors(op)
-        far = (far_u @ sparse.vstack([sparse.identity(op.n), op.mom_m])).toarray()
+        far = (far_u @ sparse.vstack([sparse.identity(op.n), m_csr(op.mom_m)])).toarray()
         far_only = near.toarray() == 0
         assert far_only.any()
         # near and far cover every (target, source) pair exactly once
@@ -445,7 +450,7 @@ class TestCrossApproximationFarField:
         f1, m1 = build_far_operators(mesh, leaves, far_lists, 6.0)
         f2, m2 = build_far_operators(mesh, leaves, far_lists, 6.0)
         assert m1.shape[0] > 0 and f1.nnz > 0 and f1.nnz == f2.nnz
-        assert m1.shape == m2.shape and (m1 != m2).nnz == 0
+        assert m1.shape == m2.shape and (m_csr(m1) != m_csr(m2)).nnz == 0
         assert len(f1.sources) == len(f2.sources)
         assert any(np.all(c < mesh.n_panels) for _, _, c, _ in f1.sources)
         for (n1, t1, c1, u1), (n2, t2, c2, u2) in zip(f1.sources, f2.sources):
@@ -644,6 +649,7 @@ class TestRecompression:
         """The work counters of the h = 16 far field, and no node above its ACA rank."""
         far, mom, calls = recompressed_h16
         assert len(calls) == 50 and mom.shape[0] == 348 and far.nnz == 377_797
+        assert mom.nnz == 12_392 == sum(v.size for *_, v in mom.blocks)
         aca = [(cols, u) for node, _, cols, u in far.sources
                if len(tree._subtree_panels(node)) > tree.WHOLE_BLOCK_PANELS]
         assert sum(len(cols) for cols, _ in aca) == mom.shape[0]
@@ -704,6 +710,40 @@ def test_interaction_lists_match_norm_rule(make_mesh):
                 [[id(x) for x in lst] for lst in want_lists]
 
 
+def block_csr(blocks, shape):
+    """CSR matrix from dense blocks (rows, cols, W), W[a, b] placed at (rows[a], cols[b]).
+
+    Each row lies in at most one block and keeps its block's column order.
+    The operator holds dense blocks only; this is the CSR form in which the
+    tests compare them with references built from triplets.
+    """
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    for rows, cols, _ in blocks:
+        indptr[rows + 1] = len(cols)
+    nnz = int(np.cumsum(indptr, out=indptr)[-1])
+    # scipy keeps int32 indices that fit, and would copy int64 ones down to them
+    index_dtype = tree.index_type(max(nnz, *shape))
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index_dtype)
+    for rows, cols, w in blocks:
+        pos = indptr[rows][:, None] + np.arange(len(cols))
+        data[pos] = w
+        indices[pos] = cols
+    return sparse.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=shape)
+
+
+def m_csr(mom):
+    """M (tree.FarRanks) as CSR, from its (first rank, panels, V) blocks."""
+    return block_csr([(first + np.arange(len(v)), panels, v) for first, panels, v in mom.blocks],
+                     mom.shape)
+
+
+def precond_csr(precond, n):
+    """The block-diagonal preconditioner as n x n CSR, from its stacked leaf inverses."""
+    return block_csr([(rows, rows, inv) for stacked, inverses in precond.groups
+                      for rows, inv in zip(stacked, inverses)], (n, n))
+
+
 def slot_inversion(leaves, lists):
     """Reference for by_source: a slot per source node keyed by id, in first-use order."""
     slots = {}
@@ -736,7 +776,8 @@ def stack_rows(blocks, n):
 
 
 def coo_operator(mesh, leaves, near_lists, eps):
-    """Reference near and precond from COO triplets, the self blocks sliced out of near."""
+    """Reference near and precond from COO triplets, the self blocks sliced out of near,
+    and each leaf's (panels, inverse of its self block)."""
     n = mesh.n_panels
     rows, cols, vals = [], [], []
     for s, chunks in keyed_inversion(leaves, near_lists):
@@ -747,28 +788,30 @@ def coo_operator(mesh, leaves, near_lists, eps):
         vals.append(block.ravel())
     near = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    rows, cols, vals = [], [], []
+    rows, cols, vals, inverses = [], [], [], []
     for leaf in leaves:
         idx = leaf.panels
         inv = np.linalg.inv(near[idx][:, idx].toarray())
+        inverses.append((idx, inv))
         rows.append(np.repeat(idx[:, None], len(idx), axis=1).ravel())
         cols.append(np.repeat(idx[None, :], len(idx), axis=0).ravel())
         vals.append(inv.ravel())
     precond = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return near, precond
+    return near, precond, inverses
 
 
 def recorded_operator(mesh, eps):
     """The accelerated operator, with copies of its far sources and its M blocks as built.
 
     The operator drops each U once it is copied into the leaf blocks, so
-    build_far_operators is wrapped to copy them first; M's (ranks, panels, V)
-    blocks are recorded at its block_csr call, and the float64 U of each
-    recompressed cross approximation or whole block, in source order, as it
-    returns.
+    build_far_operators is wrapped to copy them first.  The float64 U of
+    each recompressed cross approximation or whole block, and the V of each
+    cross approximation, are recorded in source order as they return; M's
+    (ranks, panels, V) blocks are put together from these V, their nodes'
+    panels and their far columns.
     """
-    sources, m_calls, far_u = [], [], []
+    sources, far_u, far_v = [], [], []
     whole_block, recompress = tree._whole_block, tree._recompress
 
     def recording_far(*args):
@@ -777,13 +820,10 @@ def recorded_operator(mesh, eps):
         assert far.nnz == sum(u.size for *_, u in sources)
         return far, mom
 
-    def recording_block_csr(blocks, shape):
-        m_calls.append(blocks)
-        return block_csr(blocks, shape)
-
     def recording_recompress(*args):
         U, V = recompress(*args)
         far_u.append(U.copy())
+        far_v.append(V.copy())
         return U, V
 
     def recording_whole_block(*args):
@@ -793,7 +833,6 @@ def recorded_operator(mesh, eps):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solve_module, "build_far_operators", recording_far)
-        mp.setattr(tree, "block_csr", recording_block_csr)
         mp.setattr(tree, "_recompress", recording_recompress)
         mp.setattr(tree, "_whole_block", recording_whole_block)
         op = _AcceleratedOperator(mesh, eps)
@@ -805,7 +844,9 @@ def recorded_operator(mesh, eps):
                                              if not w])
     assert np.array_equal(ranks, np.arange(op.mom_m.shape[0]))
     assert len(far_u) == len(sources)
-    (m_blocks,) = m_calls
+    m_blocks = [(c - op.n, tree._subtree_panels(node), v)
+                for (node, _, c, _), v in zip([s for s, w in zip(sources, whole) if not w], far_v,
+                                              strict=True)]
     return op, sources, m_blocks, far_u
 
 
@@ -867,13 +908,14 @@ def operator_and_reference(request):
     op, sources, m_blocks, _ = recorded_operator(mesh, eps)
     root, leaves = build_octree(mesh, LEAF_SIZE)
     near_lists = interaction_lists(root, leaves, tree.MAC_RATIO)[1]
-    near, precond = coo_operator(mesh, leaves, near_lists, eps)
+    near, precond, inverses = coo_operator(mesh, leaves, near_lists, eps)
     e_blocks = [(target_panels(targets), cols, u.T) for _, targets, cols, u in sources]
     assert all(u.dtype == np.float32 for *_, u in e_blocks)
     ref = {
         "near": near, "precond": precond,
         "eval_m": coo_blocks(e_blocks, (op.n, op.n + op.mom_m.shape[0])),
         "mom_m": stack_rows([(c, w) for _, c, w in m_blocks], mesh.n_panels),
+        "inverses": inverses, "m_blocks": m_blocks,
     }
     return op, ref
 
@@ -889,13 +931,15 @@ class TestBlockCsrOperator:
     def test_factors_equal_reference(self, operator_and_reference, name):
         op, ref = operator_and_reference
         near, far_u = leaf_factors(op)
-        got = {"near": near, "eval_m": far_u}.get(name)
-        got, want = getattr(op, name) if got is None else got, ref[name]
+        got = {"near": near, "eval_m": far_u, "precond": precond_csr(op.precond, op.n),
+               "mom_m": m_csr(op.mom_m)}[name]
+        want = ref[name]
         assert got.shape == want.shape and got.nnz == want.nnz
         assert (got != want).nnz == 0
 
     def test_products_bitwise_equal_reference(self, operator_and_reference):
-        """precond and M products are the reference's; the operator is a far and a near
+        """precond and M products are the per-leaf inv @ q[rows] and per-node
+        V @ q[panels] of the reference; the operator is a far and a near
         product per leaf over the reference entries, the far one in float64.
 
         The reference blocks are column-major like the operator's, since the
@@ -906,9 +950,14 @@ class TestBlockCsrOperator:
                       for rows, cols, f, _ in op.blocks]
         rng = np.random.default_rng(3)
         for q in (rng.standard_normal(op.n), rng.standard_normal((op.n, 9))):
-            assert np.array_equal(op.precond @ q, ref["precond"] @ q)
-            assert np.array_equal(op.mom_m @ q, ref["mom_m"] @ q)
-            xw = np.concatenate([q, ref["mom_m"] @ q])
+            precond = np.empty(q.shape)
+            for rows, inv in ref["inverses"]:
+                precond[rows] = inv @ q[rows]
+            mom = np.concatenate([np.zeros((0,) + q.shape[1:])]
+                                 + [v @ q[panels] for _, panels, v in ref["m_blocks"]])
+            assert np.array_equal(op.precond @ q, precond)
+            assert np.array_equal(op.mom_m @ q, mom)
+            xw = np.concatenate([q, mom])
             want = np.empty(q.shape)
             for rows, cols, k, b in ref_blocks:
                 far, near, g = np.asfortranarray(b[:, :k]), np.asfortranarray(b[:, k:]), xw[cols]
@@ -946,6 +995,17 @@ class TestBlockCsrOperator:
                 assert [id(node) for node, _ in got] == [id(node) for node, _ in want]
                 for (_, targets), (_, chunks) in zip(got, want):
                     assert [id(t.panels) for t in targets] == [id(c) for c in chunks]
+
+
+def test_conductor_charges_are_bitwise_the_csr_sums():
+    """Each conductor's charge sums its panels' rows in panel order, as the CSR product
+    of the (conductors x panels) 0/1 aggregation matrix does."""
+    mesh = mesh_device(build_reference_device(), 16.0)
+    n = mesh.n_panels
+    agg = sparse.csr_matrix((np.ones(n), (mesh.cond_ids, np.arange(n))), shape=(mesh.n_cond, n))
+    rng = np.random.default_rng(9)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, mesh.n_cond))):
+        assert np.array_equal(_conductor_charges(mesh, x), agg @ x)
 
 
 def csr_operator(mesh, leaves, near_lists, sources, k, eps):
@@ -1081,7 +1141,7 @@ def true_residuals(op, B, X):
 def op_and_rhs(mesh, eps):
     """(operator, conductor right-hand sides, charge aggregation) of a mesh."""
     op = _AcceleratedOperator(mesh, eps)
-    return op, *_conductor_rhs(mesh)
+    return op, _conductor_rhs(mesh), lambda x: _conductor_charges(mesh, x)
 
 
 @pytest.fixture(scope="module")
@@ -1112,7 +1172,7 @@ class TestBlockGmres:
         assert np.all(res <= tol) and np.all(true_residuals(op, B, X) <= tol)
         assert np.all(iters > 0) and iters.max() < GMRES_RESTART
         want = scipy_columns(op, B, tol, GMRES_RESTART, 9)
-        q, q_want = agg @ X, agg @ want
+        q, q_want = agg(X), agg(want)
         scale = np.abs(np.diag(q_want)).max()
         assert np.abs(q - q_want).max() <= 1e-7 * scale
 

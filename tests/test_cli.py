@@ -12,7 +12,7 @@ from dqdcap.cli import _fmt, parse_range, run
 from dqdcap.constants import AF
 from dqdcap.geometry import dumps_device
 from dqdcap.validation import pattern_shift_delta_q
-from test_analysis import DOTS_ONLY
+from test_analysis import DOTS_ONLY, run_fresh
 from test_charging import island_caps
 from test_geometry import random_device
 
@@ -49,6 +49,42 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as e:
         run(["frobnicate"])
     assert e.value.code == 2
+
+
+# Run in a fresh process in the work directory: the scipy modules loaded
+# after importing the CLI and after each command, as one JSON object.
+_SCIPY_AFTER_EACH_COMMAND = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from dqdcap.cli import run
+
+seen = {"import": scipy_modules()}
+caps = ["--caps", "caps.json"]
+for name, argv in [
+    ("extract accelerated", ["extract", "--geometry", "reference_device.json", "--out", "caps.json",
+                             "--mode", "accelerated", "--h-max", "16"]),
+    ("stability", ["stability", *caps, "--out-prefix", "diag", "--n", "51"]),
+    ("induced-charge", ["induced-charge", *caps, "--out", "dq.json"]),
+    ("compare", ["compare", *caps, "--measured", "reference_measured.json", "--out", "cmp.json"]),
+    ("extract dense", ["extract", "--geometry", "reference_device.json", "--out", "dense.json",
+                       "--mode", "dense", "--h-max", "16"]),
+]:
+    assert run(argv) == 0, name
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_only_dense_mode_loads_scipy(workdir):
+    """Importing the CLI, an accelerated extract and the commands that read caps load no
+    scipy module; the dense LU loads scipy.linalg."""
+    seen = run_fresh(_SCIPY_AFTER_EACH_COMMAND, cwd=workdir)
+    dense = seen.pop("extract dense")
+    assert seen == dict.fromkeys(seen, [])
+    assert "scipy.linalg" in dense
 
 
 def test_extract_stability_induced_charge_pipeline(workdir):
