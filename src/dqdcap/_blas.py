@@ -1,19 +1,18 @@
-"""The process's numeric threads: how many cores a step may use, and BLAS on one.
+"""The process's numeric threads: thread_map, the package's one way of going parallel.
 
-numpy bundles a threaded OpenBLAS, and so does scipy, whose copy is mapped
-only once dense mode first imports scipy.linalg; each by default runs on
-every core this process may use, and dense assembly sizes its pool the same
-way (worker_count).  A sweep runs its cells on a thread pool of its own, and
-each cell's small solves lose more to BLAS worker threads competing for the
-same cores than they gain from them, so the cells run inside
-single_threaded_blas, where every mapped library's count is one.  It pins
-only the libraries mapped when it is entered, so a dense sweep loads
-scipy.linalg before its pool starts.
+thread_map runs its items on at most one thread per core (worker_count), and
+inside single_threaded_blas.  numpy bundles a threaded OpenBLAS, and so does
+scipy, whose copy is mapped only once dense mode imports scipy.linalg; each
+by default runs on every core, and item threads that each start BLAS threads
+on the same cores lose more than they gain.  Inside the block every mapped
+library runs on one thread and worker_count() reads 1, so a map inside an
+item runs inline.  It pins only the libraries mapped when it is entered.
 """
 
 import ctypes
 import os
 import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 # OpenBLAS thread counts belong to the whole process, so the blocks that set
@@ -88,3 +87,24 @@ def single_threaded_blas():
                 for set_threads, n in _restore:
                     set_threads(n)
                 _restore = []
+
+
+def thread_map(fn, items, limit=None):
+    """[fn(x) for x in items], in item order, on min(limit, worker_count(), len(items)) threads.
+
+    At width 1 the items run in the calling thread; otherwise on a pool
+    whose first error cancels the items not yet started and is raised once
+    the pool has joined.  Either way they run inside single_threaded_blas.
+    """
+    items = list(items)
+    width = min(worker_count(), len(items), len(items) if limit is None else limit)
+    with single_threaded_blas():
+        if width <= 1:
+            return [fn(x) for x in items]
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            futures = [pool.submit(fn, x) for x in items]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._blas import single_threaded_blas
+from ._blas import thread_map
 from .capsolve import AssemblyError, DenseFactor, SolverError, dense_linalg, solve
 from .charging import (
     ChargingError,
@@ -253,8 +252,8 @@ def _cell_solver(spec, mode, h_max_nm):
     for its dot panels only (DenseFactor.maxwell).  A static block that
     cannot be factored fails every cell with its reason.  The accelerated
     mode, and a device with nothing but the dots, solve every cell in full.
-    Dense mode loads scipy.linalg here, before the cell pool, so that
-    single_threaded_blas finds its OpenBLAS mapped and pins it too.
+    Dense mode loads scipy.linalg here, before the cells' thread_map, so
+    that its single_threaded_blas finds scipy's OpenBLAS mapped and pins it.
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
@@ -306,12 +305,11 @@ _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, Analysis
 
 
 def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
-    """Solve spec at every cell on a pool of jobs threads.
+    """Solve spec at every cell, on a thread_map at most jobs wide.
 
     place(cell) gives the cell's dot placement (dx, dy, R).  Rows keep the
-    order of cells, so the sweep does not depend on jobs.  While the pool
-    runs, BLAS and dense assembly run on one thread: the cells are the
-    parallelism, and more threads only slow a cell's small solves.
+    order of cells, so the sweep does not depend on jobs.  Each cell's BLAS
+    and dense assembly run on its own thread: the cells are the parallelism.
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be at least 1, got {jobs}")
@@ -325,8 +323,7 @@ def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
             row = {"status": "failed", "error": f"{type(e).__name__}: {e}"}
         return row
 
-    with single_threaded_blas(), ThreadPoolExecutor(max_workers=jobs) as ex:
-        rows = list(ex.map(safe, cells))
+    rows = thread_map(safe, cells, jobs)
     sweep = SweepMap(kind)
     for cell, row in zip(cells, rows):
         sweep.rows.append({**cell, **row})

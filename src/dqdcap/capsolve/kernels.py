@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .._blas import worker_count
+from .._blas import thread_map
 from ..constants import EPS0
 
 _TINY = 1e-300
@@ -141,12 +138,10 @@ def assemble_system(mesh, epsilon_r):
     """Full collocation matrix: volts at panel centroids per unit panel charge.
 
     The matrix is Fortran-ordered, so LU can factor it in place, and filled
-    in place by column chunks of BLOCK_PANELS.  The calling thread and
-    worker_count() - 1 pool threads each take the next unfilled chunk until
-    none is left; numpy releases the GIL on the kernel's tiles, and every
-    value depends only on its target and node, so the matrix is bitwise the
-    same on any number of threads.  The first error leaves no chunk to take
-    and reaches the caller once every thread has stopped.
+    in place by column chunks of BLOCK_PANELS, one thread_map item each.
+    numpy releases the GIL on the kernel's tiles, and every value depends
+    only on its target and node, so the matrix is bitwise the same on any
+    number of threads.
     """
     n = mesh.n_panels
     if n == 0:
@@ -154,29 +149,10 @@ def assemble_system(mesh, epsilon_r):
     centroids = mesh.centroids
     check_distinct_centroids(centroids)
     A = np.empty((n, n), order="F")
-    starts = iter(range(0, n, BLOCK_PANELS))
-    lock = threading.Lock()
 
-    def fill_chunks():
-        nonlocal starts
-        while True:
-            with lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            stop = min(start + BLOCK_PANELS, n)
-            try:
-                _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop])
-            except BaseException:
-                with lock:
-                    starts = iter(())
-                raise
+    def fill(start):
+        stop = min(start + BLOCK_PANELS, n)
+        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop])
 
-    helpers = worker_count() - 1
-    # the pool needs room for one worker, but starts no thread until a task is submitted
-    with ThreadPoolExecutor(max_workers=max(helpers, 1), thread_name_prefix="assemble") as pool:
-        futures = [pool.submit(fill_chunks) for _ in range(helpers)]
-        fill_chunks()
-    for future in futures:
-        future.result()
+    thread_map(fill, range(0, n, BLOCK_PANELS))
     return A

@@ -180,7 +180,7 @@ def _add_solver_flags(sub):
     sub.add_argument("--epsilon-r", type=float, default=None,
                      help="override the device relative permittivity")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="sweep cells run at once (default 1); extract ignores it")
+                     help="sweep cells run at once, at most one per core; extract ignores it")
 
 
 def _read_json(path):
@@ -197,9 +197,12 @@ def _read_json(path):
 
 def _load_maxwell(path, obj):
     try:
-        return MaxwellMatrix.from_json(obj)
+        maxwell = MaxwellMatrix.from_json(obj)
+        if not all(map(math.isfinite, maxwell.entries.flat)):
+            raise ValueError("entries_aF must be finite")
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path} is not a valid Maxwell JSON ({e!r})") from None
+    return maxwell
 
 
 def _load_measured(path):
@@ -209,8 +212,9 @@ def _load_measured(path):
         for pair in obj.get("pairs", []):
             if not (isinstance(pair["a"], str) and isinstance(pair["b"], str)):
                 raise TypeError("conductor names must be strings")
-            for key in ("measured_aF", "sd_aF"):
-                float(pair.get(key, 0.0))
+            measured, sd = (float(pair.get(key, 0.0)) for key in ("measured_aF", "sd_aF"))
+            if not (math.isfinite(measured) and 0.0 <= sd < math.inf):
+                raise ValueError("measured_aF must be finite, sd_aF finite and non-negative")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CliError(f"{path} is not a valid measured-pairs JSON ({e!r})") from None
     return obj

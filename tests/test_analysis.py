@@ -2,9 +2,11 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,6 +40,7 @@ from dqdcap.charging import (
 from dqdcap.constants import AF, MV, Q_E
 from dqdcap.geometry import loads_device, mesh_device, transform_dots
 from dqdcap.reference import build_reference_device
+from test_geometry import random_device
 from dqdcap.validation import random_model_caps
 
 
@@ -226,6 +229,42 @@ def _tiny_sweep(jobs=1):
     return misalign_sweep(spec, [-20.0, 0.0, 20.0], [0.0], h_max_nm=16.0, jobs=jobs)
 
 
+# random_device seeds through both sweeps at h = 16, and whether any cell
+# solves: 1, 4 and 11 solve, 0 has two conductors sharing role g1, 2 has no g1
+# island coupling to compensate, and in 9 the largest shifts leave the domain.
+GENERATED_SWEEP_SEEDS = {0: False, 1: True, 2: False, 4: True, 9: True, 11: True}
+CELL_ERROR = re.compile(r"^[A-Za-z]+Error: [^\n]+$")
+
+
+def generated_sweeps(seed, jobs):
+    """Misalignment (6 cells, dx = bound + 1 beyond the sweep bound) and dot-size (3 cells)
+    sweep rows of random_device(seed) at h = 16."""
+    spec = random_device(np.random.default_rng(seed))
+    dx = [-5.0, 0.0, spec.sweep_bounds_nm[0] + 1.0]
+    return (misalign_sweep(spec, dx, [0.0, 5.0], h_max_nm=16.0, jobs=jobs).rows,
+            dotsize_sweep(spec, (4.0, 8.0, 16.0), h_max_nm=16.0, jobs=jobs).rows)
+
+
+class TestGeneratedDeviceSweeps:
+    @pytest.mark.parametrize("seed, solves", GENERATED_SWEEP_SEEDS.items())
+    def test_rows_are_ok_or_one_reason_at_any_width(self, monkeypatch, seed, solves):
+        monkeypatch.setattr(_blas, "worker_count", lambda: 8)
+        misalign, dotsize = generated_sweeps(seed, 1)
+        assert any(r["status"] == "ok" for r in misalign + dotsize) == solves
+        for row in misalign + dotsize:
+            assert row["status"] in ("ok", "failed")
+            if row["status"] == "ok":
+                assert "error" not in row and math.isfinite(row["C_SLd1_aF"])
+            else:
+                assert CELL_ERROR.match(row["error"]), row["error"]
+        bx, by = random_device(np.random.default_rng(seed)).sweep_bounds_nm
+        for row in misalign[4:]:  # dx = bx + 1
+            assert row["status"] == "failed"
+            assert f"outside sweep bounds (+-{bx}, +-{by})" in row["error"]
+        for jobs in (2, 8):
+            assert generated_sweeps(seed, jobs) == (misalign, dotsize), jobs
+
+
 class TestSweeps:
     def test_grid_complete_and_ordered(self):
         sweep = _tiny_sweep()
@@ -395,10 +434,112 @@ class TestSingleThreadedBlas:
         assert _blas.worker_count() == len(os.sched_getaffinity(0))
 
 
+class TestThreadMap:
+    """thread_map: item order, width, inline runs, nesting and errors."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_results_in_item_order(self, monkeypatch, workers):
+        monkeypatch.setattr(_blas, "worker_count", lambda: workers)
+
+        def square(x):
+            time.sleep(0.001 * (x * 7 % 5))  # later items often finish first
+            return x * x
+
+        assert _blas.thread_map(square, range(20)) == [x * x for x in range(20)]
+
+    @pytest.mark.parametrize("limit, width", [(8, 3), (2, 2)])
+    def test_never_wider_than_cores_or_limit(self, monkeypatch, limit, width):
+        monkeypatch.setattr(_blas, "worker_count", lambda: 3)
+        lock = threading.Lock()
+        running, peak = 0, 0
+
+        def item(x):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.002)
+            with lock:
+                running -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _blas.thread_map(item, range(24), limit)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 < peak <= width
+
+    @pytest.mark.parametrize("workers, items, limit", [(4, 1, None), (4, 5, 1), (1, 5, None)],
+                             ids=["one-item", "limit-1", "one-core"])
+    def test_width_one_runs_in_the_calling_thread(self, monkeypatch, workers, items, limit):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool made")
+
+        monkeypatch.setattr(_blas, "worker_count", lambda: workers)
+        monkeypatch.setattr(_blas, "ThreadPoolExecutor", no_pool)
+        me = threading.get_ident()
+        assert _blas.thread_map(lambda x: threading.get_ident(), range(items), limit) == \
+            [me] * items
+
+    def test_a_map_inside_an_item_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+        def item(x):
+            me = threading.get_ident()
+            inner = _blas.thread_map(lambda y: threading.get_ident(), range(3))
+            return _blas.worker_count(), inner == [me] * 3, me
+
+        got = _blas.thread_map(item, range(8))
+        assert [(n, inline) for n, inline, _ in got] == [(1, True)] * 8
+        assert threading.get_ident() not in {me for _, _, me in got}
+        assert _blas.worker_count() == 4
+
+    def test_first_error_after_the_pool_joins_and_unstarted_items_never_start(self, monkeypatch):
+        monkeypatch.setattr(_blas, "worker_count", lambda: 2)
+        lock = threading.Lock()
+        started, running = [], [0]
+
+        def item(x):
+            with lock:
+                started.append(x)
+                running[0] += 1
+            try:
+                time.sleep(0.005)
+                if x in (1, 3):
+                    raise ValueError(f"item {x}")
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="item 1"):
+            _blas.thread_map(item, range(40))
+        assert running[0] == 0 and threading.active_count() == threads
+        seen = list(started)
+        time.sleep(0.05)
+        assert started == seen and len(seen) < 40
+
+    def test_counts_restored_after_an_error(self, monkeypatch, openblas_at_three):
+        monkeypatch.setattr(_blas, "worker_count", lambda: 2)
+        seen = []
+
+        def item(x):
+            seen.append(_blas_counts(openblas_at_three))
+            if x == 2:
+                raise RuntimeError("item 2")
+
+        with pytest.raises(RuntimeError, match="item 2"):
+            _blas.thread_map(item, range(4))
+        assert seen and all(c == [1] * len(openblas_at_three) for c in seen)
+        assert _blas_counts(openblas_at_three) == [3] * len(openblas_at_three)
+
+
 # Run in a fresh process, where scipy is not loaded yet: a dense sweep of the
 # dots-only device (argv[1]) that records each OpenBLAS's thread count when
-# the pool's single_threaded_blas block is entered, inside each cell, and
-# after the sweep.  numpy's OpenBLAS is set to 3 threads first.
+# the outermost single_threaded_blas block (the sweep's) is entered, inside
+# each cell, and after the sweep.  Each cell's assembly opens a nested block,
+# which is not recorded.  numpy's OpenBLAS is set to 3 threads first.
 _FRESH_SWEEP = """
 import contextlib, json, sys, threading
 from dqdcap import _blas, analysis
@@ -419,11 +560,12 @@ scipy_at_start = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 for set_threads in _blas._openblas_setters():
     set_threads(3)
 entered, inside = [], []
-block, cell_metrics = analysis.single_threaded_blas, analysis._cell_metrics
+block, cell_metrics = _blas.single_threaded_blas, analysis._cell_metrics
 
 @contextlib.contextmanager
 def recording_block():
-    entered.append(counts())
+    if not _blas._open_blocks:
+        entered.append(counts())
     with block():
         yield
 
@@ -431,7 +573,7 @@ def recording_cell_metrics(*args):
     inside.append(counts())
     return cell_metrics(*args)
 
-analysis.single_threaded_blas = recording_block
+_blas.single_threaded_blas = recording_block
 analysis._cell_metrics = recording_cell_metrics
 sweep = analysis.misalign_sweep(loads_device(sys.argv[1]), [-10.0, 0.0, 10.0], [0.0],
                                 mode="dense", h_max_nm=16.0, jobs=2)

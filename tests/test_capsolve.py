@@ -16,6 +16,7 @@ from scipy.integrate import dblquad
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import gmres as scipy_gmres
 
+from dqdcap import _blas
 from dqdcap.capsolve import (
     AssemblyError,
     DenseFactor,
@@ -104,7 +105,7 @@ def no_assembly_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("assembly pool made")
 
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(_blas, "ThreadPoolExecutor", no_pool)
 
 
 class TestKernel:
@@ -163,7 +164,7 @@ class TestKernel:
         for block_panels in (kernels.BLOCK_PANELS, 100):
             monkeypatch.setattr(kernels, "BLOCK_PANELS", block_panels)
             for workers in (1, 2):
-                monkeypatch.setattr(kernels, "worker_count", lambda: workers)
+                monkeypatch.setattr(_blas, "worker_count", lambda: workers)
                 assert np.array_equal(a1, assemble_system(mesh, 6.0)), (block_panels, workers)
 
 
@@ -353,7 +354,7 @@ class TestThreadedAssembly:
     @pytest.mark.parametrize("name", sorted(ASSEMBLY_MESHES))
     def test_equals_serial_chunk_loop(self, name, workers, monkeypatch):
         mesh = ASSEMBLY_MESHES[name]()
-        monkeypatch.setattr(kernels, "worker_count", lambda: workers)
+        monkeypatch.setattr(_blas, "worker_count", lambda: workers)
         got = assemble_system(mesh, 6.0)
         assert got.flags.f_contiguous
         assert np.array_equal(got, chunk_loop_assembly(mesh, 6.0))
@@ -371,7 +372,7 @@ class TestThreadedAssembly:
             fill(mesh, targets, source_idx, epsilon_r, out)
 
         monkeypatch.setattr(kernels, "_fill_block", counted)
-        monkeypatch.setattr(kernels, "worker_count", lambda: 8)
+        monkeypatch.setattr(_blas, "worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -398,7 +399,7 @@ class TestThreadedAssembly:
             fill(*args)
 
         monkeypatch.setattr(kernels, "_fill_block", second_fails)
-        monkeypatch.setattr(kernels, "worker_count", lambda: 2)
+        monkeypatch.setattr(_blas, "worker_count", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="chunk 2"):
             assemble_system(mesh, 6.0)

@@ -1,12 +1,13 @@
 import json
 import shutil
+import threading
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dqdcap.capsolve import kernels
+from dqdcap import _blas, analysis
 from dqdcap.charging import ModelCaps
 from dqdcap.cli import _fmt, parse_range, run
 from dqdcap.constants import AF
@@ -191,22 +192,71 @@ def test_artifacts_do_not_depend_on_jobs(workdir, argv):
 
 
 def test_dots_only_sweep_assembles_each_cell_on_one_thread(workdir, monkeypatch):
-    """With nothing but the dots, every cell assembles inside the cell pool, on one thread."""
+    """With nothing but the dots, every cell assembles inside the cell pool, on one thread.
+
+    Only the cells' reads of worker_count are recorded: the sweep's own map
+    reads it too, before it pins, and sees every core."""
     (workdir / "dots.json").write_text(json.dumps(DOTS_ONLY))
     counts = []
-    worker_count = kernels.worker_count
+    worker_count, cell_metrics = _blas.worker_count, analysis._cell_metrics
+    in_cell = threading.local()
 
     def recorded():
         n = worker_count()
-        counts.append(n)
+        if getattr(in_cell, "on", False):
+            counts.append(n)
         return n
 
-    monkeypatch.setattr(kernels, "worker_count", recorded)
+    def flagged(*args):
+        in_cell.on = True
+        try:
+            return cell_metrics(*args)
+        finally:
+            in_cell.on = False
+
+    monkeypatch.setattr(_blas, "worker_count", recorded)
+    monkeypatch.setattr(analysis, "_cell_metrics", flagged)
     for jobs in ("1", "2"):
         assert run(["sweep-misalign", "--geometry", "dots.json", "--out", f"jobs{jobs}.csv",
                     "--dx", "-10:10:10", "--dy", "0", "--h-max", "10", "--jobs", jobs]) == 0
     assert counts == [1] * 6
     assert (workdir / "jobs1.csv").read_bytes() == (workdir / "jobs2.csv").read_bytes()
+
+
+def test_jobs_above_the_core_count_runs_one_thread_per_core(workdir, monkeypatch):
+    """--jobs caps a sweep's width: on two cores --jobs 8 makes a pool of 2 and
+    writes the --jobs 1 bytes; the manifest keeps the 8 it was given."""
+    widths = {}
+    pool = _blas.ThreadPoolExecutor
+    monkeypatch.setattr(_blas, "worker_count", lambda: 2)
+    for jobs in ("1", "8"):
+        def recorded(max_workers):
+            widths.setdefault(jobs, []).append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(_blas, "ThreadPoolExecutor", recorded)
+        assert run(["sweep-misalign", "--geometry", "reference_device.json", "--out",
+                    f"jobs{jobs}.csv", "--dx", "-20:20:20", "--dy", "0", "--h-max", "18",
+                    "--jobs", jobs]) == 0
+    # the static block's assembly, then (at --jobs 8) the cells
+    assert widths == {"1": [2], "8": [2, 2]}
+    assert (workdir / "jobs1.csv").read_bytes() == (workdir / "jobs8.csv").read_bytes()
+    assert json.loads((workdir / "jobs8.csv.manifest.json").read_text())["options"]["jobs"] == 8
+
+
+def test_generated_device_sweeps_are_byte_identical_at_any_width(workdir, monkeypatch):
+    """random_device(1) through both sweep commands at --jobs 1, 2 and 8 on eight cores."""
+    (workdir / "device.json").write_text(dumps_device(random_device(np.random.default_rng(1))))
+    monkeypatch.setattr(_blas, "worker_count", lambda: 8)
+    for command, grid in (("sweep-misalign", ["--dx", "-5:5:5", "--dy", "0:5:5"]),
+                          ("sweep-dotsize", ["--r", "4:16:4"])):
+        for jobs in ("1", "2", "8"):
+            assert run([command, "--geometry", "device.json", "--out", f"jobs{jobs}.csv",
+                        *grid, "--h-max", "16", "--jobs", jobs]) == 0
+        want = (workdir / "jobs1.csv").read_bytes()
+        assert want.count(b",ok\n") == len(want.splitlines()) - 1
+        for jobs in ("2", "8"):
+            assert (workdir / f"jobs{jobs}.csv").read_bytes() == want, (command, jobs)
 
 
 MANIFEST_KEYS = ["command", "inputs", "options", "version", "wall_time_s", "outputs"]
@@ -310,6 +360,15 @@ BAD_MODEL_CAPS = {
     "nan": {"Csum_d1": float("nan"), "Csum_d2": 2.0, "C_d1d2": 1.0, "C_SLd1": 1.0},
 }
 
+# measured-pair values compare rejects: JSON's NaN extension, and strings float() reads
+BAD_MEASURED = {
+    "nan": '"measured_aF": NaN',
+    "inf-text": '"measured_aF": "inf", "sd_aF": "-1"',
+    "sd-nan": '"measured_aF": 1, "sd_aF": NaN',
+    "sd-inf": '"measured_aF": 1, "sd_aF": "-inf"',
+    "sd-negative": '"measured_aF": 1, "sd_aF": -1',
+}
+
 
 def tiny_g1_lever_caps():
     """Island caps with C_g1i1 = 0, g1 coupled 0.052 aF to d2 only, and d2 coupled
@@ -375,6 +434,12 @@ def tiny_g1_lever_caps():
      "cannot read latin1.json"),
     (["compare", "--caps", "tiny_caps.json", "--measured", "latin1.json",
       "--out", "report.json"], 1, "cannot read latin1.json"),
+    *[(["compare", "--caps", "tiny_caps.json", "--measured", f"measured_{case}.json",
+        "--out", "report.json"], 1, "not a valid measured-pairs JSON") for case in BAD_MEASURED],
+    *[([command, "--caps", "caps_nan.json", *out], 1, "not a valid Maxwell JSON")
+      for command, out in (("compare", ["--measured", "reference_measured.json",
+                                         "--out", "report.json"]),
+                           ("stability", ["--out-prefix", "diag"]))],
 ], ids=["h-max-zero", "sweep-h-max", "stability-bad-json",
         "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
         "compare-measured-no-b", "compare-measured-text", "stability-device-file",
@@ -389,7 +454,9 @@ def tiny_g1_lever_caps():
           for command in ("stability", "induced-charge")],
         "induced-charge-no-transfer-period", "induced-charge-coincident-transfer-points",
         "extract-geometry-is-dir",
-        "stability-caps-is-dir", "extract-geometry-not-utf8", "compare-measured-not-utf8"])
+        "stability-caps-is-dir", "extract-geometry-not-utf8", "compare-measured-not-utf8",
+        *[f"compare-measured-{case}" for case in BAD_MEASURED],
+        "compare-caps-nan", "stability-caps-nan"])
 def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
@@ -397,6 +464,12 @@ def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "measured_no_b.json").write_text('{"pairs": [{"a": "d1"}]}')
     (workdir / "measured_text.json").write_text(
         '{"pairs": [{"a": "d1", "b": "d2", "measured_aF": "x"}]}')
+    for case, text in BAD_MEASURED.items():
+        (workdir / f"measured_{case}.json").write_text(
+            f'{{"pairs": [{{"a": "d1", "b": "d2", {text}}}]}}')
+    nan_caps = json.loads(json.dumps(TINY_CAPS))
+    nan_caps["entries_aF"][0][1] = float("nan")
+    (workdir / "caps_nan.json").write_text(json.dumps(nan_caps))
     for field in ("epsilon_r", "air_gap_nm"):
         device = json.loads((workdir / "reference_device.json").read_text())
         device[field] = float("nan")
