@@ -12,6 +12,7 @@ from .capsolve import AssemblyError, DenseFactor, SolverError, dense_linalg, sol
 from .charging import (
     ChargingError,
     ModelCaps,
+    circuit_roles,
     compensate,
     delta_q,
     integer_minimizer,
@@ -313,6 +314,7 @@ def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be at least 1, got {jobs}")
+    circuit_roles(spec.roles)  # a shared role would fail every cell, after its solve
     maxwell_of = _cell_solver(spec, mode, h_max_nm)
 
     def safe(cell):
@@ -395,14 +397,15 @@ def compare_report(maxwell, measured: dict) -> dict:
     the uniform-permittivity approximation.
     """
     roles = maxwell.roles or {}
-    by_role = {r: g for g, r in roles.items()}
 
     def resolve(key):
         if key in maxwell.conductor_names:
             return key
-        if key in by_role:
-            return by_role[key]
-        raise AnalysisError(f"unknown conductor or role {key!r}")
+        holders = [g for g, r in roles.items() if r == key]
+        if len(holders) != 1:
+            raise AnalysisError(f"role {key!r} is held by {', '.join(map(repr, holders))}; name one"
+                                if holders else f"unknown conductor or role {key!r}")
+        return holders[0]
 
     rows = []
     for pair in measured.get("pairs", []):

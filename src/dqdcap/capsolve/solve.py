@@ -218,58 +218,21 @@ class _AcceleratedOperator:
     """
 
     def __init__(self, mesh, epsilon_r):
-        centroids = mesh.centroids
-        check_distinct_centroids(centroids)
+        check_distinct_centroids(mesh.centroids)
         root, leaves = build_octree(mesh, LEAF_SIZE)
         far_lists, near_lists = interaction_lists(root, leaves, tree.MAC_RATIO)
         far, self.mom_m = build_far_operators(mesh, leaves, far_lists, epsilon_r)
-        n = mesh.n_panels
         width = {node: len(c) for node, _, c, _ in far.sources}
-        far_blocks = _leaf_blocks(
-            leaves, [sum(map(width.get, nodes)) for nodes in far_lists], FAR_DTYPE)
-        near_blocks = _leaf_blocks(
-            leaves, [sum(len(s.panels) for s in near) for near in near_lists], np.float64)
-        # leaf -> its far and near side, each [block, its columns so far, their count]
-        at = {leaf: ([f, [], 0], [b, [], 0])
-              for leaf, f, b in zip(leaves, far_blocks, near_blocks)}
-
-        def place(source_cols, targets, block, side):
-            """Append block (targets' panels x source_cols) to side 0 (far) or 1 (near) of each."""
-            row, width = 0, block.shape[1]
-            for t in targets:
-                entry = at[t][side]
-                b, cols, c = entry
-                b[:, c:c + width] = block[row:row + len(b)]
-                cols.append(source_cols)
-                entry[2] = c + width
-                row += len(b)
-
-        # each U goes to its target leaves and is dropped, last first, so that each
-        # far-field slab is unmapped once its last U is placed
-        while far.sources:
-            _, targets, cols, u = far.sources.pop()
-            place(cols, targets, u.T, 0)
-            del u
-        diagonal = {}  # leaf -> first column of its self block in its own near block
-        for s, targets in by_source(leaves, near_lists):
-            tidx = np.concatenate([t.panels for t in targets])
-            block = potential_block(mesh, centroids[tidx], s.panels, epsilon_r)
-            diagonal[s] = at[s][1][2]  # every leaf is in its own near list
-            place(s.panels, targets, block, 1)
-        index = index_type(n + self.mom_m.shape[0])  # int32 halves the index arrays
-        self.blocks = []
-        for leaf in leaves:
-            (f, far_cols, _), (b, near_cols, _) = at[leaf]
-            cols = np.concatenate(far_cols + near_cols, dtype=index)
-            self.blocks.append((leaf.panels, cols, f, b))
-        # the block-diagonal preconditioner inverts the self blocks
-        self_blocks = []
-        for leaf, (_, _, _, b) in zip(leaves, self.blocks):
-            c = diagonal[leaf]
-            self_blocks.append((leaf.panels, b[:, c:c + len(b)]))
-        self.precond = _BlockJacobi(self_blocks)
+        far = _placed(leaves, [sum(map(width.get, nodes)) for nodes in far_lists],
+                      FAR_DTYPE, far.drain())
+        near = _placed(leaves, [sum(len(s.panels) for s in nodes) for nodes in near_lists],
+                       np.float64, _near_field(mesh, leaves, near_lists, epsilon_r))
+        self.n = mesh.n_panels
+        index = index_type(self.n + self.mom_m.shape[0])  # int32 halves the index arrays
+        self.blocks = [(leaf.panels, np.concatenate(far_cols + near_cols, dtype=index), f, b)
+                       for leaf, (f, far_cols), (b, near_cols) in zip(leaves, far, near)]
+        self.precond = _BlockJacobi(self.blocks)
         self.far_max = max(f.size for _, _, f, _ in self.blocks)
-        self.n = n
         self.n_leaves = len(leaves)
 
     def matvec(self, q):
@@ -286,20 +249,52 @@ class _AcceleratedOperator:
         return y
 
 
+def _near_field(mesh, leaves, near_lists, epsilon_r):
+    """The exact near field: (source leaf panels, target leaves, their block) per source leaf."""
+    for s, targets in by_source(leaves, near_lists):
+        tidx = np.concatenate([t.panels for t in targets])
+        yield s.panels, targets, potential_block(mesh, mesh.centroids[tidx], s.panels, epsilon_r)
+
+
+def _placed(leaves, widths, dtype, pieces):
+    """Per leaf, a column-major (panels x width) block of dtype and its column list.
+
+    Each piece (cols, target leaves, block) gives each target its rows at its next free
+    columns and appends cols to its list.  The blocks are views of one mapped arena,
+    filled left to right: pages are committed only as written, and no heap is left.
+    """
+    sizes = [len(leaf.panels) * w for leaf, w in zip(leaves, widths)]
+    arena = mapped_zeros(sum(sizes), dtype)
+    ends = np.cumsum(sizes).tolist()
+    placed = {leaf: (arena[e - size:e].reshape((len(leaf.panels), w), order="F"), [])
+              for leaf, w, size, e in zip(leaves, widths, sizes, ends)}
+    free = dict.fromkeys(leaves, 0)  # each leaf's next free column
+    for cols, targets, block in pieces:
+        row, width = 0, block.shape[1]
+        for t in targets:
+            b, t_cols = placed[t]
+            b[:, free[t]:free[t] + width] = block[row:row + len(b)]
+            t_cols.append(cols)
+            free[t] += width
+            row += len(b)
+    return list(placed.values())
+
+
 class _BlockJacobi:
     """The block-diagonal preconditioner: each leaf's self-block inverse on its panels.
 
-    Built from (panels, self block) per leaf.  The leaves are grouped by
-    size, and each group stacks its panels (leaves x size) and inverts its
-    self blocks (leaves x size x size) in one call, so a product takes one
-    gather and one batched matmul per leaf size, bitwise inv @ q[panels]
-    leaf by leaf, for one vector or an n x p block.
+    Built from the operator's (rows, cols, F_L, N_L) leaf blocks, each self block the
+    run of near columns that holds the leaf's own panels.  The leaves are grouped by
+    size; each group stacks its panels (leaves x size) and inverts its self blocks
+    (leaves x size x size) in one call, so a product is one gather and one batched
+    matmul per leaf size, bitwise inv @ q[panels] leaf by leaf, for q of 1 or p columns.
     """
 
-    def __init__(self, self_blocks):
+    def __init__(self, blocks):
         by_size = {}
-        for panels, block in self_blocks:
-            by_size.setdefault(len(panels), []).append((panels, block))
+        for rows, cols, f, b in blocks:
+            c = int(np.flatnonzero(cols[f.shape[1]:] == rows[0])[0])
+            by_size.setdefault(len(rows), []).append((rows, b[:, c:c + len(rows)]))
         self.groups = [(np.stack([p for p, _ in group]),
                         np.linalg.inv(np.stack([b for _, b in group])))
                        for group in by_size.values()]
@@ -310,20 +305,6 @@ class _BlockJacobi:
             g = np.take(q, rows, axis=0)
             out[rows] = inverses @ g if q.ndim > 1 else (inverses @ g[..., None])[..., 0]
         return out
-
-
-def _leaf_blocks(leaves, widths, dtype):
-    """A zeroed column-major (leaf panels x width) block per leaf, views of one mapped arena.
-
-    Each block is filled left to right, so placement commits the arena's
-    pages only as it writes them, and the arena leaves no heap behind.
-    """
-    shapes = [(len(leaf.panels), w) for leaf, w in zip(leaves, widths)]
-    sizes = [m * w for m, w in shapes]
-    arena = mapped_zeros(sum(sizes), dtype)
-    ends = np.cumsum(sizes).tolist()
-    return [arena[e - size:e].reshape(shape, order="F")
-            for shape, size, e in zip(shapes, sizes, ends)]
 
 
 _EPS = np.finfo(np.float64).eps

@@ -289,13 +289,19 @@ class FarField:
     whole block.  U (len(cols), far targets) has the rows of its target
     leaves' panels, in leaf order, rounded to FAR_DTYPE from float64.
     nnz counts the U values.  The U are views of SLAB_VALUES-sized slabs
-    (mapped_zeros), filled in source order, so a consumer that drops the
-    sources last to first unmaps each slab as soon as its last U is gone.
+    (mapped_zeros), filled in source order; drain pops them, last first, so
+    each slab is unmapped as soon as its last U is placed.
     """
 
     def __init__(self, sources):
         self.sources = sources
         self.nnz = sum(u.size for *_, u in sources)
+
+    def drain(self):
+        """Yield (cols, target leaves, U.T) per source, last first, popping each as it goes."""
+        while self.sources:
+            _, targets, cols, u = self.sources.pop()
+            yield cols, targets, u.T
 
 
 class FarRanks:

@@ -143,6 +143,17 @@ class ModelCaps:
         return cls(targets, cmat, gates)
 
 
+def circuit_roles(roles) -> dict:
+    """role -> conductor of each circuit role (target or gate) in roles; each is held once."""
+    by_role = {}
+    for group, role in roles.items():
+        if role in TARGETS + GATES:
+            if role in by_role:
+                raise ChargingError(f"role {role!r} assigned to {by_role[role]!r} and {group!r}")
+            by_role[role] = group
+    return by_role
+
+
 def reduce_caps(maxwell, roles=None) -> ModelCaps:
     """Map a Maxwell matrix onto the circuit-model capacitances.
 
@@ -153,12 +164,7 @@ def reduce_caps(maxwell, roles=None) -> ModelCaps:
     roles = roles if roles is not None else maxwell.roles
     if not roles:
         raise ChargingError("conductor roles are required to reduce a Maxwell matrix")
-    by_role = {}
-    for group, role in roles.items():
-        if role in TARGETS + GATES:
-            if role in by_role:
-                raise ChargingError(f"role {role!r} assigned to more than one conductor")
-            by_role[role] = group
+    by_role = circuit_roles(roles)
     if "d1" not in by_role or "d2" not in by_role:
         raise ChargingError("roles must assign d1 and d2")
 

@@ -364,11 +364,11 @@ def _cmd_compare(args, argv):
     header = f"{'pair':<10} {'calc aF':>9} {'meas aF':>9} {'sd':>6} {'dev/sd':>7} {'period mV':>10}"
     print(header)
     for row in report["pairs"]:
+        v = {k: math.nan if row.get(k) is None else row[k]
+             for k in ("measured_aF", "sd_aF", "deviation_sd", "period_mV")}
         print(f"{row['a'] + '-' + row['b']:<10} {row['calculated_aF']:>9.2f} "
-              f"{row.get('measured_aF', float('nan')):>9.2f} "
-              f"{row.get('sd_aF', float('nan')):>6.2f} "
-              f"{(row.get('deviation_sd') or float('nan')):>7.2f} "
-              f"{(row['period_mV'] or float('nan')):>10.3f}")
+              f"{v['measured_aF']:>9.2f} {v['sd_aF']:>6.2f} {v['deviation_sd']:>7.2f} "
+              f"{v['period_mV']:>10.3f}")
     if args.out:
         _write_json(args.out, report)
         _write_manifest(args.out, argv, [args.caps, args.measured], args,
@@ -441,6 +441,9 @@ def run(argv) -> int:
     except (DeviceError, ChargingError, SolverError, AssemblyError,
             AnalysisError, CliError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory{f' ({e})' if str(e) else ''}", file=sys.stderr)
         return 1
 
 

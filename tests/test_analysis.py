@@ -31,6 +31,7 @@ from dqdcap.capsolve import MaxwellMatrix, solve_dense
 from dqdcap.capsolve import solve as capsolve_solve
 from dqdcap.charging import (
     Bias,
+    ChargingError,
     ModelCaps,
     config_energy,
     integer_minimizer,
@@ -230,9 +231,12 @@ def _tiny_sweep(jobs=1):
 
 
 # random_device seeds through both sweeps at h = 16, and whether any cell
-# solves: 1, 4 and 11 solve, 0 has two conductors sharing role g1, 2 has no g1
-# island coupling to compensate, and in 9 the largest shifts leave the domain.
-GENERATED_SWEEP_SEEDS = {0: False, 1: True, 2: False, 4: True, 9: True, 11: True}
+# solves: 1, 4 and 11 solve, 2 has no g1 island coupling to compensate, and in
+# 9 the largest shifts leave the domain.
+GENERATED_SWEEP_SEEDS = {1: True, 2: False, 4: True, 9: True, 11: True}
+# random_device seeds of 0-11 whose groups share a circuit role: g1 (0 and 3),
+# g2 (7), i1 (8) and SR (10)
+SHARED_ROLE_SEEDS = (0, 3, 7, 8, 10)
 CELL_ERROR = re.compile(r"^[A-Za-z]+Error: [^\n]+$")
 
 
@@ -263,6 +267,22 @@ class TestGeneratedDeviceSweeps:
             assert f"outside sweep bounds (+-{bx}, +-{by})" in row["error"]
         for jobs in (2, 8):
             assert generated_sweeps(seed, jobs) == (misalign, dotsize), jobs
+
+    @pytest.mark.parametrize("seed", SHARED_ROLE_SEEDS)
+    def test_shared_roles_fail_before_any_mesh(self, monkeypatch, seed):
+        """A device whose groups share a circuit role fails both sweeps, in both modes,
+        before anything is meshed, with the error reduce_caps raises on its Maxwell matrix."""
+        spec = random_device(np.random.default_rng(seed))
+        meshed = []
+        monkeypatch.setattr(analysis, "mesh_device", lambda *args: meshed.append(args))
+        with pytest.raises(ChargingError, match="role '.+' assigned to '.+' and '.+'") as e:
+            reduce_caps(MaxwellMatrix((), np.zeros((0, 0)), 0.0), spec.roles)
+        for mode in ("dense", "accelerated"):
+            with pytest.raises(ChargingError, match=re.escape(str(e.value))):
+                misalign_sweep(spec, [0.0], [0.0], mode=mode, h_max_nm=16.0)
+            with pytest.raises(ChargingError, match=re.escape(str(e.value))):
+                dotsize_sweep(spec, (8.0,), mode=mode, h_max_nm=16.0)
+        assert meshed == []
 
 
 class TestSweeps:
@@ -697,6 +717,19 @@ class TestCompareReport:
         m = MaxwellMatrix(("a",), np.array([[1.0]]) * AF, 0.0)
         with pytest.raises(AnalysisError):
             compare_report(m, {"pairs": [{"a": "a", "b": "nope"}]})
+
+    def test_shared_role_rejected_and_names_win(self):
+        """A role held by two conductors names neither, and the error lists both; a
+        conductor name still resolves, also one that is another conductor's role."""
+        entries = np.array([[30.0, -1.0, -2.0], [-1.0, 20.0, 0.0], [-2.0, 0.0, 20.0]]) * AF
+        m = MaxwellMatrix(("P", "Q", "R"), entries, 0.0, roles={"P": "i1", "Q": "B", "R": "B"})
+        with pytest.raises(AnalysisError, match="role 'B' is held by 'Q', 'R'; name one"):
+            compare_report(m, {"pairs": [{"a": "B", "b": "i1"}]})
+        rows = compare_report(m, {"pairs": [{"a": "Q", "b": "i1"}, {"a": "R", "b": "P"}]})["pairs"]
+        assert [row["calculated_aF"] for row in rows] == pytest.approx([1.0, 2.0])
+        named = MaxwellMatrix(("B", "Q"), entries[:2, :2], 0.0, roles={"B": "i1", "Q": "B"})
+        assert compare_report(named, {"pairs": [{"a": "B", "b": "Q"}]})["pairs"][0][
+            "calculated_aF"] == pytest.approx(1.0)
 
 
 def fitted_metrics(diag):

@@ -1118,6 +1118,99 @@ class TestLeafBlockOperator:
         assert all(f.flags.f_contiguous and b.flags.f_contiguous for _, _, f, b in op.blocks)
 
 
+class Leaf:
+    """An octree leaf as placement sees it: its panels, hashed by identity."""
+
+    def __init__(self, panels):
+        self.panels = panels
+
+
+def placement_case(dtype):
+    """Synthetic (leaves, widths, pieces) for solve._placed: four leaves of 3, 5, 1 and 4
+    panels, the third the target of no piece, and each piece a random block of dtype."""
+    rng = np.random.default_rng(21)
+    leaves = [Leaf(np.arange(a, b)) for a, b in ((0, 3), (3, 8), (8, 9), (9, 13))]
+    pieces = []
+    for cols, targets in (([20, 21], [0, 1]), ([5, 6, 7], [3]), ([9], [0, 1, 3]),
+                          ([30, 31, 32, 33], [1])):
+        targets = [leaves[t] for t in targets]
+        rows = sum(len(t.panels) for t in targets)
+        pieces.append((np.array(cols), targets,
+                       rng.standard_normal((rows, len(cols))).astype(dtype)))
+    widths = [sum(len(c) for c, targets, _ in pieces if leaf in targets) for leaf in leaves]
+    return leaves, widths, pieces
+
+
+def hand_placed(leaves, pieces):
+    """Reference for solve._placed: per leaf, its rows of each piece side by side, and the
+    pieces' columns, both in piece order."""
+    parts = {leaf: ([np.zeros((len(leaf.panels), 0))], []) for leaf in leaves}
+    for cols, targets, block in pieces:
+        ends = np.cumsum([len(t.panels) for t in targets])
+        for t, rows in zip(targets, np.split(block, ends[:-1])):
+            parts[t][0].append(rows)
+            parts[t][1].append(cols)
+    return [(np.hstack(blocks), cols) for blocks, cols in parts.values()]
+
+
+class TestPlacement:
+    """solve._placed, which lays out both leaf arenas, and FarField.drain, which feeds it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_and_columns_equal_the_hand_placed_ones(self, dtype):
+        leaves, widths, pieces = placement_case(dtype)
+        got = solve_module._placed(leaves, widths, dtype, iter(pieces))
+        want = hand_placed(leaves, pieces)
+        assert len(got) == len(want) == len(leaves)
+        for leaf, w, (block, cols), (ref, ref_cols) in zip(leaves, widths, got, want):
+            assert block.shape == ref.shape == (len(leaf.panels), w)
+            assert block.dtype == dtype and np.array_equal(block, ref)
+            assert [c is r for c, r in zip(cols, ref_cols, strict=True)] == [True] * len(cols)
+        # the third leaf is the target of no piece: zero width, no columns
+        assert got[2][0].shape == (1, 0) and got[2][1] == []
+        # the columns in piece order: the first leaf took pieces 0 and 2
+        assert np.concatenate(got[0][1]).tolist() == [20, 21, 9]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_are_column_major_views_of_one_arena(self, dtype):
+        leaves, widths, pieces = placement_case(dtype)
+        blocks = [b for b, _ in solve_module._placed(leaves, widths, dtype, pieces)]
+        arena = blocks[0].base
+        assert {id(b.base) for b in blocks} == {id(arena)}
+        assert arena.dtype == dtype and isinstance(arena.base.obj, mmap.mmap)
+        assert arena.size == sum(len(leaf.panels) * w for leaf, w in zip(leaves, widths))
+        assert all(b.flags.f_contiguous for b in blocks)
+        # each leaf's block follows the one before it in the arena (an empty one has no place)
+        def start(a):
+            return a.__array_interface__["data"][0]
+
+        filled = [b for b in blocks if b.size]
+        assert [start(b) - start(arena) for b in filled] == \
+            np.cumsum([0] + [b.nbytes for b in filled[:-1]]).tolist()
+
+    def test_no_columns_at_all(self):
+        leaves, _, _ = placement_case(np.float32)
+        got = solve_module._placed(leaves, [0] * len(leaves), np.float32, iter(()))
+        assert [b.shape for b, _ in got] == [(len(leaf.panels), 0) for leaf in leaves]
+        assert all(cols == [] for _, cols in got)
+
+    def test_far_field_drains_last_first(self):
+        """drain yields (cols, targets, U.T) last source first, popping each as it goes,
+        and leaves nnz as built."""
+        us = [np.arange(2.0 * k, dtype=np.float32).reshape(2, k) for k in (1, 2, 3)]
+        sources = [(f"node{k}", [f"leaf{k}"], np.arange(k), u) for k, u in enumerate(us)]
+        far = tree.FarField(list(sources))
+        drained = far.drain()
+        cols, targets, ut = next(drained)
+        assert len(far.sources) == 2
+        rest = list(drained)
+        assert far.sources == [] and far.nnz == 12
+        for (c, t, u_t), (_, want_t, want_c, u) in zip([(cols, targets, ut)] + rest,
+                                                       sources[::-1], strict=True):
+            assert c is want_c and t is want_t
+            assert np.shares_memory(u_t, u) and np.array_equal(u_t, u.T)
+
+
 def scipy_columns(op, B, tol, restart, cycles):
     """scipy.sparse.linalg.gmres on each column of B."""
     a = LinearOperator((op.n, op.n), matvec=op.matvec)

@@ -324,6 +324,10 @@ def test_validate_passes(workdir, capsys):
 
 
 TINY_CAPS = {"conductor_names": ["d1", "d2"], "entries_aF": [[12.0, -4.0], [-4.0, 9.0]]}
+# Q and R share role B, with different couplings to the i1 conductor P
+SHARED_B_CAPS = {"conductor_names": ["P", "Q", "R"],
+                 "entries_aF": [[30.0, -1.0, -2.0], [-1.0, 20.0, 0.0], [-2.0, 0.0, 20.0]],
+                 "roles": {"P": "i1", "Q": "B", "R": "B"}}
 
 
 def test_compare_self_pair_prints_nan_period(workdir, capsys):
@@ -440,6 +444,13 @@ def tiny_g1_lever_caps():
       for command, out in (("compare", ["--measured", "reference_measured.json",
                                          "--out", "report.json"]),
                            ("stability", ["--out-prefix", "diag"]))],
+    # random_device(0) has two groups with role g1: rejected before any cell is meshed
+    *[([command, "--geometry", "shared_g1.json", "--out", "s.csv", *cells, "--h-max", "16"], 1,
+       "role 'g1' assigned to 'g11' and 'g10'")
+      for command, cells in (("sweep-misalign", ["--dx", "0", "--dy", "0"]),
+                             ("sweep-dotsize", ["--r", "10:20:10"]))],
+    (["compare", "--caps", "shared_b.json", "--measured", "measured_b_i1.json",
+      "--out", "report.json"], 1, "role 'B' is held by 'Q', 'R'; name one"),
 ], ids=["h-max-zero", "sweep-h-max", "stability-bad-json",
         "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
         "compare-measured-no-b", "compare-measured-text", "stability-device-file",
@@ -456,7 +467,8 @@ def tiny_g1_lever_caps():
         "extract-geometry-is-dir",
         "stability-caps-is-dir", "extract-geometry-not-utf8", "compare-measured-not-utf8",
         *[f"compare-measured-{case}" for case in BAD_MEASURED],
-        "compare-caps-nan", "stability-caps-nan"])
+        "compare-caps-nan", "stability-caps-nan", "sweep-misalign-shared-role",
+        "sweep-dotsize-shared-role", "compare-shared-role"])
 def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
@@ -483,12 +495,46 @@ def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "tiny_g1_lever.json").write_text(json.dumps(tiny_g1_lever_caps().to_json()))
     (workdir / "a_dir").mkdir()
     (workdir / "latin1.json").write_bytes('{"name": "Fl\u00e4che"}'.encode("latin-1"))
+    (workdir / "shared_g1.json").write_text(dumps_device(random_device(np.random.default_rng(0))))
+    (workdir / "shared_b.json").write_text(json.dumps(SHARED_B_CAPS))
+    (workdir / "measured_b_i1.json").write_text('{"pairs": [{"a": "B", "b": "i1"}]}')
     before = set(workdir.iterdir())
     assert run(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert set(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 3.21 GiB for an array", ""])
+@pytest.mark.parametrize("argv, module", [
+    (EXTRACT + ["--mode", "accelerated"], "cli"),
+    (SWEEP + ["--dx", "0:10:10", "--mode", "accelerated"], "analysis"),
+], ids=["extract", "sweep"])
+def test_out_of_memory_is_one_error_line(workdir, capsys, monkeypatch, argv, module, message):
+    """A MemoryError in a solve, as from an operator too large for the machine, exits 1
+    with one error line and leaves no output, manifest or temporary file."""
+    from dqdcap import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr({"cli": cli, "analysis": analysis}[module], "solve", out_of_memory)
+    before = set(workdir.iterdir())
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: out of memory ({message})\n" if message else "error: out of memory\n")
+    assert set(workdir.iterdir()) == before
+
+
+def test_compare_prints_zero_deviation(workdir, capsys):
+    """A measured value equal to the calculated one is 0.00 sd off, not nan."""
+    (workdir / "caps.json").write_text(json.dumps(TINY_CAPS))
+    (workdir / "equal.json").write_text(
+        '{"pairs": [{"a": "d1", "b": "d2", "measured_aF": 4.0, "sd_aF": 0.5}]}')
+    assert run(["compare", "--caps", "caps.json", "--measured", "equal.json"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:5] == ["d1-d2", "4.00", "4.00", "0.50", "0.00"]
 
 
 @pytest.mark.parametrize("argv", [SWEEP, DOTSIZE], ids=["sweep-misalign", "sweep-dotsize"])
