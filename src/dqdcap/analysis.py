@@ -8,7 +8,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import thread_map
-from .capsolve import AssemblyError, DenseFactor, SolverError, dense_linalg, solve
+from .capsolve import (
+    AssemblyError,
+    DenseFactor,
+    SolverError,
+    check_dense_size,
+    dense_linalg,
+    solve,
+)
 from .charging import (
     ChargingError,
     ModelCaps,
@@ -19,7 +26,7 @@ from .charging import (
     reduce_caps,
 )
 from .constants import AF, MV, Q_E
-from .geometry import DEFAULT_H_MAX_NM, DeviceError, mesh_device, transform_dots
+from .geometry import DEFAULT_H_MAX_NM, DeviceError, mesh_device, panel_count, transform_dots
 
 WINDOW_CAP_V = 20.0
 MIN_LINES = 3
@@ -246,42 +253,46 @@ class SweepMap:
 
 
 def _cell_solver(spec, mode, h_max_nm):
-    """The Maxwell solve of one sweep cell, as a function of (mesh, roles).
+    """The Maxwell solve of one sweep cell, as a function of its moved device.
 
     A sweep moves only the two dots.  In dense mode the device without them
     is meshed, assembled and factored once here, and each cell then solves
     for its dot panels only (DenseFactor.maxwell).  A static block that
-    cannot be factored fails every cell with its reason.  The accelerated
-    mode, and a device with nothing but the dots, solve every cell in full.
-    Dense mode loads scipy.linalg here, before the cells' thread_map, so
-    that its single_threaded_blas finds scipy's OpenBLAS mapped and pins it.
+    cannot be meshed or factored, or is over the dense guard (checked before
+    it is meshed), fails every cell with its reason, before the cell is
+    meshed.  The accelerated mode, and a device with nothing but the dots,
+    solve every cell in full.  Dense mode loads scipy.linalg here, before
+    the cells' thread_map, so that its single_threaded_blas finds scipy's
+    OpenBLAS mapped and pins it.
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
     if mode == "dense":
         dense_linalg()
     if mode != "dense" or not static.boxes:
-        return lambda mesh, roles: solve(mesh, mode, spec.epsilon_r, roles=roles)
+        return lambda moved: solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r,
+                                   roles=moved.roles)
     try:
-        return DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r).maxwell
-    except (AssemblyError, SolverError) as e:
+        check_dense_size(panel_count(static, h_max_nm))
+        factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
+    except (AssemblyError, DeviceError, SolverError) as e:
         kind, reason = type(e), str(e)
 
-        def failed(mesh, roles):
+        def failed(moved):
             raise kind(reason)
 
         return failed
+    return lambda moved: factor.maxwell(mesh_device(moved, h_max_nm), moved.roles)
 
 
-def _cell_metrics(spec, dx, dy, r_nm, maxwell_of, h_max_nm):
+def _cell_metrics(spec, dx, dy, r_nm, maxwell_of):
     """One sweep row.  Its dV_SL, dV_SR and theta are those stability_diagram
     reports in its auto window, without drawing the grid: that window stops
     below the 20 V cap only once it holds three lines, and at the cap fewer
     than two lines cross it when (|g_SL| + |g_SR|) * 20 V <= q_e * kappa / 2.
     """
     moved = transform_dots(spec, dx, dy, r_nm)
-    mesh = mesh_device(moved, h_max_nm)
-    maxwell = maxwell_of(mesh, moved.roles)
+    maxwell = maxwell_of(moved)
     caps = reduce_caps(maxwell, moved.roles)
     gmap, kappa = _grid_terms(caps)
     in_view = np.abs(gmap).sum() * WINDOW_CAP_V > Q_E * kappa / 2
@@ -319,7 +330,7 @@ def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
 
     def safe(cell):
         try:
-            row = _cell_metrics(spec, *place(cell), maxwell_of, h_max_nm)
+            row = _cell_metrics(spec, *place(cell), maxwell_of)
             row["status"] = "ok"
         except _CELL_ERRORS as e:
             row = {"status": "failed", "error": f"{type(e).__name__}: {e}"}

@@ -4,6 +4,7 @@ from .solve import (
     DenseFactor,
     MaxwellMatrix,
     SolverError,
+    check_dense_size,
     dense_linalg,
     solve,
     solve_accelerated,
@@ -12,6 +13,6 @@ from .solve import (
 
 __all__ = [
     "AssemblyError", "DENSE_PANEL_GUARD", "DenseFactor", "MaxwellMatrix",
-    "SolverError", "assemble_system", "dense_linalg", "potential_block",
+    "SolverError", "assemble_system", "check_dense_size", "dense_linalg", "potential_block",
     "solve", "solve_accelerated", "solve_dense",
 ]

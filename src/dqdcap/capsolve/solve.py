@@ -67,6 +67,9 @@ class MaxwellMatrix:
 
 
 def _finalize(raw, names, solver_info, roles=None):
+    # a NaN entry passes every comparison below
+    if not np.isfinite(raw).all():
+        raise SolverError("Maxwell matrix has a non-finite entry")
     asym = float(np.abs(raw - raw.T).max() / max(np.abs(raw).max(), 1e-300))
     m = 0.5 * (raw + raw.T)
     scale = float(np.abs(np.diag(m)).max())
@@ -82,7 +85,7 @@ def _finalize(raw, names, solver_info, roles=None):
 
 
 def _check_epsilon_r(epsilon_r):
-    # a NaN permittivity makes every entry NaN, and NaN passes each check of _finalize
+    # a NaN permittivity would make every entry NaN: name it before any work is done
     if not 0.0 < epsilon_r < math.inf:
         raise ValueError(f"epsilon_r must be finite and positive, got {epsilon_r:g}")
 
@@ -121,29 +124,39 @@ def dense_linalg():
     return linalg
 
 
-def _check_dense_size(mesh):
-    n = mesh.n_panels
-    if n == 0:
+def check_dense_size(n_panels):
+    """Reject a dense solve of n_panels panels; callers that can count the panels
+    before meshing call it first, so a mesh too large for dense mode is never built."""
+    if n_panels == 0:
         raise AssemblyError("empty mesh")
-    if n > DENSE_PANEL_GUARD:
-        raise SolverError(f"{n} panels exceeds the dense-mode guard of {DENSE_PANEL_GUARD}")
+    if n_panels > DENSE_PANEL_GUARD:
+        raise SolverError(f"{n_panels} panels exceeds the dense-mode guard of {DENSE_PANEL_GUARD}")
 
 
 def _lu(a):
-    """LU-factor a in place and reject it when it is ill-conditioned; returns (lu, piv, rcond)."""
+    """LU-factor a in place and reject it when it is not finite or ill-conditioned;
+    returns (lu, piv, rcond).
+
+    scipy's finiteness check would scan a into an n x n boolean array; the
+    1-norm is NaN or Inf whenever an entry is, so it decides instead.
+    """
     linalg = dense_linalg()
     anorm = linalg.lapack.dlange("1", a)
-    lu, piv = linalg.lu_factor(a, overwrite_a=True)
+    if not math.isfinite(anorm):
+        raise SolverError(f"collocation system is not finite (1-norm {anorm})")
+    lu, piv = linalg.lu_factor(a, overwrite_a=True, check_finite=False)
     rcond, info = linalg.lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or rcond < 1e-14:
+    if info != 0 or not rcond >= 1e-14:  # a NaN rcond fails too
         raise SolverError(f"ill-conditioned collocation system (rcond ~ {rcond:.2e})")
     return lu, piv, float(rcond)
 
 
 def _lu_solve(lu, piv, b):
     # LAPACK getrs shifts piv in place while it runs, so concurrent solves on
-    # one factor would see a half-shifted pivot vector: each call gets a copy
-    return dense_linalg().lu_solve((lu, piv.copy()), b)
+    # one factor would see a half-shifted pivot vector: each call gets a copy.
+    # No finiteness scan: lu passed _lu, and a non-finite b gives a non-finite
+    # result, which the Schur step's _lu or _finalize rejects
+    return dense_linalg().lu_solve((lu, piv.copy()), b, check_finite=False)
 
 
 class DenseFactor:
@@ -162,7 +175,7 @@ class DenseFactor:
 
     def __init__(self, mesh, epsilon_r):
         _check_epsilon_r(epsilon_r)
-        _check_dense_size(mesh)
+        check_dense_size(mesh.n_panels)
         A = assemble_system(mesh, epsilon_r)  # Fortran order: factored in place
         self.lu, self.piv, self.rcond = _lu(A)
         self.mesh = mesh
@@ -170,7 +183,7 @@ class DenseFactor:
         self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh))
 
     def maxwell(self, mesh, roles=None) -> MaxwellMatrix:
-        _check_dense_size(mesh)
+        check_dense_size(mesh.n_panels)
         names = mesh.conductor_names
         missing = [c for c in self.mesh.conductor_names if c not in names]
         if missing:
@@ -195,7 +208,7 @@ class DenseFactor:
             y = _lu_solve(self.lu, self.piv, a_sd)
             s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
-            x[d_idx] = dense_linalg().lu_solve((lu_s, piv_s), rhs[d_idx] - a_ds @ z)
+            x[d_idx] = _lu_solve(lu_s, piv_s, rhs[d_idx] - a_ds @ z)
             z = z - y @ x[d_idx]
         x[s_idx] = z
         return _finalize(_conductor_charges(mesh, x), names, info_d, roles)

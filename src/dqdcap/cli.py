@@ -31,10 +31,10 @@ from .analysis import (
     misalign_sweep,
     stability_diagram,
 )
-from .capsolve import AssemblyError, MaxwellMatrix, SolverError, solve
+from .capsolve import AssemblyError, MaxwellMatrix, SolverError, check_dense_size, solve
 from .charging import ChargingError, ModelCaps, delta_q, reduce_caps
 from .constants import MV
-from .geometry import DEFAULT_H_MAX_NM, DeviceError, load_device, mesh_device
+from .geometry import DEFAULT_H_MAX_NM, DeviceError, load_device, mesh_device, panel_count
 from .validation import pattern_shift_delta_q, run_validation
 
 _RANGE_FLAGS = ("--dx", "--dy", "--r", "--window-mv", "--air-gap-nm")
@@ -251,6 +251,8 @@ def _cmd_extract(args, argv):
     spec = _load_spec(args)
     if args.air_gap_nm is not None:
         spec = spec.with_air_gap(args.air_gap_nm)
+    if args.mode == "dense":
+        check_dense_size(panel_count(spec, args.h_max))
     mesh = mesh_device(spec, args.h_max)
     maxwell = solve(mesh, args.mode, spec.epsilon_r, roles=spec.roles)
     _write_json(args.out, maxwell.to_json())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,6 +327,34 @@ _FACES = (
 )
 
 
+# the most panels whose float64 corners (4 x 3 per panel) fit one array's byte count
+_MAX_PANELS = sys.maxsize // (4 * 3 * 8)
+
+
+def _face_divisions(a, b, h_max_nm):
+    """Panels along the u and v edges (lengths a, b) of a face meshed at h_max, as ints."""
+    return max(1, math.ceil(a / h_max_nm)), max(1, math.ceil(b / h_max_nm))
+
+
+def _box_panel_count(box, h_max_nm):
+    """The panels _mesh_box makes of box, in Python ints; a DeviceError naming the
+    box when its corner array could not be allocated at any memory size."""
+    try:
+        n = sum(math.prod(_face_divisions(box.dims_nm[ua], box.dims_nm[va], h_max_nm))
+                for _, _, ua, va in _FACES)
+    except OverflowError:  # an edge over h_max beyond the float range
+        n = math.inf
+    if n > _MAX_PANELS:
+        raise DeviceError(f"box {box.name!r} needs over {_MAX_PANELS:.3g} panels at "
+                          f"h_max = {h_max_nm:g} nm, more than can be allocated")
+    return n
+
+
+def panel_count(spec: DeviceSpec, h_max_nm: float) -> int:
+    """The exact number of panels mesh_device(spec, h_max_nm) builds, without meshing."""
+    return sum(_box_panel_count(b, h_max_nm) for b in spec.boxes)
+
+
 def _mesh_box(min_nm, dims_nm, h_max_nm):
     """Uniformly subdivide the six faces of one box; corners in nm."""
     lo = np.asarray(min_nm, dtype=np.float64)
@@ -333,8 +362,7 @@ def _mesh_box(min_nm, dims_nm, h_max_nm):
     quads = []
     for axis, side, ua, va in _FACES:
         a, b = dims[ua], dims[va]
-        nu = max(1, math.ceil(a / h_max_nm))
-        nv = max(1, math.ceil(b / h_max_nm))
+        nu, nv = _face_divisions(a, b, h_max_nm)
         du, dv = a / nu, b / nv
         iu, iv = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
         base = np.zeros((nu, nv, 3))
@@ -358,12 +386,14 @@ def mesh_device(spec: DeviceSpec, h_max_nm: float) -> PanelMesh:
     """Mesh every box face into rectangles with edge <= h_max.
 
     Panels are ordered by box declaration order, then face, then row-major;
-    equal inputs always produce identical panel lists.
+    equal inputs always produce identical panel lists.  Every box's panel
+    count is checked before any box is meshed.
     """
     if h_max_nm <= 0:
         raise ValueError("h_max must be positive")
     if not spec.boxes:
         raise DeviceError("device has no boxes to mesh")
+    panel_count(spec, h_max_nm)
     groups = spec.groups
     gid = {g: i for i, g in enumerate(groups)}
     all_corners, all_ids = [], []

@@ -285,6 +285,17 @@ class TestGeneratedDeviceSweeps:
         assert meshed == []
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_moved_dot_touching_a_box_is_a_failed_row(self, jobs):
+        """random_device(4), whose roles are distinct: dy = -110 drives dot1 (box0) into
+        the g1 box (box4), within the sweep bounds; that cell alone fails, naming both."""
+        spec = random_device(np.random.default_rng(4))
+        sweep = misalign_sweep(spec, [0.0], [0.0, -110.0], h_max_nm=16.0, jobs=jobs)
+        ok, moved = sweep.rows
+        assert ok["status"] == "ok" and moved["status"] == "failed"
+        assert moved["error"].startswith("DeviceError: boxes 'box4' and 'box0' overlap or touch")
+
+
 class TestSweeps:
     def test_grid_complete_and_ordered(self):
         sweep = _tiny_sweep()
@@ -647,7 +658,7 @@ class TestStaticBlockSweep:
         for dx, dy, r in cells:
             moved = transform_dots(spec, dx, dy, r)
             mesh = mesh_device(moved, h)
-            got = maxwell_of(mesh, moved.roles)
+            got = maxwell_of(moved)
             want = solve_dense(mesh, spec.epsilon_r, roles=moved.roles)
             assert got.conductor_names == want.conductor_names
             rel = np.abs(got.entries - want.entries) / np.abs(want.entries)
@@ -657,7 +668,7 @@ class TestStaticBlockSweep:
         spec = build_reference_device()
         moved = transform_dots(spec, 20.0, 0.0, 40.0)
         mesh = mesh_device(moved, 16.0)
-        got = _cell_solver(spec, "accelerated", 16.0)(mesh, moved.roles)
+        got = _cell_solver(spec, "accelerated", 16.0)(moved)
         want = capsolve_solve(mesh, "accelerated", spec.epsilon_r, roles=moved.roles)
         assert np.array_equal(got.entries, want.entries)
 
@@ -675,6 +686,26 @@ class TestStaticBlockSweep:
         errors = {r.get("error") for r in sweep.rows}
         assert [r["status"] for r in sweep.rows] == ["failed"] * 3
         assert len(errors) == 1 and "guard of 1000" in errors.pop()
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_cell_is_a_failed_row(self, monkeypatch, jobs):
+        """A NaN in one cell's dot block reaches the Schur complement's LU, which rejects
+        it from the 1-norm: that cell fails with its reason, the others solve."""
+        solve_module = importlib.import_module("dqdcap.capsolve.solve")
+        block = solve_module.potential_block
+
+        def nan_at_dx_20(mesh, targets, cols, eps):
+            b = block(mesh, targets, cols, eps)
+            # the dots' own block, in the cell whose dots are centred at x = +20 nm
+            if len(targets) == len(cols) and mesh.centroids[cols, 0].mean() > 10e-9:
+                b[0, 0] = np.nan
+            return b
+
+        monkeypatch.setattr(solve_module, "potential_block", nan_at_dx_20)
+        rows = _tiny_sweep(jobs).rows
+        assert [r["status"] for r in rows] == ["ok", "ok", "failed"]
+        assert rows[2]["error"] == "SolverError: collocation system is not finite (1-norm nan)"
 
 
 class TestEstimateMisalignment:
@@ -800,6 +831,6 @@ class TestPropertyInvariants:
 
         monkeypatch.setattr(analysis, "reduce_caps", lambda maxwell, roles: caps)
         spec = loads_device(json.dumps(DOTS_ONLY))
-        row = analysis._cell_metrics(spec, 0.0, 0.0, 40.0, lambda mesh, roles: None, 16.0)
+        row = analysis._cell_metrics(spec, 0.0, 0.0, 40.0, lambda moved: None)
         cell = tuple(None if row[k] is None else row[k] * MV for k in ("dV_SL_mV", "dV_SR_mV"))
         assert (*cell, row["theta_deg"]) == pytest.approx(want, rel=CLOSED_FORM_REL, abs=0.0)

@@ -5,13 +5,14 @@ import math
 import mmap
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.integrate import dblquad
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import gmres as scipy_gmres
@@ -34,6 +35,9 @@ from dqdcap.capsolve.solve import (
     _AcceleratedOperator,
     _conductor_charges,
     _conductor_rhs,
+    _finalize,
+    _lu,
+    _lu_solve,
     gmres,
 )
 from dqdcap.capsolve.tree import (
@@ -1433,6 +1437,69 @@ class TestSolveDense:
             solve(mesh, "direct", 1.0)
         assert solve(mesh, "dense", 1.0).solver["mode"] == "dense"
         assert solve(mesh, "accelerated", 1.0).solver["mode"] == "accelerated"
+
+
+def reference_matrix_h16():
+    """The collocation matrix of the reference device at h = 16 (1 192 panels), Fortran order."""
+    spec = build_reference_device()
+    mesh = mesh_device(spec, 16.0)
+    return assemble_system(mesh, spec.epsilon_r), _conductor_rhs(mesh)
+
+
+def random_system():
+    """A well-conditioned 300 x 300 matrix, Fortran order, and 9 right-hand sides."""
+    rng = np.random.default_rng(5)
+    a = np.asfortranarray(rng.standard_normal((300, 300)) + 30.0 * np.eye(300))
+    return a, rng.standard_normal((300, 9))
+
+
+class TestDenseLu:
+    """_lu and _lu_solve skip scipy's finiteness scans; the factorization is unchanged."""
+
+    @pytest.mark.parametrize("system", [reference_matrix_h16, random_system],
+                             ids=["reference-h16", "random-300"])
+    def test_bitwise_equal_to_checked_scipy(self, system):
+        a, b = system()
+        want_lu, want_piv = linalg.lu_factor(a, check_finite=True)
+        want_rcond, _ = linalg.lapack.dgecon(want_lu, linalg.lapack.dlange("1", a), norm="1")
+        lu, piv, rcond = _lu(a.copy(order="F"))
+        assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
+        assert rcond == want_rcond
+        want_x = linalg.lu_solve((want_lu, want_piv), b, check_finite=True)
+        assert np.array_equal(_lu_solve(lu, piv, b), want_x)
+        assert np.array_equal(piv, want_piv)  # the solve shifted a copy
+
+    def test_factor_and_solve_allocate_no_matrix_sized_scan(self):
+        """A finiteness scan would hold an n x n boolean array, A.nbytes / 8."""
+        a, b = reference_matrix_h16()
+        nbytes = a.nbytes
+        tracemalloc.start()
+        try:
+            lu, piv, _ = _lu(a)
+            _lu_solve(lu, piv, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 32, peak / nbytes
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected_before_factoring(self, monkeypatch, value):
+        a, _ = random_system()
+        a[3, 5] = value
+        factored = []
+        monkeypatch.setattr(linalg, "lu_factor", lambda *args, **kw: factored.append(args))
+        with pytest.raises(SolverError, match=r"collocation system is not finite \(1-norm"):
+            _lu(a)
+        assert factored == []
+
+    def test_non_finite_maxwell_entry_rejected(self):
+        raw = np.array([[2.0, -1.0], [-1.0, 2.0]]) * AF
+        assert _finalize(raw, ["a", "b"], {}).n_cond == 2
+        for value in (math.nan, math.inf):
+            bad = raw.copy()
+            bad[0, 1] = value
+            with pytest.raises(SolverError, match="non-finite entry"):
+                _finalize(bad, ["a", "b"], {})
 
 
 class TestSolveAccelerated:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import shutil
 import threading
@@ -374,6 +375,18 @@ BAD_MEASURED = {
 }
 
 
+def with_long_box(workdir, length_nm):
+    """The reference device without its domain, plus box 'huge' of dims [length_nm, 10, 10]
+    clear of every other box; written to long_<length_nm>.json."""
+    device = json.loads((workdir / "reference_device.json").read_text())
+    del device["domain_nm"]
+    device["boxes"].append({"name": "huge", "group": "h", "role": "other",
+                            "min_nm": [0, 1000, 0], "dims_nm": [length_nm, 10, 10]})
+    path = workdir / f"long_{length_nm:g}.json"
+    path.write_text(json.dumps(device))
+    return path.name
+
+
 def tiny_g1_lever_caps():
     """Island caps with C_g1i1 = 0, g1 coupled 0.052 aF to d2 only, and d2 coupled
     1e-9 aF to the island: g1 moves the island, but by only 1.6e-11 e per volt."""
@@ -451,6 +464,10 @@ def tiny_g1_lever_caps():
                              ("sweep-dotsize", ["--r", "10:20:10"]))],
     (["compare", "--caps", "shared_b.json", "--measured", "measured_b_i1.json",
       "--out", "report.json"], 1, "role 'B' is held by 'Q', 'R'; name one"),
+    # 2.5e19 panels: no corner array that large can exist, in either mode
+    *[(["extract", "--geometry", "long_1e+20.json", "--out", "caps.json", "--h-max", "16",
+        "--mode", mode], 1, "box 'huge' needs over 9.61e+16 panels at h_max = 16 nm")
+      for mode in ("dense", "accelerated")],
 ], ids=["h-max-zero", "sweep-h-max", "stability-bad-json",
         "induced-charge-bad-json", "compare-bad-json", "compare-measured-list",
         "compare-measured-no-b", "compare-measured-text", "stability-device-file",
@@ -468,7 +485,8 @@ def tiny_g1_lever_caps():
         "stability-caps-is-dir", "extract-geometry-not-utf8", "compare-measured-not-utf8",
         *[f"compare-measured-{case}" for case in BAD_MEASURED],
         "compare-caps-nan", "stability-caps-nan", "sweep-misalign-shared-role",
-        "sweep-dotsize-shared-role", "compare-shared-role"])
+        "sweep-dotsize-shared-role", "compare-shared-role", "extract-dense-box-too-large",
+        "extract-accelerated-box-too-large"])
 def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "broken.json").write_text('{"entries_aF": [[1.0, ')
     (workdir / "tiny_caps.json").write_text(json.dumps(TINY_CAPS))
@@ -498,12 +516,55 @@ def test_bad_input_is_one_error_line(workdir, capsys, argv, code, message):
     (workdir / "shared_g1.json").write_text(dumps_device(random_device(np.random.default_rng(0))))
     (workdir / "shared_b.json").write_text(json.dumps(SHARED_B_CAPS))
     (workdir / "measured_b_i1.json").write_text('{"pairs": [{"a": "B", "b": "i1"}]}')
+    with_long_box(workdir, 1e20)
     before = set(workdir.iterdir())
     assert run(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert set(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_system_is_one_error_line(workdir, capsys, monkeypatch, value):
+    """A collocation matrix with a NaN or Inf entry is rejected from its 1-norm,
+    before the LU: exit 1, one error line, no output file or manifest."""
+    solve_module = importlib.import_module("dqdcap.capsolve.solve")
+    assemble = solve_module.assemble_system
+
+    def corrupted(*args):
+        a = assemble(*args)
+        a[3, 5] = value
+        return a
+
+    monkeypatch.setattr(solve_module, "assemble_system", corrupted)
+    before = set(workdir.iterdir())
+    assert run(EXTRACT + ["--mode", "dense", "--h-max", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: collocation system is not finite (1-norm {value})\n"
+    assert set(workdir.iterdir()) == before
+
+
+def test_dense_guard_applies_before_meshing(workdir, capsys, monkeypatch):
+    """A device of 2.5e9 panels at h = 16 (240 GB of corners) meets the dense guard
+    before any mesh is built: extract exits 1, a dense sweep fails every cell."""
+    from dqdcap import cli
+
+    def no_mesh(spec, h_max_nm):
+        raise AssertionError("meshed before the dense guard was applied")
+
+    monkeypatch.setattr(cli, "mesh_device", no_mesh)
+    monkeypatch.setattr(analysis, "mesh_device", no_mesh)
+    device = with_long_box(workdir, 1e10)
+    before = set(workdir.iterdir())
+    guard = "panels exceeds the dense-mode guard of 20000"
+    assert run(["extract", "--geometry", device, "--out", "caps.json", "--h-max", "16"]) == 1
+    assert capsys.readouterr().err == f"error: 2500001194 {guard}\n"
+    assert set(workdir.iterdir()) == before
+    spec = cli.load_device(device)
+    sweep = analysis.misalign_sweep(spec, [0.0, 10.0], [0.0], h_max_nm=16.0, jobs=2)
+    # the static block: every box but the two 30-panel dots
+    assert [r["error"] for r in sweep.rows] == [f"SolverError: 2500001134 {guard}"] * 2
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 3.21 GiB for an array", ""])

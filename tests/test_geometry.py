@@ -19,6 +19,7 @@ from dqdcap.geometry import (
     import_panels,
     loads_device,
     mesh_device,
+    panel_count,
     plate_pair_mesh,
     sphere_mesh,
     transform_dots,
@@ -399,6 +400,30 @@ class TestMeshDevice:
         spec = replace(build_reference_device(), boxes=())
         with pytest.raises(DeviceError, match="no boxes"):
             mesh_device(spec, 10.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_panel_count_is_the_meshed_count(self, seed):
+        spec = random_device(np.random.default_rng(seed))
+        for h in (16.0, 7.3, 3.0):
+            assert panel_count(spec, h) == mesh_device(spec, h).n_panels
+        assert panel_count(build_reference_device(), 10.0) == 2316
+
+    @pytest.mark.parametrize("dims, h, name", [((1e20, 10.0, 10.0), 16.0, "huge"),
+                                               ((40.0, 40.0, 10.0), 1e-300, "dot1")],
+                             ids=["1e20-box", "tiny-h"])
+    def test_box_too_large_to_allocate_is_named(self, monkeypatch, dims, h, name):
+        """A box whose corner array would exceed the largest array size is a DeviceError
+        naming the box, raised before any box is meshed."""
+        from dqdcap import geometry
+
+        spec = loads_device(MINIMAL)
+        spec = replace(spec, boxes=spec.boxes + (Box("huge", "h", "other", (0.0, 500.0, 0.0),
+                                                     dims),))
+        monkeypatch.setattr(geometry, "_mesh_box", None)  # meshing any box would raise TypeError
+        message = rf"box '{name}' needs over 9.61e\+16 panels .* more than can be allocated"
+        for count in (panel_count, mesh_device):
+            with pytest.raises(DeviceError, match=message):
+                count(spec, h)
 
 
 class TestFastcapFormat:
