@@ -13,7 +13,6 @@ from .capsolve import (
     DenseFactor,
     SolverError,
     check_dense_size,
-    dense_linalg,
     solve,
 )
 from .charging import (
@@ -259,29 +258,17 @@ def _cell_solver(spec, mode, h_max_nm):
     is meshed, assembled and factored once here, and each cell then solves
     for its dot panels only (DenseFactor.maxwell).  A static block that
     cannot be meshed or factored, or is over the dense guard (checked before
-    it is meshed), fails every cell with its reason, before the cell is
-    meshed.  The accelerated mode, and a device with nothing but the dots,
-    solve every cell in full.  Dense mode loads scipy.linalg here, before
-    the cells' thread_map, so that its single_threaded_blas finds scipy's
-    OpenBLAS mapped and pins it.
+    it is meshed), would fail every cell for the one reason, so its error is
+    raised here, before any cell runs.  The accelerated mode, and a device
+    with nothing but the dots, solve every cell in full.
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
-    if mode == "dense":
-        dense_linalg()
     if mode != "dense" or not static.boxes:
         return lambda moved: solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r,
                                    roles=moved.roles)
-    try:
-        check_dense_size(panel_count(static, h_max_nm))
-        factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
-    except (AssemblyError, DeviceError, SolverError) as e:
-        kind, reason = type(e), str(e)
-
-        def failed(moved):
-            raise kind(reason)
-
-        return failed
+    check_dense_size(panel_count(static, h_max_nm))
+    factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
     return lambda moved: factor.maxwell(mesh_device(moved, h_max_nm), moved.roles)
 
 

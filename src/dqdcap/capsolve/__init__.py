@@ -5,7 +5,6 @@ from .solve import (
     MaxwellMatrix,
     SolverError,
     check_dense_size,
-    dense_linalg,
     solve,
     solve_accelerated,
     solve_dense,
@@ -13,6 +12,6 @@ from .solve import (
 
 __all__ = [
     "AssemblyError", "DENSE_PANEL_GUARD", "DenseFactor", "MaxwellMatrix",
-    "SolverError", "assemble_system", "check_dense_size", "dense_linalg", "potential_block",
+    "SolverError", "assemble_system", "check_dense_size", "potential_block",
     "solve", "solve_accelerated", "solve_dense",
 ]

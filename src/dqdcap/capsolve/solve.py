@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import _blas
 from ..constants import AF, OFFDIAG_TOL
 from . import tree
 from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
@@ -111,19 +112,6 @@ def _conductor_charges(mesh, x):
     return charges
 
 
-def dense_linalg():
-    """scipy.linalg, imported on its first use: only dense mode's LU needs scipy.
-
-    Accelerated mode and the commands that only read caps never load it,
-    which saves a fresh process the import's time and memory.  Importing it
-    also maps scipy's own OpenBLAS, and single_threaded_blas pins only the
-    libraries already mapped, so a dense sweep calls this before its pool.
-    """
-    from scipy import linalg
-
-    return linalg
-
-
 def check_dense_size(n_panels):
     """Reject a dense solve of n_panels panels; callers that can count the panels
     before meshing call it first, so a mesh too large for dense mode is never built."""
@@ -134,29 +122,30 @@ def check_dense_size(n_panels):
 
 
 def _lu(a):
-    """LU-factor a in place and reject it when it is not finite or ill-conditioned;
+    """LU-factor a and reject it when it is not finite or ill-conditioned;
     returns (lu, piv, rcond).
 
-    scipy's finiteness check would scan a into an n x n boolean array; the
-    1-norm is NaN or Inf whenever an entry is, so it decides instead.
+    A Fortran-ordered float64 a is factored in place, any other a from a
+    Fortran copy.  The 1-norm is NaN or Inf whenever an entry is, so it
+    decides finiteness without a scan of its own.
     """
-    linalg = dense_linalg()
-    anorm = linalg.lapack.dlange("1", a)
+    lapack = _blas.lapack()
+    a = np.asfortranarray(a, dtype=np.float64)
+    anorm = lapack.dlange(a)
     if not math.isfinite(anorm):
         raise SolverError(f"collocation system is not finite (1-norm {anorm})")
-    lu, piv = linalg.lu_factor(a, overwrite_a=True, check_finite=False)
-    rcond, info = linalg.lapack.dgecon(lu, anorm, norm="1")
+    lu, piv, info = lapack.dgetrf(a)
+    # an exactly zero pivot (info > 0) is as singular as a matrix gets
+    rcond, info = (0.0, info) if info else lapack.dgecon(lu, anorm)
     if info != 0 or not rcond >= 1e-14:  # a NaN rcond fails too
         raise SolverError(f"ill-conditioned collocation system (rcond ~ {rcond:.2e})")
     return lu, piv, float(rcond)
 
 
 def _lu_solve(lu, piv, b):
-    # LAPACK getrs shifts piv in place while it runs, so concurrent solves on
-    # one factor would see a half-shifted pivot vector: each call gets a copy.
     # No finiteness scan: lu passed _lu, and a non-finite b gives a non-finite
     # result, which the Schur step's _lu or _finalize rejects
-    return dense_linalg().lu_solve((lu, piv.copy()), b, check_finite=False)
+    return _blas.lapack().dgetrs(lu, piv, b)
 
 
 class DenseFactor:

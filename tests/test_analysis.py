@@ -27,7 +27,7 @@ from dqdcap.analysis import (
     stability_diagram,
     transfer_metrics,
 )
-from dqdcap.capsolve import MaxwellMatrix, solve_dense
+from dqdcap.capsolve import MaxwellMatrix, SolverError, solve_dense
 from dqdcap.capsolve import solve as capsolve_solve
 from dqdcap.charging import (
     Bias,
@@ -566,8 +566,8 @@ class TestThreadMap:
         assert _blas_counts(openblas_at_three) == [3] * len(openblas_at_three)
 
 
-# Run in a fresh process, where scipy is not loaded yet: a dense sweep of the
-# dots-only device (argv[1]) that records each OpenBLAS's thread count when
+# Run in a fresh process, where only the libraries the sweep uses are mapped: a dense
+# sweep of the dots-only device (argv[1]) that records each OpenBLAS's thread count when
 # the outermost single_threaded_blas block (the sweep's) is entered, inside
 # each cell, and after the sweep.  Each cell's assembly opens a nested block,
 # which is not recorded.  numpy's OpenBLAS is set to 3 threads first.
@@ -623,8 +623,8 @@ def run_fresh(code, *args, cwd=None):
 
 
 def test_fresh_dense_sweep_pins_every_openblas():
-    """scipy's OpenBLAS, loaded by the first dense solve, is mapped before the pool starts,
-    so every OpenBLAS runs each cell on one thread and gets its count back after."""
+    """Every OpenBLAS the sweep uses is mapped before the pool starts, so each runs every
+    cell on one thread and gets its count back after."""
     got = run_fresh(_FRESH_SWEEP, json.dumps(DOTS_ONLY))
     assert got["scipy_at_start"] == []
     assert got["status"] == ["ok"] * 3
@@ -679,14 +679,29 @@ class TestStaticBlockSweep:
         sizes = dotsize_sweep(spec, (20.0, 30.0), h_max_nm=16.0)
         assert [r["status"] for r in sizes.rows] == ["ok"] * 2
 
-    def test_unfactorable_static_block_fails_every_cell(self, monkeypatch):
+    @pytest.fixture
+    def cells_run(self, monkeypatch):
+        """The cells whose metrics the sweep computes."""
+        cells = []
+        monkeypatch.setattr(analysis, "_cell_metrics", lambda *args: cells.append(args))
+        return cells
+
+    def test_unfactorable_static_block_fails_before_any_cell(self, monkeypatch, cells_run):
+        """A static block over the guard would fail every cell: the sweep raises its error."""
         solve_module = importlib.import_module("dqdcap.capsolve.solve")
         monkeypatch.setattr(solve_module, "DENSE_PANEL_GUARD", 1000)  # static block: 1132 panels
-        sweep = _tiny_sweep()
-        errors = {r.get("error") for r in sweep.rows}
-        assert [r["status"] for r in sweep.rows] == ["failed"] * 3
-        assert len(errors) == 1 and "guard of 1000" in errors.pop()
+        with pytest.raises(SolverError, match=r"^1132 panels exceeds the dense-mode guard of 1000"):
+            _tiny_sweep()
+        assert cells_run == []
 
+    def test_singular_static_block_fails_before_any_cell(self, monkeypatch, cells_run):
+        """An exactly singular static block (here all zeros) is rejected by its LU, once."""
+        solve_module = importlib.import_module("dqdcap.capsolve.solve")
+        monkeypatch.setattr(solve_module, "assemble_system",
+                            lambda mesh, eps: np.zeros((mesh.n_panels,) * 2, order="F"))
+        with pytest.raises(SolverError, match=r"^ill-conditioned collocation system \(rcond ~ 0"):
+            _tiny_sweep(jobs=2)
+        assert cells_run == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_non_finite_cell_is_a_failed_row(self, monkeypatch, jobs):

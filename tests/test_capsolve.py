@@ -3,9 +3,11 @@ import importlib
 import json
 import math
 import mmap
+import os
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -1453,12 +1455,29 @@ def random_system():
     return a, rng.standard_normal((300, 9))
 
 
+@pytest.fixture
+def scipy_lapack(monkeypatch):
+    """Dense mode on scipy's LAPACK binding, as when no mapped library exports the routines."""
+    monkeypatch.setattr(_blas, "_lapack_library", lambda: None)
+    _blas.lapack.cache_clear()
+    yield _blas.lapack()
+    _blas.lapack.cache_clear()
+
+
+def numpy_lapack():
+    """numpy's OpenBLAS binding; the test is skipped where numpy's LAPACK is not one."""
+    if _blas._lapack_library() is None:
+        pytest.skip("no mapped OpenBLAS exports LAPACK as scipy_<name>_64_")
+    return _blas.lapack()
+
+
 class TestDenseLu:
-    """_lu and _lu_solve skip scipy's finiteness scans; the factorization is unchanged."""
+    """_lu and _lu_solve call numpy's own LAPACK through ctypes, with no finiteness scan;
+    scipy's LAPACK, their fallback binding, gives scipy's factorization unchanged."""
 
     @pytest.mark.parametrize("system", [reference_matrix_h16, random_system],
                              ids=["reference-h16", "random-300"])
-    def test_bitwise_equal_to_checked_scipy(self, system):
+    def test_bitwise_equal_to_checked_scipy(self, scipy_lapack, system):
         a, b = system()
         want_lu, want_piv = linalg.lu_factor(a, check_finite=True)
         want_rcond, _ = linalg.lapack.dgecon(want_lu, linalg.lapack.dlange("1", a), norm="1")
@@ -1468,6 +1487,75 @@ class TestDenseLu:
         want_x = linalg.lu_solve((want_lu, want_piv), b, check_finite=True)
         assert np.array_equal(_lu_solve(lu, piv, b), want_x)
         assert np.array_equal(piv, want_piv)  # the solve shifted a copy
+
+    @pytest.mark.parametrize("system", [reference_matrix_h16, random_system],
+                             ids=["reference-h16", "random-300"])
+    def test_bitwise_equal_to_numpy_solve(self, system):
+        """numpy.linalg.solve is dgesv, getrf then getrs, in the same library."""
+        numpy_lapack()
+        a, b = system()
+        lu, piv, rcond = _lu(a.copy(order="F"))
+        assert np.array_equal(_lu_solve(lu, piv, b), np.linalg.solve(a, b))
+        assert np.array_equal(_lu_solve(lu, piv, b[:, 0]), np.linalg.solve(a, b[:, 0]))
+        assert np.array_equal(piv, linalg.lu_factor(a, check_finite=True)[1] + 1)
+        assert rcond >= 1e-14
+
+    def test_numpys_library_is_bound_before_any_other(self, monkeypatch):
+        """The binding does not depend on what else is mapped, such as scipy's OpenBLAS
+        (mapped here, since this module imports scipy) or one that sorts first."""
+        assert isinstance(numpy_lapack(), _blas._OpenblasLapack)
+        numpy_dir = os.path.dirname(np.__file__)
+        mapped = _blas._mapped_openblas()
+        (numpys,) = [lib for path, lib in mapped if path.startswith(numpy_dir)]
+        exporter = types.SimpleNamespace(**{f"scipy_{name}_64_": None for name in _blas._ROUTINES})
+        monkeypatch.setattr(_blas, "_mapped_openblas",
+                            lambda: [("/libopenblas.so", exporter), *mapped])
+        assert _blas._lapack_library() is numpys
+
+    def test_rcond_does_not_depend_on_where_the_heap_puts_dgecons_work(self):
+        """The same matrix factored 8 times.  Before each, arrays the size of dgecon's work
+        take the heap's free chunks and one more array, 16 bytes longer each time, shifts
+        where the next chunk starts."""
+        a, _ = reference_matrix_h16()
+        n = a.shape[0]
+        rconds, held = set(), []
+        for k in range(8):
+            held += [np.empty(4 * n), np.empty(n, np.int64), np.ones(1000 + 2 * k)]
+            rconds.add(_lu(a.copy(order="F"))[2])
+        assert len(rconds) == 1, [r.hex() for r in rconds]
+        for n, dtype in [(1, np.float64), (4768, np.float64), (1192, np.int64), (3, np.int64)]:
+            work = _blas._aligned_empty(n, dtype)
+            assert work.shape == (n,) and work.dtype == dtype and work.ctypes.data % 64 == 0
+
+    def test_numpy_binding_rejects_arrays_lapack_cannot_read(self):
+        """ctypes passes bare pointers, so layout, dtype and shape are checked first."""
+        lapack = numpy_lapack()
+        lu, piv, _ = lapack.dgetrf(np.asfortranarray(np.eye(3) * 2.0))
+        for bad in (np.eye(3), np.eye(3, dtype=np.float32, order="F"), np.zeros((3, 4), order="F")):
+            with pytest.raises(ValueError, match="Fortran-ordered float64"):
+                lapack.dgecon(bad, 2.0)
+        for bad_piv, b in ((piv, np.ones(4)), (piv.astype(np.int32), np.ones(3)), (piv[:2], np.ones(3))):
+            with pytest.raises(ValueError, match="cannot solve a factor of order 3"):
+                lapack.dgetrs(lu, bad_piv, b)
+        assert np.array_equal(lapack.dgetrs(lu, piv, np.ones((3, 2))), np.full((3, 2), 0.5))
+
+    @pytest.mark.parametrize("binding", ["numpy", "scipy"])
+    def test_exactly_singular_system_is_ill_conditioned(self, request, binding):
+        if binding == "scipy":
+            request.getfixturevalue("scipy_lapack")
+        a, _ = random_system()
+        a[:, 7] = 0.0
+        with pytest.raises(SolverError, match=r"ill-conditioned collocation system \(rcond ~ 0"):
+            _lu(a)
+
+    def test_scipy_binding_extracts_the_same_maxwell(self, request):
+        """A dense extract of the reference device at h = 16 on either binding."""
+        spec = build_reference_device()
+        mesh = mesh_device(spec, 16.0)
+        default = solve_dense(mesh, spec.epsilon_r).entries
+        request.getfixturevalue("scipy_lapack")
+        fallback = solve_dense(mesh, spec.epsilon_r).entries
+        assert np.all(np.abs(fallback - default) <= 1e-12 * np.abs(default))
 
     def test_factor_and_solve_allocate_no_matrix_sized_scan(self):
         """A finiteness scan would hold an n x n boolean array, A.nbytes / 8."""
@@ -1487,7 +1575,7 @@ class TestDenseLu:
         a, _ = random_system()
         a[3, 5] = value
         factored = []
-        monkeypatch.setattr(linalg, "lu_factor", lambda *args, **kw: factored.append(args))
+        monkeypatch.setattr(type(_blas.lapack()), "dgetrf", lambda self, a: factored.append(a))
         with pytest.raises(SolverError, match=r"collocation system is not finite \(1-norm"):
             _lu(a)
         assert factored == []

@@ -73,6 +73,8 @@ for name, argv in [
     ("compare", ["compare", *caps, "--measured", "reference_measured.json", "--out", "cmp.json"]),
     ("extract dense", ["extract", "--geometry", "reference_device.json", "--out", "dense.json",
                        "--mode", "dense", "--h-max", "16"]),
+    ("sweep dense", ["sweep-misalign", "--geometry", "reference_device.json", "--out", "s.csv",
+                     "--dx", "0:10:10", "--dy", "0", "--mode", "dense", "--h-max", "16"]),
 ]:
     assert run(argv) == 0, name
     seen[name] = scipy_modules()
@@ -80,13 +82,12 @@ print(json.dumps(seen))
 """
 
 
-def test_only_dense_mode_loads_scipy(workdir):
-    """Importing the CLI, an accelerated extract and the commands that read caps load no
-    scipy module; the dense LU loads scipy.linalg."""
+def test_no_command_loads_scipy(workdir):
+    """Importing the CLI, an extract in either mode, a dense sweep and the commands that
+    read caps load no scipy module: the dense LU calls numpy's own LAPACK."""
     seen = run_fresh(_SCIPY_AFTER_EACH_COMMAND, cwd=workdir)
-    dense = seen.pop("extract dense")
+    assert len(seen) == 7
     assert seen == dict.fromkeys(seen, [])
-    assert "scipy.linalg" in dense
 
 
 def test_extract_stability_induced_charge_pipeline(workdir):
@@ -547,7 +548,7 @@ def test_non_finite_system_is_one_error_line(workdir, capsys, monkeypatch, value
 
 def test_dense_guard_applies_before_meshing(workdir, capsys, monkeypatch):
     """A device of 2.5e9 panels at h = 16 (240 GB of corners) meets the dense guard
-    before any mesh is built: extract exits 1, a dense sweep fails every cell."""
+    before any mesh is built: extract and a dense sweep exit 1 and leave no file."""
     from dqdcap import cli
 
     def no_mesh(spec, h_max_nm):
@@ -561,10 +562,11 @@ def test_dense_guard_applies_before_meshing(workdir, capsys, monkeypatch):
     assert run(["extract", "--geometry", device, "--out", "caps.json", "--h-max", "16"]) == 1
     assert capsys.readouterr().err == f"error: 2500001194 {guard}\n"
     assert set(workdir.iterdir()) == before
-    spec = cli.load_device(device)
-    sweep = analysis.misalign_sweep(spec, [0.0, 10.0], [0.0], h_max_nm=16.0, jobs=2)
+    assert run(["sweep-misalign", "--geometry", device, "--out", "s.csv", "--dx", "0:10:10",
+                "--dy", "0", "--h-max", "16", "--jobs", "2"]) == 1
     # the static block: every box but the two 30-panel dots
-    assert [r["error"] for r in sweep.rows] == [f"SolverError: 2500001134 {guard}"] * 2
+    assert capsys.readouterr().err == f"error: 2500001134 {guard}\n"
+    assert set(workdir.iterdir()) == before
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 3.21 GiB for an array", ""])
