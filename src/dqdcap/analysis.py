@@ -25,7 +25,9 @@ from .charging import (
     reduce_caps,
 )
 from .constants import AF, MV, Q_E
-from .geometry import DEFAULT_H_MAX_NM, DeviceError, mesh_device, panel_count, transform_dots
+from .geometry import (
+    DEFAULT_H_MAX_NM, DeviceError, box_corners, mesh_device, panel_count, transform_dots,
+)
 
 WINDOW_CAP_V = 20.0
 MIN_LINES = 3
@@ -255,10 +257,11 @@ def _cell_solver(spec, mode, h_max_nm):
     """The Maxwell solve of one sweep cell, as a function of its moved device.
 
     A sweep moves only the two dots.  In dense mode the device without them
-    is meshed, assembled and factored once here, and each cell then solves
-    for its dot panels only (DenseFactor.maxwell).  A static block that
-    cannot be meshed or factored, or is over the dense guard (checked before
-    it is meshed), would fail every cell for the one reason, so its error is
+    is meshed, assembled and factored once here, and each cell then meshes
+    its two dots alone, reusing the static boxes' panels, and solves for the
+    dot panels only (DenseFactor.maxwell).  A static block that cannot be
+    meshed or factored, or is over the dense guard (checked before it is
+    meshed), would fail every cell for the one reason, so its error is
     raised here, before any cell runs.  The accelerated mode, and a device
     with nothing but the dots, solve every cell in full.
     """
@@ -268,8 +271,9 @@ def _cell_solver(spec, mode, h_max_nm):
         return lambda moved: solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r,
                                    roles=moved.roles)
     check_dense_size(panel_count(static, h_max_nm))
-    factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
-    return lambda moved: factor.maxwell(mesh_device(moved, h_max_nm), moved.roles)
+    meshed = {b: box_corners(static, b, h_max_nm) for b in static.boxes}
+    factor = DenseFactor(mesh_device(static, h_max_nm, meshed), spec.epsilon_r)
+    return lambda moved: factor.maxwell(mesh_device(moved, h_max_nm, meshed), moved.roles)
 
 
 def _cell_metrics(spec, dx, dy, r_nm, maxwell_of):

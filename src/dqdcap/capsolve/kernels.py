@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .._blas import thread_map
@@ -81,12 +83,23 @@ def _dot(rel, e):
     return total
 
 
-def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
+def source_groups(corners):
+    """The _frame_groups of each BLOCK_PANELS block of source panels, as lists.
+
+    potential_block takes them in place of grouping the same sources again,
+    for sources that recur with corners bitwise these.
+    """
+    return [list(_frame_groups(corners[s:s + BLOCK_PANELS]))
+            for s in range(0, len(corners), BLOCK_PANELS)]
+
+
+def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
     """Write potential_block(mesh, target_points, source_idx, epsilon_r) into out.
 
     The corner term is evaluated once per (target, shared corner node) in
     row tiles of about _TILE values; every value depends only on its target
     and node, so the result does not depend on the blocking or tiling.
+    groups, when given, is source_groups(mesh.corners[source_idx]).
     """
     pref = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
     tx, ty, tz = (np.ascontiguousarray(target_points[:, k, None]) for k in range(3))
@@ -95,7 +108,8 @@ def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
         idx = source_idx[s:s + BLOCK_PANELS]
         cols = out[:, s:s + len(idx)]
         scale = pref / mesh.areas[idx]
-        for (uhat, vhat, what), panels, nodes, inc in _frame_groups(mesh.corners[idx]):
+        grouped = _frame_groups(mesh.corners[idx]) if groups is None else groups[s // BLOCK_PANELS]
+        for (uhat, vhat, what), panels, nodes, inc in grouped:
             px, py, pz = nodes.T
             step = max(1, _TILE // len(nodes))
             for r in range(0, m, step):
@@ -106,32 +120,70 @@ def _fill_block(mesh, target_points, source_idx, epsilon_r, out):
                                             - f[:, inc[:, 1]] + f[:, inc[:, 2]]) * scale[panels]
 
 
-def potential_block(mesh, target_points, source_idx, epsilon_r):
+def potential_block(mesh, target_points, source_idx, epsilon_r, groups=None):
     """Dense block: potential at target_points per unit total charge on each source panel.
 
     Evaluates the corner term once per shared corner node of each block of
     BLOCK_PANELS source panels; each column equals the per-panel signed
     corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding,
-    and is bitwise independent of the blocking.
+    and is bitwise independent of the blocking.  groups, when given, is
+    source_groups(mesh.corners[source_idx]).
     """
     target_points = np.asarray(target_points, dtype=np.float64)
     source_idx = np.asarray(source_idx)
     block = np.empty((len(target_points), len(source_idx)))
-    _fill_block(mesh, target_points, source_idx, epsilon_r, block)
+    _fill_block(mesh, target_points, source_idx, epsilon_r, block, groups)
     return block
 
 
-def check_distinct_centroids(centroids):
-    """Coincident collocation points make the system singular; reject early."""
-    order = np.lexsort(centroids.T)
-    c = centroids[order]
-    if len(c) > 1:
-        d = np.linalg.norm(np.diff(c, axis=0), axis=1)
-        if np.any(d < COINCIDENT_M):
-            k = int(np.argmin(d))
-            raise AssemblyError(
-                f"panels {order[k]} and {order[k + 1]} have coincident centroids"
-            )
+def _coincident_pair(points, marked):
+    """Positions i < j of two points closer than COINCIDENT_M, i or j marked, or None.
+
+    Such a pair is under COINCIDENT_M apart on each axis.  Along one axis,
+    two grids of cells of side 3 COINCIDENT_M, offset by half a side, have
+    cell edges 1.5 COINCIDENT_M apart: the pair's span crosses an edge of
+    one of them at most, so it shares a cell of the other.  So it shares a
+    cube in one of the 8 grids those choices make.  Sorted by cube, each
+    cube's points are one run, and only points within a run are compared.
+    """
+    scaled = points / (3.0 * COINCIDENT_M)
+    for shift in itertools.product((0.0, 0.5), repeat=3):
+        cubes = np.floor(scaled + shift)
+        order = np.lexsort(cubes.T)
+        c = cubes[order]
+        starts = np.flatnonzero(np.r_[True, np.any(c[1:] != c[:-1], axis=1)])
+        stops = np.r_[starts[1:], len(order)]
+        for start, stop in zip(starts[stops - starts > 1], stops[stops - starts > 1]):
+            run = np.sort(order[start:stop])
+            for k, i in enumerate(run[:-1]):
+                rest = run[k + 1:]
+                close = np.linalg.norm(points[rest] - points[i], axis=1) < COINCIDENT_M
+                close &= marked[i] | marked[rest]
+                if close.any():
+                    return i, rest[np.argmax(close)]
+    return None
+
+
+def check_distinct_centroids(centroids, among=None):
+    """Coincident collocation points make the system singular; reject early.
+
+    Centroids closer than COINCIDENT_M coincide.  With among (positions),
+    only the pairs with a point in among are checked, against the points
+    within COINCIDENT_M of among's bounding box.
+    """
+    points = np.arange(len(centroids))
+    marked = np.ones(len(centroids), dtype=bool)
+    if among is not None:
+        if not len(among):
+            return
+        lo = centroids[among].min(axis=0) - COINCIDENT_M
+        hi = centroids[among].max(axis=0) + COINCIDENT_M
+        points = np.flatnonzero(np.all((centroids >= lo) & (centroids <= hi), axis=1))
+        marked = np.isin(points, among)
+    pair = _coincident_pair(centroids[points], marked)
+    if pair is not None:
+        i, j = points[list(pair)]
+        raise AssemblyError(f"panels {i} and {j} have coincident centroids")
 
 
 def assemble_system(mesh, epsilon_r):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,7 +11,9 @@ import numpy as np
 from .. import _blas
 from ..constants import AF, OFFDIAG_TOL
 from . import tree
-from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
+from .kernels import (
+    AssemblyError, assemble_system, check_distinct_centroids, potential_block, source_groups,
+)
 from .tree import (
     FAR_DTYPE, LEAF_SIZE, build_far_operators, build_octree, by_source, index_type,
     interaction_lists, mapped_zeros,
@@ -159,7 +162,8 @@ class DenseFactor:
         S = A_dd - A_ds Y,  Y = A_ss^-1 A_sd,
         x_d = S^-1 (b_d - A_ds Z),  x_s = Z - Y x_d.
     A mesh without moving panels is the plain dense solve.  maxwell may run
-    on several threads at once.
+    on several threads at once.  The frame groups of the static panels, the
+    sources of A_ds, are built once, by the first maxwell with moving panels.
     """
 
     def __init__(self, mesh, epsilon_r):
@@ -170,6 +174,14 @@ class DenseFactor:
         self.mesh = mesh
         self.epsilon_r = epsilon_r
         self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh))
+        self._groups = None
+        self._groups_lock = threading.Lock()
+
+    def _static_groups(self):
+        with self._groups_lock:
+            if self._groups is None:
+                self._groups = source_groups(self.mesh.corners)
+            return self._groups
 
     def maxwell(self, mesh, roles=None) -> MaxwellMatrix:
         check_dense_size(mesh.n_panels)
@@ -184,7 +196,7 @@ class DenseFactor:
                 and mesh.corners[s_idx].tobytes() == self.mesh.corners.tobytes()):
             raise SolverError("the mesh's static panels differ from the factored static block")
         centroids = mesh.centroids
-        check_distinct_centroids(centroids)
+        check_distinct_centroids(centroids, among=d_idx)  # the static block passed it whole
         rhs = _conductor_rhs(mesh)
         z = np.zeros((len(s_idx), mesh.n_cond))
         z[:, remap] = self.z
@@ -193,7 +205,8 @@ class DenseFactor:
         if len(d_idx):
             eps = self.epsilon_r
             a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
-            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps)
+            # the static panels are bitwise the factor's, so their frame groups are too
+            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps, self._static_groups())
             y = _lu_solve(self.lu, self.piv, a_sd)
             s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)

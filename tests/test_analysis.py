@@ -8,11 +8,12 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dqdcap import _blas, analysis
+from dqdcap import _blas, analysis, geometry
 from dqdcap.analysis import (
     AnalysisError,
     _cell_solver,
@@ -27,7 +28,9 @@ from dqdcap.analysis import (
     stability_diagram,
     transfer_metrics,
 )
-from dqdcap.capsolve import MaxwellMatrix, SolverError, solve_dense
+from dqdcap.capsolve import (
+    AssemblyError, DenseFactor, MaxwellMatrix, SolverError, kernels, solve_dense,
+)
 from dqdcap.capsolve import solve as capsolve_solve
 from dqdcap.charging import (
     Bias,
@@ -39,7 +42,7 @@ from dqdcap.charging import (
     stable_config,
 )
 from dqdcap.constants import AF, MV, Q_E
-from dqdcap.geometry import loads_device, mesh_device, transform_dots
+from dqdcap.geometry import DeviceError, loads_device, mesh_device, panel_count, transform_dots
 from dqdcap.reference import build_reference_device
 from test_geometry import random_device
 from dqdcap.validation import random_model_caps
@@ -275,6 +278,7 @@ class TestGeneratedDeviceSweeps:
         spec = random_device(np.random.default_rng(seed))
         meshed = []
         monkeypatch.setattr(analysis, "mesh_device", lambda *args: meshed.append(args))
+        monkeypatch.setattr(analysis, "box_corners", lambda *args: meshed.append(args))
         with pytest.raises(ChargingError, match="role '.+' assigned to '.+' and '.+'") as e:
             reduce_caps(MaxwellMatrix((), np.zeros((0, 0)), 0.0), spec.roles)
         for mode in ("dense", "accelerated"):
@@ -644,6 +648,37 @@ DOTS_ONLY = {"boxes": [
 ]}
 
 
+# random_device seeds of GENERATED_SWEEP_SEEDS whose cells solve
+ORACLE_SEEDS = [seed for seed, solves in GENERATED_SWEEP_SEEDS.items() if solves]
+
+
+def oracle_device(device):
+    """(spec, misalignment grid, dot sizes) for the cell-path oracle tests: the reference
+    device, the same with its dots declared first, or random_device(seed) at the grid of
+    generated_sweeps."""
+    if device in ("reference", "dots_first"):
+        spec = build_reference_device()
+        if device == "dots_first":
+            spec = replace(spec, boxes=tuple(sorted(spec.boxes,
+                                                    key=lambda b: b.role not in ("d1", "d2"))))
+        return spec, ([-60.0, 0.0, 30.0], [-50.0, 0.0]), (10.0, 25.0, 40.0)
+    spec = random_device(np.random.default_rng(device))
+    return spec, ([-5.0, 0.0, spec.sweep_bounds_nm[0] + 1.0], [0.0, 5.0]), (4.0, 8.0, 16.0)
+
+
+def full_mesh_solver(spec, h_max_nm):
+    """The straightforward dense cell path: the whole moved device meshed, and the static
+    panels grouped by frame afresh in every cell.  A device with nothing but its dots
+    solves each cell in full."""
+    static = replace(spec, boxes=tuple(b for b in spec.boxes if b.role not in ("d1", "d2")))
+    if not static.boxes:
+        return lambda moved: solve_dense(mesh_device(moved, h_max_nm), spec.epsilon_r,
+                                         roles=moved.roles)
+    factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
+    factor._static_groups = lambda: None  # potential_block groups the sources itself
+    return lambda moved: factor.maxwell(mesh_device(moved, h_max_nm), moved.roles)
+
+
 class TestStaticBlockSweep:
     """Dense sweeps factor the device without its dots once and solve each cell's dot panels."""
 
@@ -663,6 +698,88 @@ class TestStaticBlockSweep:
             assert got.conductor_names == want.conductor_names
             rel = np.abs(got.entries - want.entries) / np.abs(want.entries)
             assert rel.max() <= 1e-9, (dx, dy, r)
+
+    @pytest.mark.parametrize("device", ["reference", "dots_first", *ORACLE_SEEDS])
+    def test_cells_equal_the_full_mesh_path_bitwise(self, device):
+        """Each cell meshes its two dots alone and reuses the static panels' frame groups:
+        every Maxwell entry, and schur_rcond, is bitwise the whole moved device meshed and
+        its static panels regrouped per cell, or both paths fail with one message."""
+        spec, misalign, sizes = oracle_device(device)
+        cells = [(dx, dy, None) for dx in misalign[0] for dy in misalign[1]]
+        cells += [(0.0, 0.0, r) for r in sizes]
+        r_default = spec.boxes[[b.role for b in spec.boxes].index("d1")].dims_nm[0]
+        got_of, want_of = _cell_solver(spec, "dense", 16.0), full_mesh_solver(spec, 16.0)
+        solved = 0
+        for dx, dy, r in cells:
+            try:
+                moved = transform_dots(spec, dx, dy, r or r_default)
+            except DeviceError:
+                continue
+            outcomes = []
+            for maxwell_of in (got_of, want_of):
+                try:
+                    outcomes.append(maxwell_of(moved))
+                except (SolverError, AssemblyError) as e:
+                    outcomes.append(f"{type(e).__name__}: {e}")
+            got, want = outcomes
+            if isinstance(want, str):
+                assert got == want, (dx, dy, r)
+                continue
+            solved += 1
+            assert got.conductor_names == want.conductor_names
+            assert np.array_equal(got.entries, want.entries), (dx, dy, r)
+            assert got.solver == want.solver
+        assert solved >= 3
+
+    @pytest.mark.parametrize("device", ["reference", "dots_first", *ORACLE_SEEDS])
+    def test_sweep_rows_equal_the_full_mesh_path(self, monkeypatch, device):
+        """Both sweeps, at --jobs 1 and 2, write the rows of the full-mesh cell path."""
+        spec, misalign, sizes = oracle_device(device)
+
+        def sweeps(jobs):
+            return (misalign_sweep(spec, *misalign, h_max_nm=16.0, jobs=jobs).rows,
+                    dotsize_sweep(spec, sizes, h_max_nm=16.0, jobs=jobs).rows)
+
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_cell_solver", lambda spec, mode, h: full_mesh_solver(spec, h))
+            want = sweeps(1)
+        assert any(r["status"] == "ok" for r in want[0] + want[1])
+        for jobs in (1, 2):
+            assert sweeps(jobs) == want, jobs
+
+    def test_sweep_meshes_static_boxes_and_groups_static_panels_once(self, monkeypatch):
+        """Whatever the cell count, a dense sweep meshes each static box once and each cell
+        its two dots; it groups the static source panels by frame twice, once to assemble
+        the static block and once for the cells' A_ds, and each cell's dot panels twice.
+        A second sweep does all of it again: nothing is kept between sweeps."""
+        meshed, grouped = [], []
+        mesh_box, frame_groups = geometry._mesh_box, kernels._frame_groups
+        monkeypatch.setattr(geometry, "_mesh_box",
+                            lambda lo, dims, h: meshed.append(tuple(dims)) or mesh_box(lo, dims, h))
+        monkeypatch.setattr(kernels, "_frame_groups",
+                            lambda quads: grouped.append(len(quads)) or frame_groups(quads))
+        spec = build_reference_device()
+        static = [b.dims_nm for b in spec.boxes if b.role not in ("d1", "d2")]
+        n_static = panel_count(replace(spec, boxes=tuple(
+            b for b in spec.boxes if b.role not in ("d1", "d2"))), 16.0)
+        blocks = [min(kernels.BLOCK_PANELS, n_static - s)
+                  for s in range(0, n_static, kernels.BLOCK_PANELS)]
+        assert len(blocks) == math.ceil(n_static / kernels.BLOCK_PANELS) == 5
+        runs = [(lambda: misalign_sweep(spec, [0.0], [0.0], h_max_nm=16.0, jobs=2), [40.0]),
+                (lambda: misalign_sweep(spec, [-30.0, 0.0, 30.0], [0.0, 20.0], h_max_nm=16.0,
+                                        jobs=2), [40.0] * 6),
+                (lambda: dotsize_sweep(spec, (20.0, 30.0, 40.0), h_max_nm=16.0, jobs=2),
+                 [20.0, 30.0, 40.0])]
+        for sweep, sizes in runs + runs:
+            meshed.clear()
+            grouped.clear()
+            assert all(r["status"] == "ok" for r in sweep().rows)
+            assert meshed[:len(static)] == static  # before any cell, in declaration order
+            assert sorted(meshed[len(static):]) == sorted([(r, r, r / 4) for r in sizes] * 2)
+            # A_sd and A_dd: the sources are the panels of both dots
+            dots = [panel_count(transform_dots(spec, 0.0, 0.0, r), 16.0) - n_static
+                    for r in sizes]
+            assert sorted(grouped) == sorted(blocks * 2 + dots * 2)
 
     def test_accelerated_mode_solves_each_cell(self):
         spec = build_reference_device()
@@ -710,8 +827,8 @@ class TestStaticBlockSweep:
         solve_module = importlib.import_module("dqdcap.capsolve.solve")
         block = solve_module.potential_block
 
-        def nan_at_dx_20(mesh, targets, cols, eps):
-            b = block(mesh, targets, cols, eps)
+        def nan_at_dx_20(mesh, targets, cols, eps, groups=None):
+            b = block(mesh, targets, cols, eps, groups)
             # the dots' own block, in the cell whose dots are centred at x = +20 nm
             if len(targets) == len(cols) and mesh.centroids[cols, 0].mean() > 10e-9:
                 b[0, 0] = np.nan

@@ -4,8 +4,10 @@ import json
 import math
 import mmap
 import os
+import re
 import sys
 import threading
+import time
 import tracemalloc
 import types
 import weakref
@@ -32,6 +34,7 @@ from dqdcap.capsolve import (
     solve_dense,
 )
 from dqdcap.capsolve import kernels, tree
+from dqdcap.capsolve.kernels import check_distinct_centroids
 from dqdcap.capsolve.solve import (
     GMRES_RESTART,
     _AcceleratedOperator,
@@ -158,6 +161,44 @@ class TestKernel:
         mesh = PanelMesh(corners, np.array([0, 1]), ["A", "B"])
         with pytest.raises(AssemblyError, match="coincident"):
             assemble_system(mesh, 1.0)
+
+    def test_coincident_pair_split_by_a_point_sorted_between(self):
+        """Points 0 and 2 are 2e-22 m apart; point 1 sorts between them on x, y, z."""
+        c = np.array([[0.0, 0.0, 1e-8], [5e-9, 5e-9, 1e-8 + 1e-22], [0.0, 0.0, 1e-8 + 2e-22]])
+        with pytest.raises(AssemblyError, match=r"^panels 0 and 2 have coincident centroids$"):
+            check_distinct_centroids(c)
+        with pytest.raises(AssemblyError, match=r"^panels 0 and 2 have coincident centroids$"):
+            check_distinct_centroids(c, among=np.array([2]))
+        check_distinct_centroids(c, among=np.array([1]))  # no close pair involves point 1
+        check_distinct_centroids(c, among=np.array([], dtype=np.intp))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_coincident_pairs_found_as_by_brute_force(self, seed):
+        """Lattice points 1.5 COINCIDENT_M apart, plus points 0.7, 0.99 or 1.3 COINCIDENT_M
+        from some of them: rejected exactly when some pair is closer than COINCIDENT_M
+        (seed 11 has no such pair; with among, seeds 2, 6, 8 and 10 have none)."""
+        rng = np.random.default_rng(seed)
+        m = kernels.COINCIDENT_M
+        c = rng.integers(-3, 4, size=(60, 3)) * 1.5 * m + rng.uniform(-1e-9, 1e-9, size=3)
+        c = np.unique(c, axis=0)  # lattice points at least 1.5 COINCIDENT_M apart
+        for i in rng.choice(len(c), size=4, replace=False):
+            step = rng.standard_normal(3)
+            step *= m * rng.choice([0.7, 0.99, 1.3]) / np.linalg.norm(step)
+            c = np.vstack([c, c[i] + step])
+        c = c[rng.permutation(len(c))]
+        d = np.linalg.norm(c[:, None] - c[None], axis=2) + np.eye(len(c))
+        close = d < m
+        among = rng.choice(len(c), size=10, replace=False)
+        for subset, expect in ((None, close.any()), (among, close[among].any())):
+            if expect:
+                with pytest.raises(AssemblyError, match="coincident") as e:
+                    check_distinct_centroids(c, subset)
+                i, j = map(int, re.findall(r"\d+", str(e.value)))
+                assert close[i, j]
+                if subset is not None:
+                    assert i in among or j in among
+            else:
+                check_distinct_centroids(c, subset)
 
     def test_empty_mesh_rejected(self, no_assembly_pool):
         mesh = PanelMesh(np.zeros((0, 4, 3)), np.zeros(0, dtype=np.int64), [])
@@ -1377,6 +1418,53 @@ class TestDenseFactor:
         assert len(threaded) == 18
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
+
+
+    def test_static_groups_shared_by_threads_equal_serial_bitwise(self, monkeypatch):
+        """Fresh factors on 4 threads: the static panels' frame groups are built once per
+        factor, under its lock, and every cell equals a serial run."""
+        spec = build_reference_device()
+        static = mesh_device(without_dots(spec), 16.0)
+        cells = [transform_dots(spec, dx, dy, r)
+                 for dx, dy, r in ((-60.0, 0.0, 40.0), (30.0, -40.0, 40.0), (0.0, 0.0, 20.0),
+                                   (90.0, 40.0, 40.0), (0.0, 0.0, 50.0), (-30.0, 20.0, 30.0))]
+        meshes = [(mesh_device(moved, 16.0), moved.roles) for moved in cells]
+        serial = DenseFactor(static, spec.epsilon_r)
+        want = [serial.maxwell(mesh, roles).entries for mesh, roles in meshes]
+        built = []
+
+        def slow_groups(corners):  # holds the first cell in the build while the others arrive
+            built.append(len(corners))
+            time.sleep(0.02)
+            return kernels.source_groups(corners)
+
+        monkeypatch.setattr(solve_module, "source_groups", slow_groups)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(6):
+                factor = DenseFactor(static, spec.epsilon_r)
+                with ThreadPoolExecutor(max_workers=4) as ex:
+                    futures = [ex.submit(factor.maxwell, mesh, roles) for mesh, roles in meshes]
+                    got = [f.result(timeout=120).entries for f in futures]
+                for a, b in zip(want, got):
+                    assert np.array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == [static.n_panels] * 6
+
+    def test_extract_builds_no_static_groups(self, monkeypatch):
+        """A mesh without moving panels is the plain dense solve: its one grouping per
+        BLOCK_PANELS block is the assembly's."""
+        calls = []
+        frame_groups = kernels._frame_groups
+        monkeypatch.setattr(kernels, "_frame_groups",
+                            lambda quads: calls.append(len(quads)) or frame_groups(quads))
+        mesh = mesh_device(build_reference_device(), 16.0)
+        factor = DenseFactor(mesh, 6.0)
+        factor.maxwell(mesh)
+        assert factor._groups is None
+        assert len(calls) == math.ceil(mesh.n_panels / kernels.BLOCK_PANELS)
 
 
 class TestSolveDense:
