@@ -25,9 +25,7 @@ from .charging import (
     reduce_caps,
 )
 from .constants import AF, MV, Q_E
-from .geometry import (
-    DEFAULT_H_MAX_NM, DeviceError, box_corners, mesh_device, panel_count, transform_dots,
-)
+from .geometry import DEFAULT_H_MAX_NM, DeviceError, mesh_device, panel_count, transform_dots
 
 WINDOW_CAP_V = 20.0
 MIN_LINES = 3
@@ -257,23 +255,34 @@ def _cell_solver(spec, mode, h_max_nm):
     """The Maxwell solve of one sweep cell, as a function of its moved device.
 
     A sweep moves only the two dots.  In dense mode the device without them
-    is meshed, assembled and factored once here, and each cell then meshes
-    its two dots alone, reusing the static boxes' panels, and solves for the
-    dot panels only (DenseFactor.maxwell).  A static block that cannot be
-    meshed or factored, or is over the dense guard (checked before it is
-    meshed), would fail every cell for the one reason, so its error is
-    raised here, before any cell runs.  The accelerated mode, and a device
-    with nothing but the dots, solve every cell in full.
+    is meshed, assembled and factored once here; each cell then meshes its
+    two dots as a mesh of their own and hands them to the factor, which
+    solves for the dot panels only (DenseFactor.maxwell).  A static block
+    that cannot be meshed or factored, or is over the dense guard (checked
+    before it is meshed), would fail every cell for the one reason, so its
+    error is raised here, before any cell runs.  The accelerated mode, and a
+    device with nothing but the dots, solve every cell in full.  A dense
+    cell meets the guard before any of its boxes is meshed.
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
+
+    def whole(moved):
+        if mode == "dense":
+            check_dense_size(panel_count(moved, h_max_nm))
+        return solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r, roles=moved.roles)
+
     if mode != "dense" or not static.boxes:
-        return lambda moved: solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r,
-                                   roles=moved.roles)
+        return whole
     check_dense_size(panel_count(static, h_max_nm))
-    meshed = {b: box_corners(static, b, h_max_nm) for b in static.boxes}
-    factor = DenseFactor(mesh_device(static, h_max_nm, meshed), spec.epsilon_r)
-    return lambda moved: factor.maxwell(mesh_device(moved, h_max_nm, meshed), moved.roles)
+    factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
+
+    def cell(moved):
+        moving = replace(moved, boxes=tuple(b for b in moved.boxes if b.group in dots))
+        check_dense_size(factor.mesh.n_panels + panel_count(moving, h_max_nm))
+        return factor.maxwell(mesh_device(moving, h_max_nm), moved.groups, moved.roles)
+
+    return cell
 
 
 def _cell_metrics(spec, dx, dy, r_nm, maxwell_of):

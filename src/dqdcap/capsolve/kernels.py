@@ -83,23 +83,12 @@ def _dot(rel, e):
     return total
 
 
-def source_groups(corners):
-    """The _frame_groups of each BLOCK_PANELS block of source panels, as lists.
-
-    potential_block takes them in place of grouping the same sources again,
-    for sources that recur with corners bitwise these.
-    """
-    return [list(_frame_groups(corners[s:s + BLOCK_PANELS]))
-            for s in range(0, len(corners), BLOCK_PANELS)]
-
-
 def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
-    """Write potential_block(mesh, target_points, source_idx, epsilon_r) into out.
+    """Write potential_block(mesh, target_points, source_idx, epsilon_r, groups) into out.
 
     The corner term is evaluated once per (target, shared corner node) in
     row tiles of about _TILE values; every value depends only on its target
     and node, so the result does not depend on the blocking or tiling.
-    groups, when given, is source_groups(mesh.corners[source_idx]).
     """
     pref = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
     tx, ty, tz = (np.ascontiguousarray(target_points[:, k, None]) for k in range(3))
@@ -126,8 +115,9 @@ def potential_block(mesh, target_points, source_idx, epsilon_r, groups=None):
     Evaluates the corner term once per shared corner node of each block of
     BLOCK_PANELS source panels; each column equals the per-panel signed
     corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding,
-    and is bitwise independent of the blocking.  groups, when given, is
-    source_groups(mesh.corners[source_idx]).
+    and is bitwise independent of the blocking.  groups, when given, holds
+    the _frame_groups of each block, as lists, as assemble_system returns
+    them for all of its mesh's panels, and spares grouping them again.
     """
     target_points = np.asarray(target_points, dtype=np.float64)
     source_idx = np.asarray(source_idx)
@@ -187,13 +177,15 @@ def check_distinct_centroids(centroids, among=None):
 
 
 def assemble_system(mesh, epsilon_r):
-    """Full collocation matrix: volts at panel centroids per unit panel charge.
+    """Full collocation matrix: volts at panel centroids per unit panel charge,
+    and the frame groups of its source panels' BLOCK_PANELS blocks, in order.
 
     The matrix is Fortran-ordered, so LU can factor it in place, and filled
     in place by column chunks of BLOCK_PANELS, one thread_map item each.
     numpy releases the GIL on the kernel's tiles, and every value depends
     only on its target and node, so the matrix is bitwise the same on any
-    number of threads.
+    number of threads.  The groups are potential_block's groups for sources
+    that are all of the mesh's panels.
     """
     n = mesh.n_panels
     if n == 0:
@@ -204,7 +196,8 @@ def assemble_system(mesh, epsilon_r):
 
     def fill(start):
         stop = min(start + BLOCK_PANELS, n)
-        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop])
+        groups = list(_frame_groups(mesh.corners[start:stop]))
+        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop], [groups])
+        return groups
 
-    thread_map(fill, range(0, n, BLOCK_PANELS))
-    return A
+    return A, thread_map(fill, range(0, n, BLOCK_PANELS))

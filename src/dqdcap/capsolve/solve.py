@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,9 +10,7 @@ import numpy as np
 from .. import _blas
 from ..constants import AF, OFFDIAG_TOL
 from . import tree
-from .kernels import (
-    AssemblyError, assemble_system, check_distinct_centroids, potential_block, source_groups,
-)
+from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
 from .tree import (
     FAR_DTYPE, LEAF_SIZE, build_far_operators, build_octree, by_source, index_type,
     interaction_lists, mapped_zeros,
@@ -154,70 +151,72 @@ def _lu_solve(lu, piv, b):
 class DenseFactor:
     """LU factor of the collocation matrix of a fixed panel set: the static block.
 
-    maxwell(mesh) extracts the Maxwell matrix of a mesh that holds these
-    panels, bitwise unchanged, plus the panels of conductors the static block
-    does not have (the moving panels).  With A_ss the static block and
-    Z = A_ss^-1 b_s, it assembles only the strips A_sd, A_ds and A_dd and
-    eliminates the k moving panels through the k x k Schur complement
+    maxwell(moving, names) extracts the Maxwell matrix of the static panels
+    together with moving, a PanelMesh of the conductors the static block does
+    not have (the moving panels), its conductors in the order names.  With
+    A_ss the static block and Z = A_ss^-1 b_s, it assembles only the strips
+    A_sd, A_ds and A_dd and eliminates the k moving panels through the k x k
+    Schur complement
         S = A_dd - A_ds Y,  Y = A_ss^-1 A_sd,
         x_d = S^-1 (b_d - A_ds Z),  x_s = Z - Y x_d.
-    A mesh without moving panels is the plain dense solve.  maxwell may run
-    on several threads at once.  The frame groups of the static panels, the
-    sources of A_ds, are built once, by the first maxwell with moving panels.
+    Without moving panels it is the plain dense solve.  The static panels,
+    the sources of A_ds, keep the frame groups their assembly built.
+    maxwell may run on several threads at once.
     """
 
-    def __init__(self, mesh, epsilon_r):
+    def __init__(self, static_mesh, epsilon_r):
         _check_epsilon_r(epsilon_r)
-        check_dense_size(mesh.n_panels)
-        A = assemble_system(mesh, epsilon_r)  # Fortran order: factored in place
+        check_dense_size(static_mesh.n_panels)
+        # A is Fortran-ordered, so _lu factors it in place
+        A, self.groups = assemble_system(static_mesh, epsilon_r)
         self.lu, self.piv, self.rcond = _lu(A)
-        self.mesh = mesh
+        self.mesh = static_mesh
         self.epsilon_r = epsilon_r
-        self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(mesh))
-        self._groups = None
-        self._groups_lock = threading.Lock()
+        self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(static_mesh))
 
-    def _static_groups(self):
-        with self._groups_lock:
-            if self._groups is None:
-                self._groups = source_groups(self.mesh.corners)
-            return self._groups
-
-    def maxwell(self, mesh, roles=None) -> MaxwellMatrix:
-        check_dense_size(mesh.n_panels)
-        names = mesh.conductor_names
-        missing = [c for c in self.mesh.conductor_names if c not in names]
-        if missing:
-            raise SolverError(f"mesh lacks the static conductors {missing}")
-        remap = np.array([names.index(c) for c in self.mesh.conductor_names], dtype=np.int64)
-        static = np.isin(mesh.cond_ids, remap)
-        s_idx, d_idx = np.flatnonzero(static), np.flatnonzero(~static)
-        if not (np.array_equal(mesh.cond_ids[s_idx], remap[self.mesh.cond_ids])
-                and mesh.corners[s_idx].tobytes() == self.mesh.corners.tobytes()):
-            raise SolverError("the mesh's static panels differ from the factored static block")
-        centroids = mesh.centroids
-        check_distinct_centroids(centroids, among=d_idx)  # the static block passed it whole
-        rhs = _conductor_rhs(mesh)
-        z = np.zeros((len(s_idx), mesh.n_cond))
-        z[:, remap] = self.z
-        info_d = _solver_info("dense", mesh.n_panels, rcond=self.rcond)
-        x = np.empty((mesh.n_panels, mesh.n_cond))
-        if len(d_idx):
-            eps = self.epsilon_r
-            a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
-            # the static panels are bitwise the factor's, so their frame groups are too
-            a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps, self._static_groups())
+    def maxwell(self, moving=None, names=None, roles=None) -> MaxwellMatrix:
+        static = self.mesh
+        own = static.conductor_names + (moving.conductor_names if moving is not None else [])
+        names = own if names is None else list(names)
+        bad = [c for c in dict.fromkeys(own + names) if own.count(c) != 1 or names.count(c) != 1]
+        if bad:
+            raise SolverError("names must list each static and moving conductor once, "
+                              f"not so for {bad}")
+        column = {c: i for i, c in enumerate(names)}
+        n_s, n_cond = static.n_panels, len(names)
+        n_d = moving.n_panels if moving is not None else 0
+        check_dense_size(n_s + n_d)
+        static_ids = np.array([column[c] for c in static.conductor_names], dtype=np.int64)
+        cond_ids = static_ids[static.cond_ids]
+        z = np.zeros((n_s, n_cond))
+        z[:, static_ids] = self.z
+        info_d = _solver_info("dense", n_s + n_d, rcond=self.rcond)
+        x = np.empty((n_s + n_d, n_cond))
+        if n_d:
+            moving_ids = np.array([column[c] for c in moving.conductor_names],
+                                  dtype=np.int64)[moving.cond_ids]
+            cond_ids = np.concatenate([cond_ids, moving_ids])
+            # the static block passed the check whole
+            check_distinct_centroids(np.concatenate([static.centroids, moving.centroids]),
+                                     among=np.arange(n_s, n_s + n_d))
+            eps, d_idx = self.epsilon_r, np.arange(n_d)
+            a_sd = potential_block(moving, static.centroids, d_idx, eps)
+            a_ds = potential_block(static, moving.centroids, np.arange(n_s), eps, self.groups)
             y = _lu_solve(self.lu, self.piv, a_sd)
-            s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
+            s = potential_block(moving, moving.centroids, d_idx, eps) - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
-            x[d_idx] = _lu_solve(lu_s, piv_s, rhs[d_idx] - a_ds @ z)
-            z = z - y @ x[d_idx]
-        x[s_idx] = z
-        return _finalize(_conductor_charges(mesh, x), names, info_d, roles)
+            b_d = np.zeros((n_d, n_cond))
+            b_d[d_idx, moving_ids] = 1.0
+            x[n_s:] = _lu_solve(lu_s, piv_s, b_d - a_ds @ z)
+            z = z - y @ x[n_s:]
+        x[:n_s] = z
+        charges = np.zeros((n_cond, n_cond))
+        np.add.at(charges, cond_ids, x)  # each conductor's panels summed in panel order
+        return _finalize(charges, names, info_d, roles)
 
 
 def solve_dense(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
-    return DenseFactor(mesh, epsilon_r).maxwell(mesh, roles)
+    return DenseFactor(mesh, epsilon_r).maxwell(roles=roles)
 
 
 class _AcceleratedOperator:

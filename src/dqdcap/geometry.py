@@ -382,35 +382,29 @@ def _mesh_box(min_nm, dims_nm, h_max_nm):
     return np.concatenate(quads, axis=0)
 
 
-def box_corners(spec: DeviceSpec, box: Box, h_max_nm: float) -> np.ndarray:
-    """The panel corners (n, 4, 3) in metres that mesh_device(spec, h_max_nm) gives box."""
-    lo = box.min_nm
-    if lo[2] >= 0.0 and spec.air_gap_nm:
-        lo = (lo[0], lo[1], lo[2] + spec.air_gap_nm)
-    return _mesh_box(lo, box.dims_nm, h_max_nm) * NM
-
-
-def mesh_device(spec: DeviceSpec, h_max_nm: float, meshed=None) -> PanelMesh:
+def mesh_device(spec: DeviceSpec, h_max_nm: float) -> PanelMesh:
     """Mesh every box face into rectangles with edge <= h_max.
 
     Panels are ordered by box declaration order, then face, then row-major;
-    equal inputs always produce identical panel lists.  Every box's panel
-    count is checked before any box is meshed.  meshed optionally maps boxes
-    of spec to their box_corners(spec, box, h_max_nm), built earlier: those
-    boxes are not meshed again, and the mesh is bitwise the same.
+    equal inputs always produce identical panel lists, and a box's panels
+    depend only on the box and the air gap, so the boxes of any sub-device
+    (its static boxes, or its dots alone) mesh bitwise as they do in the
+    whole.  Every box's panel count is checked before any box is meshed.
     """
     if h_max_nm <= 0:
         raise ValueError("h_max must be positive")
     if not spec.boxes:
         raise DeviceError("device has no boxes to mesh")
-    meshed = meshed or {}
-    for b in spec.boxes:
-        if b not in meshed:
-            _box_panel_count(b, h_max_nm)
+    panel_count(spec, h_max_nm)
     groups = spec.groups
     gid = {g: i for i, g in enumerate(groups)}
-    corners = [meshed[b] if b in meshed else box_corners(spec, b, h_max_nm) for b in spec.boxes]
-    ids = [np.full(len(c), gid[b.group], dtype=np.int64) for b, c in zip(spec.boxes, corners)]
+    corners, ids = [], []
+    for b in spec.boxes:
+        lo = b.min_nm
+        if lo[2] >= 0.0 and spec.air_gap_nm:
+            lo = (lo[0], lo[1], lo[2] + spec.air_gap_nm)
+        corners.append(_mesh_box(lo, b.dims_nm, h_max_nm) * NM)
+        ids.append(np.full(len(corners[-1]), gid[b.group], dtype=np.int64))
     return PanelMesh(np.concatenate(corners, axis=0), np.concatenate(ids), list(groups))
 
 

@@ -44,6 +44,7 @@ from dqdcap.charging import (
 from dqdcap.constants import AF, MV, Q_E
 from dqdcap.geometry import DeviceError, loads_device, mesh_device, panel_count, transform_dots
 from dqdcap.reference import build_reference_device
+from test_capsolve import full_mesh_maxwell
 from test_geometry import random_device
 from dqdcap.validation import random_model_caps
 
@@ -278,7 +279,6 @@ class TestGeneratedDeviceSweeps:
         spec = random_device(np.random.default_rng(seed))
         meshed = []
         monkeypatch.setattr(analysis, "mesh_device", lambda *args: meshed.append(args))
-        monkeypatch.setattr(analysis, "box_corners", lambda *args: meshed.append(args))
         with pytest.raises(ChargingError, match="role '.+' assigned to '.+' and '.+'") as e:
             reduce_caps(MaxwellMatrix((), np.zeros((0, 0)), 0.0), spec.roles)
         for mode in ("dense", "accelerated"):
@@ -667,16 +667,15 @@ def oracle_device(device):
 
 
 def full_mesh_solver(spec, h_max_nm):
-    """The straightforward dense cell path: the whole moved device meshed, and the static
-    panels grouped by frame afresh in every cell.  A device with nothing but its dots
-    solves each cell in full."""
+    """The straightforward dense cell path: the whole moved device meshed, and solved by
+    full_mesh_maxwell against the factored static block.  A device with nothing but its
+    dots solves each cell in full."""
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.role not in ("d1", "d2")))
     if not static.boxes:
         return lambda moved: solve_dense(mesh_device(moved, h_max_nm), spec.epsilon_r,
                                          roles=moved.roles)
     factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
-    factor._static_groups = lambda: None  # potential_block groups the sources itself
-    return lambda moved: factor.maxwell(mesh_device(moved, h_max_nm), moved.roles)
+    return lambda moved: full_mesh_maxwell(factor, mesh_device(moved, h_max_nm), moved.roles)
 
 
 class TestStaticBlockSweep:
@@ -702,8 +701,9 @@ class TestStaticBlockSweep:
     @pytest.mark.parametrize("device", ["reference", "dots_first", *ORACLE_SEEDS])
     def test_cells_equal_the_full_mesh_path_bitwise(self, device):
         """Each cell meshes its two dots alone and reuses the static panels' frame groups:
-        every Maxwell entry, and schur_rcond, is bitwise the whole moved device meshed and
-        its static panels regrouped per cell, or both paths fail with one message."""
+        every Maxwell entry, the conductor order and the solver dict (schur_rcond too) are
+        bitwise the whole moved device meshed and its static panels regrouped per cell, or
+        both paths fail with one message."""
         spec, misalign, sizes = oracle_device(device)
         cells = [(dx, dy, None) for dx in misalign[0] for dy in misalign[1]]
         cells += [(0.0, 0.0, r) for r in sizes]
@@ -749,9 +749,10 @@ class TestStaticBlockSweep:
 
     def test_sweep_meshes_static_boxes_and_groups_static_panels_once(self, monkeypatch):
         """Whatever the cell count, a dense sweep meshes each static box once and each cell
-        its two dots; it groups the static source panels by frame twice, once to assemble
-        the static block and once for the cells' A_ds, and each cell's dot panels twice.
-        A second sweep does all of it again: nothing is kept between sweeps."""
+        its two dots once; it groups the static source panels by frame once, to assemble
+        the static block, whose groups serve every cell's A_ds, and each cell's dot panels
+        twice, for A_sd and A_dd.  A second sweep does all of it again: nothing is kept
+        between sweeps."""
         meshed, grouped = [], []
         mesh_box, frame_groups = geometry._mesh_box, kernels._frame_groups
         monkeypatch.setattr(geometry, "_mesh_box",
@@ -779,7 +780,31 @@ class TestStaticBlockSweep:
             # A_sd and A_dd: the sources are the panels of both dots
             dots = [panel_count(transform_dots(spec, 0.0, 0.0, r), 16.0) - n_static
                     for r in sizes]
-            assert sorted(grouped) == sorted(blocks * 2 + dots * 2)
+            assert sorted(grouped) == sorted(blocks + dots * 2)
+
+    @pytest.mark.parametrize("device", ["reference", "dots_only"])
+    def test_dense_guard_applies_before_a_cell_meshes_its_dots(self, monkeypatch, device):
+        """With the guard 60 panels above the static block, the R = 50 cell (two dots of 48
+        panels at h = 16) fails before its dots are meshed, and the R = 20 cell (two of 16)
+        solves, whether the cells use the static block or, with nothing but dots, the
+        whole device."""
+        spec = (build_reference_device() if device == "reference"
+                else loads_device(json.dumps(DOTS_ONLY)))
+        n_static = panel_count(replace(spec, boxes=tuple(
+            b for b in spec.boxes if b.role not in ("d1", "d2"))), 16.0)
+        assert n_static == (1132 if device == "reference" else 0)
+        solve_module = importlib.import_module("dqdcap.capsolve.solve")
+        monkeypatch.setattr(solve_module, "DENSE_PANEL_GUARD", n_static + 60)
+        meshed = []
+        mesh_box = geometry._mesh_box
+        monkeypatch.setattr(geometry, "_mesh_box",
+                            lambda lo, dims, h: meshed.append(tuple(dims)) or mesh_box(lo, dims, h))
+        rows = dotsize_sweep(spec, (20.0, 50.0), h_max_nm=16.0).rows
+        assert [r["status"] for r in rows] == ["ok", "failed"]
+        assert rows[1]["error"] == (f"SolverError: {n_static + 96} panels exceeds the "
+                                    f"dense-mode guard of {n_static + 60}")
+        assert meshed.count((20.0, 20.0, 5.0)) == 2
+        assert (50.0, 50.0, 12.5) not in meshed
 
     def test_accelerated_mode_solves_each_cell(self):
         spec = build_reference_device()
@@ -815,7 +840,7 @@ class TestStaticBlockSweep:
         """An exactly singular static block (here all zeros) is rejected by its LU, once."""
         solve_module = importlib.import_module("dqdcap.capsolve.solve")
         monkeypatch.setattr(solve_module, "assemble_system",
-                            lambda mesh, eps: np.zeros((mesh.n_panels,) * 2, order="F"))
+                            lambda mesh, eps: (np.zeros((mesh.n_panels,) * 2, order="F"), None))
         with pytest.raises(SolverError, match=r"^ill-conditioned collocation system \(rcond ~ 0"):
             _tiny_sweep(jobs=2)
         assert cells_run == []

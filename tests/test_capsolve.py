@@ -43,6 +43,7 @@ from dqdcap.capsolve.solve import (
     _finalize,
     _lu,
     _lu_solve,
+    _solver_info,
     gmres,
 )
 from dqdcap.capsolve.tree import (
@@ -150,8 +151,8 @@ class TestKernel:
 
     def test_epsilon_scaling_halves_entries(self):
         mesh = sphere_mesh(5.0, 2)
-        a1 = assemble_system(mesh, 1.0)
-        a2 = assemble_system(mesh, 2.0)
+        a1, _ = assemble_system(mesh, 1.0)
+        a2, _ = assemble_system(mesh, 2.0)
         assert np.allclose(a2, 0.5 * a1, rtol=1e-14)
 
     def test_coincident_centroids_rejected(self, no_assembly_pool):
@@ -207,12 +208,12 @@ class TestKernel:
 
     def test_bitwise_equal_for_any_chunk_size_and_worker_count(self, monkeypatch):
         mesh = mesh_device(build_reference_device(), 16.0)
-        a1 = assemble_system(mesh, 6.0)
+        a1, _ = assemble_system(mesh, 6.0)
         for block_panels in (kernels.BLOCK_PANELS, 100):
             monkeypatch.setattr(kernels, "BLOCK_PANELS", block_panels)
             for workers in (1, 2):
                 monkeypatch.setattr(_blas, "worker_count", lambda: workers)
-                assert np.array_equal(a1, assemble_system(mesh, 6.0)), (block_panels, workers)
+                assert np.array_equal(a1, assemble_system(mesh, 6.0)[0]), (block_panels, workers)
 
 
 def mp_panel_integral(mpmath, corner, far_corner, point):
@@ -328,7 +329,7 @@ class TestSharedNodeKernel:
         got = potential_block(mesh, mesh.centroids, idx, 6.0)
         want = loop_potential_block(mesh, mesh.centroids, idx, 6.0)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
-        assert np.array_equal(assemble_system(mesh, 6.0), got)
+        assert np.array_equal(assemble_system(mesh, 6.0)[0], got)
 
     def test_arbitrary_source_subset_and_targets(self):
         mesh = mesh_device(build_reference_device(), 16.0)
@@ -372,7 +373,7 @@ class TestSharedNodeKernel:
 
         def loop_assemble(mesh, epsilon_r):
             c = mesh.centroids
-            return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r)
+            return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r), None
 
         monkeypatch.setattr(solve_module, "assemble_system", loop_assemble)
         want = solve_dense(mesh, 6.0, roles=spec.roles)
@@ -402,9 +403,18 @@ class TestThreadedAssembly:
     def test_equals_serial_chunk_loop(self, name, workers, monkeypatch):
         mesh = ASSEMBLY_MESHES[name]()
         monkeypatch.setattr(_blas, "worker_count", lambda: workers)
-        got = assemble_system(mesh, 6.0)
+        got, groups = assemble_system(mesh, 6.0)
         assert got.flags.f_contiguous
         assert np.array_equal(got, chunk_loop_assembly(mesh, 6.0))
+        # the frame groups of each chunk's sources, in chunk order
+        size = kernels.BLOCK_PANELS
+        want = [list(kernels._frame_groups(mesh.corners[s:s + size]))
+                for s in range(0, mesh.n_panels, size)]
+        assert len(groups) == len(want)
+        for got_block, want_block in zip(groups, want):
+            assert len(got_block) == len(want_block)
+            for g, w in zip(got_block, want_block):
+                assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
     def test_every_chunk_filled_once_under_contention(self, monkeypatch):
         """Eight threads on small chunks, switching every microsecond."""
@@ -414,19 +424,21 @@ class TestThreadedAssembly:
         starts = []
         fill = kernels._fill_block
 
-        def counted(mesh, targets, source_idx, epsilon_r, out):
+        def counted(mesh, targets, source_idx, epsilon_r, out, groups=None):
             starts.append(int(source_idx[0]))
-            fill(mesh, targets, source_idx, epsilon_r, out)
+            fill(mesh, targets, source_idx, epsilon_r, out, groups)
 
         monkeypatch.setattr(kernels, "_fill_block", counted)
         monkeypatch.setattr(_blas, "worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = assemble_system(mesh, 6.0)
+            got, groups = assemble_system(mesh, 6.0)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(starts) == list(range(0, mesh.n_panels, 16))
+        assert [sum(len(p) for _, p, _, _ in g) for g in groups] == \
+            [min(16, mesh.n_panels - s) for s in range(0, mesh.n_panels, 16)]
         assert np.array_equal(got, want)
 
     def test_error_in_a_chunk_reaches_the_caller_and_ends_the_pool(self, monkeypatch):
@@ -466,7 +478,7 @@ def operator_and_dense(request):
     make_mesh, eps = FAR_FIELD_MESHES[request.param]
     mesh = make_mesh()
     op = _AcceleratedOperator(mesh, eps)
-    return op, assemble_system(mesh, eps)
+    return op, assemble_system(mesh, eps)[0]
 
 
 class TestCrossApproximationFarField:
@@ -1366,6 +1378,48 @@ def without_dots(spec):
     return replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
 
 
+def only_dots(spec):
+    dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
+    return replace(spec, boxes=tuple(b for b in spec.boxes if b.group in dots))
+
+
+def full_mesh_maxwell(factor, mesh, roles=None):
+    """The reference for DenseFactor.maxwell: the Maxwell matrix of a whole mesh that holds
+    factor's static panels, bitwise unchanged, among its moving ones (each conductor's
+    panels wherever the mesh has them), by block elimination over the static and moving
+    panel positions s_idx and d_idx, every source block grouped by frame afresh."""
+    names = mesh.conductor_names
+    remap = np.array([names.index(c) for c in factor.mesh.conductor_names], dtype=np.int64)
+    static = np.isin(mesh.cond_ids, remap)
+    s_idx, d_idx = np.flatnonzero(static), np.flatnonzero(~static)
+    assert np.array_equal(mesh.cond_ids[s_idx], remap[factor.mesh.cond_ids])
+    assert mesh.corners[s_idx].tobytes() == factor.mesh.corners.tobytes()
+    centroids = mesh.centroids
+    check_distinct_centroids(centroids, among=d_idx)
+    rhs = _conductor_rhs(mesh)
+    z = np.zeros((len(s_idx), mesh.n_cond))
+    z[:, remap] = factor.z
+    info = _solver_info("dense", mesh.n_panels, rcond=factor.rcond)
+    x = np.empty((mesh.n_panels, mesh.n_cond))
+    if len(d_idx):
+        eps = factor.epsilon_r
+        a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
+        a_ds = potential_block(mesh, centroids[d_idx], s_idx, eps)
+        y = _lu_solve(factor.lu, factor.piv, a_sd)
+        s = potential_block(mesh, centroids[d_idx], d_idx, eps) - a_ds @ y
+        lu_s, piv_s, info["schur_rcond"] = _lu(s)
+        x[d_idx] = _lu_solve(lu_s, piv_s, rhs[d_idx] - a_ds @ z)
+        z = z - y @ x[d_idx]
+    x[s_idx] = z
+    return _finalize(_conductor_charges(mesh, x), names, info, roles)
+
+
+def assert_bitwise(got, want):
+    assert got.conductor_names == want.conductor_names
+    assert np.array_equal(got.entries, want.entries)
+    assert got.solver == want.solver and got.roles == want.roles
+
+
 @pytest.fixture(scope="module")
 def static_h16():
     """The reference device and its static block factored at h = 16."""
@@ -1383,88 +1437,69 @@ class TestDenseFactor:
         assert spec.boxes[0].group in dots and spec.boxes[1].group in dots
         factor = DenseFactor(mesh_device(without_dots(spec), 16.0), spec.epsilon_r)
         moved = transform_dots(spec, -30.0, 20.0, 30.0)
+        got = factor.maxwell(mesh_device(only_dots(moved), 16.0), moved.groups, moved.roles)
         mesh = mesh_device(moved, 16.0)
-        got = factor.maxwell(mesh, roles=moved.roles)
+        assert_bitwise(got, full_mesh_maxwell(factor, mesh, moved.roles))
         want = solve_dense(mesh, spec.epsilon_r, roles=moved.roles)
-        assert got.conductor_names == want.conductor_names
+        assert got.conductor_names == want.conductor_names == moved.groups
         assert np.abs(got.entries - want.entries).max() <= 1e-9 * np.abs(want.entries).min()
 
-    def test_changed_static_panels_are_rejected(self, static_h16):
+    def test_names_must_list_each_conductor_once(self, static_h16):
         spec, factor = static_h16
-        lifted = spec.with_air_gap(1.0)  # moves every surface box up by 1 nm
-        with pytest.raises(SolverError, match="static panels"):
-            factor.maxwell(mesh_device(lifted, 16.0))
-        with pytest.raises(SolverError, match="static panels"):
-            factor.maxwell(mesh_device(spec, 12.0))
-        no_island = replace(spec, boxes=tuple(b for b in spec.boxes if b.role != "i1"))
-        with pytest.raises(SolverError, match="lacks the static conductors"):
-            factor.maxwell(mesh_device(no_island, 16.0))
+        moving = mesh_device(only_dots(spec), 16.0)
+        names = list(spec.groups)
+        island = spec.group_of_role("i1")
+        dot = spec.group_of_role("d1")
+        for bad, named in ((names[:-1], [names[-1]]),
+                           ([c for c in names if c != island], [island]),
+                           ([c for c in names if c != dot], [dot]),
+                           (names + [dot], [dot]),
+                           (names + [island], [island]),
+                           (names + ["X"], ["X"])):
+            with pytest.raises(SolverError, match=re.escape(f"not so for {named}")):
+                factor.maxwell(moving, bad)
+        with pytest.raises(SolverError, match=re.escape(f"not so for {[dot]}")):
+            factor.maxwell(names=factor.mesh.conductor_names + [dot])
+        # the default order: the static conductors, then the moving ones (the same
+        # matrix up to rounding, as the products run over its columns in another order)
+        got = factor.maxwell(moving)
+        assert list(got.conductor_names) == factor.mesh.conductor_names + moving.conductor_names
+        order = [got.conductor_names.index(c) for c in names]
+        want = factor.maxwell(moving, names).entries
+        assert np.abs(got.entries[np.ix_(order, order)] - want).max() <= 1e-12 * want.max()
 
     def test_concurrent_solves_equal_serial_bitwise(self, static_h16):
         """One shared factor on 4 threads: each LU solve needs its own pivot vector."""
         spec, factor = static_h16
         cells = [transform_dots(spec, dx, dy, 40.0)
                  for dx in (-60.0, -30.0, 0.0, 30.0, 60.0, 90.0) for dy in (-40.0, 0.0, 40.0)]
-        meshes = [(mesh_device(moved, 16.0), moved.roles) for moved in cells]
-        serial = [factor.maxwell(mesh, roles).entries for mesh, roles in meshes]
+        serial = [full_mesh_maxwell(factor, mesh_device(moved, 16.0), moved.roles)
+                  for moved in cells]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as ex:
-                futures = [ex.submit(factor.maxwell, mesh, roles) for mesh, roles in meshes]
-                threaded = [f.result(timeout=120).entries for f in futures]
+                futures = [ex.submit(factor.maxwell, mesh_device(only_dots(moved), 16.0),
+                                     moved.groups, moved.roles) for moved in cells]
+                threaded = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert len(threaded) == 18
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
-
-
-    def test_static_groups_shared_by_threads_equal_serial_bitwise(self, monkeypatch):
-        """Fresh factors on 4 threads: the static panels' frame groups are built once per
-        factor, under its lock, and every cell equals a serial run."""
-        spec = build_reference_device()
-        static = mesh_device(without_dots(spec), 16.0)
-        cells = [transform_dots(spec, dx, dy, r)
-                 for dx, dy, r in ((-60.0, 0.0, 40.0), (30.0, -40.0, 40.0), (0.0, 0.0, 20.0),
-                                   (90.0, 40.0, 40.0), (0.0, 0.0, 50.0), (-30.0, 20.0, 30.0))]
-        meshes = [(mesh_device(moved, 16.0), moved.roles) for moved in cells]
-        serial = DenseFactor(static, spec.epsilon_r)
-        want = [serial.maxwell(mesh, roles).entries for mesh, roles in meshes]
-        built = []
-
-        def slow_groups(corners):  # holds the first cell in the build while the others arrive
-            built.append(len(corners))
-            time.sleep(0.02)
-            return kernels.source_groups(corners)
-
-        monkeypatch.setattr(solve_module, "source_groups", slow_groups)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(6):
-                factor = DenseFactor(static, spec.epsilon_r)
-                with ThreadPoolExecutor(max_workers=4) as ex:
-                    futures = [ex.submit(factor.maxwell, mesh, roles) for mesh, roles in meshes]
-                    got = [f.result(timeout=120).entries for f in futures]
-                for a, b in zip(want, got):
-                    assert np.array_equal(a, b)
-        finally:
-            sys.setswitchinterval(interval)
-        assert built == [static.n_panels] * 6
+        for got, want in zip(threaded, serial):
+            assert_bitwise(got, want)
 
     def test_extract_builds_no_static_groups(self, monkeypatch):
-        """A mesh without moving panels is the plain dense solve: its one grouping per
-        BLOCK_PANELS block is the assembly's."""
+        """A factor with no moving panels is the plain dense solve: its one grouping per
+        BLOCK_PANELS block is the assembly's, which the factor keeps."""
         calls = []
         frame_groups = kernels._frame_groups
         monkeypatch.setattr(kernels, "_frame_groups",
                             lambda quads: calls.append(len(quads)) or frame_groups(quads))
         mesh = mesh_device(build_reference_device(), 16.0)
         factor = DenseFactor(mesh, 6.0)
-        factor.maxwell(mesh)
-        assert factor._groups is None
-        assert len(calls) == math.ceil(mesh.n_panels / kernels.BLOCK_PANELS)
+        factor.maxwell()
+        blocks = math.ceil(mesh.n_panels / kernels.BLOCK_PANELS)
+        assert len(calls) == len(factor.groups) == blocks
 
 
 class TestSolveDense:
@@ -1533,7 +1568,7 @@ def reference_matrix_h16():
     """The collocation matrix of the reference device at h = 16 (1 192 panels), Fortran order."""
     spec = build_reference_device()
     mesh = mesh_device(spec, 16.0)
-    return assemble_system(mesh, spec.epsilon_r), _conductor_rhs(mesh)
+    return assemble_system(mesh, spec.epsilon_r)[0], _conductor_rhs(mesh)
 
 
 def random_system():

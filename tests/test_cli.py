@@ -534,9 +534,9 @@ def test_non_finite_system_is_one_error_line(workdir, capsys, monkeypatch, value
     assemble = solve_module.assemble_system
 
     def corrupted(*args):
-        a = assemble(*args)
+        a, groups = assemble(*args)
         a[3, 5] = value
-        return a
+        return a, groups
 
     monkeypatch.setattr(solve_module, "assemble_system", corrupted)
     before = set(workdir.iterdir())

@@ -263,8 +263,11 @@ class TestGeneratedDevices:
         assert not failures
 
     def test_dense_factor_matches_full_solve(self):
-        """The static block's factor, eliminating the dots' panels wherever they sit in the
-        panel list, gives the full dense solve's Maxwell matrix."""
+        """The static block's factor, eliminating the dots' panels handed to it as a mesh of
+        their own, gives bitwise the Maxwell matrix of the block elimination over the whole
+        device's panel list, wherever the dots sit in it, and the full dense solve's."""
+        from test_capsolve import assert_bitwise, full_mesh_maxwell  # it imports this module
+
         solved = 0
         for seed in SOLVE_SEEDS:
             spec = random_device(np.random.default_rng(seed))
@@ -272,9 +275,11 @@ class TestGeneratedDevices:
             static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
             if not static.boxes:
                 continue
+            moving = replace(spec, boxes=tuple(b for b in spec.boxes if b.group in dots))
             mesh = mesh_device(spec, SOLVE_H_NM)
             factor = DenseFactor(mesh_device(static, SOLVE_H_NM), spec.epsilon_r)
-            got = factor.maxwell(mesh, roles=spec.roles)
+            got = factor.maxwell(mesh_device(moving, SOLVE_H_NM), spec.groups, spec.roles)
+            assert_bitwise(got, full_mesh_maxwell(factor, mesh, spec.roles))
             want = solve_dense(mesh, spec.epsilon_r, roles=spec.roles)
             assert got.conductor_names == want.conductor_names, seed
             scale = np.abs(np.diag(want.entries)).max()
