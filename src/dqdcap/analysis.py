@@ -1,4 +1,4 @@
-"""Stability diagrams, transfer metrics, misalignment/dot-size sweeps, validation."""
+"""Stability diagrams, transfer metrics, misalignment/dot-size sweeps, measured-value comparison."""
 
 from __future__ import annotations
 
@@ -376,24 +376,6 @@ def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), mode="dense",
     cells = [{"R_nm": float(r)} for r in r_list]
     return _run_cells("dotsize", spec, cells, lambda c: (0.0, 0.0, c["R_nm"]),
                       mode, h_max_nm, jobs)
-
-
-def estimate_misalignment(theta_obs_deg, dv_sl_obs, sweep: SweepMap,
-                          theta_tol_deg=2.0, dv_rel_tol=0.2):
-    """Cells of a misalignment map consistent with observed (theta, dV_SL).
-
-    dv_sl_obs is in volts; matching cells satisfy |theta - obs| <= 2 degrees
-    and dV_SL within +-20% by default.  The set may be empty.
-    """
-    out = set()
-    for r in sweep.ok_rows():
-        if r.get("theta_deg") is None or not r.get("dV_SL_mV"):
-            continue
-        dv = r["dV_SL_mV"] * MV
-        if abs(r["theta_deg"] - theta_obs_deg) <= theta_tol_deg \
-                and abs(dv - dv_sl_obs) <= dv_rel_tol * dv_sl_obs:
-            out.add((r["dx_nm"], r["dy_nm"]))
-    return out
 
 
 # ---------------------------------------------------------------------------

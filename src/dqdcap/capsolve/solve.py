@@ -58,12 +58,25 @@ class MaxwellMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MaxwellMatrix":
+        """Raises KeyError, TypeError or ValueError on a malformed object."""
+        names = tuple(obj["conductor_names"])
+        entries = np.asarray(obj["entries_aF"], dtype=float) * AF
+        roles = dict(obj["roles"]) if obj.get("roles") else None
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ValueError("conductor_names must be distinct strings")
+        if entries.shape != (len(names), len(names)):
+            raise ValueError(f"entries_aF must be {len(names)} x {len(names)}, "
+                             "one row per conductor name")
+        if not np.isfinite(entries).all():
+            raise ValueError("entries_aF must be finite")
+        if roles and not set(roles) <= set(names):
+            raise ValueError("roles name a conductor missing from conductor_names")
         return cls(
-            conductor_names=tuple(obj["conductor_names"]),
-            entries=np.asarray(obj["entries_aF"], dtype=float) * AF,
+            conductor_names=names,
+            entries=entries,
             asymmetry=float(obj.get("asymmetry", 0.0)),
             solver=dict(obj.get("solver", {})),
-            roles=dict(obj["roles"]) if obj.get("roles") else None,
+            roles=roles,
         )
 
 

@@ -197,12 +197,9 @@ def _read_json(path):
 
 def _load_maxwell(path, obj):
     try:
-        maxwell = MaxwellMatrix.from_json(obj)
-        if not all(map(math.isfinite, maxwell.entries.flat)):
-            raise ValueError("entries_aF must be finite")
+        return MaxwellMatrix.from_json(obj)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path} is not a valid Maxwell JSON ({e!r})") from None
-    return maxwell
 
 
 def _load_measured(path):

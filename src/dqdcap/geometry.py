@@ -279,7 +279,8 @@ class PanelMesh:
             a.flags.writeable = False
         dots = np.abs(np.einsum("ij,ij->i", u, v))
         if np.any(self.areas <= 0) or np.any(dots > 1e-9 * self.areas):
-            raise ValueError("panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)")
+            raise DeviceError(
+                "panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)")
 
     @property
     def n_panels(self) -> int:
@@ -300,9 +301,6 @@ class PanelMesh:
     def panel_count(self) -> dict[str, int]:
         counts = np.bincount(self.cond_ids, minlength=self.n_cond)
         return {name: int(c) for name, c in zip(self.conductor_names, counts)}
-
-    def conductor_area(self, cond_id: int) -> float:
-        return float(self.areas[self.cond_ids == cond_id].sum())
 
 
 def concat_meshes(meshes: list[PanelMesh]) -> PanelMesh:
@@ -406,42 +404,6 @@ def mesh_device(spec: DeviceSpec, h_max_nm: float) -> PanelMesh:
         corners.append(_mesh_box(lo, b.dims_nm, h_max_nm) * NM)
         ids.append(np.full(len(corners[-1]), gid[b.group], dtype=np.int64))
     return PanelMesh(np.concatenate(corners, axis=0), np.concatenate(ids), list(groups))
-
-
-# ---------------------------------------------------------------------------
-# FASTCAP generic format
-# ---------------------------------------------------------------------------
-
-def export_panels(mesh: PanelMesh) -> str:
-    """FASTCAP generic-format text, one Q line per panel, coordinates in metres."""
-    lines = ["0 dqdcap panels"]
-    for quad, cid in zip(mesh.corners, mesh.cond_ids):
-        coords = " ".join("%.17g" % x for x in quad.reshape(12))
-        lines.append(f"Q {mesh.conductor_names[cid]} {coords}")
-    return "\n".join(lines) + "\n"
-
-
-def import_panels(text: str) -> PanelMesh:
-    """Parse FASTCAP generic-format text produced by export_panels."""
-    corners, ids = [], []
-    names: list[str] = []
-    index: dict[str, int] = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith(("0", "*", "#")):
-            continue
-        parts = line.split()
-        if parts[0] != "Q":
-            raise DeviceError(f"line {ln}: unsupported record {parts[0]!r} (only Q panels)")
-        if len(parts) != 14:
-            raise DeviceError(f"line {ln}: Q record needs a conductor and 12 coordinates")
-        name = parts[1]
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        corners.append(np.array([float(x) for x in parts[2:]]).reshape(4, 3))
-        ids.append(index[name])
-    return PanelMesh(np.reshape(corners, (-1, 4, 3)), np.array(ids, dtype=np.int64), names)
 
 
 # ---------------------------------------------------------------------------

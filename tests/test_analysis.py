@@ -23,7 +23,6 @@ from dqdcap.analysis import (
     compare_report,
     coulomb_period,
     dotsize_sweep,
-    estimate_misalignment,
     misalign_sweep,
     stability_diagram,
     transfer_metrics,
@@ -863,29 +862,6 @@ class TestStaticBlockSweep:
         rows = _tiny_sweep(jobs).rows
         assert [r["status"] for r in rows] == ["ok", "ok", "failed"]
         assert rows[2]["error"] == "SolverError: collocation system is not finite (1-norm nan)"
-
-
-class TestEstimateMisalignment:
-    def _map(self):
-        sweep = _tiny_sweep()
-        return sweep
-
-    def test_round_trip_contains_generating_cell(self):
-        sweep = self._map()
-        row = sweep.rows[0]
-        got = estimate_misalignment(row["theta_deg"], row["dV_SL_mV"] * MV, sweep)
-        assert (row["dx_nm"], row["dy_nm"]) in got
-
-    def test_theta_above_45_means_negative_dx(self):
-        sweep = self._map()
-        got = estimate_misalignment(58.0, sweep.rows[0]["dV_SL_mV"] * MV, sweep,
-                                    theta_tol_deg=3.0, dv_rel_tol=0.5)
-        assert got
-        assert all(dx < 0 for dx, _ in got)
-
-    def test_impossible_observation_empty(self):
-        sweep = self._map()
-        assert estimate_misalignment(89.0, 100.0, sweep) == set()
 
 
 class TestCompareReport:

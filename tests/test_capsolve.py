@@ -1819,6 +1819,7 @@ TRANSFORMS = {
     "translate": (lambda s: translated(s, (1000.0, -700.0, 0.0)), 16.0, 1.0),
     "reverse": (lambda s: replace(s, boxes=s.boxes[::-1]), 16.0, 1.0),
     "scale2": (lambda s: mapped(s, lambda x, y, z: (2 * x, 2 * y, 2 * z)), 32.0, 2.0),
+    "scale3": (lambda s: mapped(s, lambda x, y, z: (3 * x, 3 * y, 3 * z)), 48.0, 3.0),
     "swap_xy": (lambda s: mapped(s, lambda x, y, z: (y, x, z)), 16.0, 1.0),  # a reflection
     "rotate_z90": (lambda s: mapped(s, lambda x, y, z: (-y, x, z)), 16.0, 1.0),
     "translate_1e5": (lambda s: translated(s, (1e5, 1e5, 0.0)), 16.0, 1.0),
@@ -1829,12 +1830,14 @@ INVARIANCE_BOUNDS = {
     ("dense", "translate"): 1e-13,  # measured 1.8e-14
     ("dense", "reverse"): 1e-14,  # 1.5e-15
     ("dense", "scale2"): 4e-14,  # 7.5e-15
+    ("dense", "scale3"): 6e-14,  # 1.2e-14: x3 rounds the corners, unlike x2
     ("dense", "swap_xy"): 1.5e-14,  # 2.4e-15
     ("dense", "rotate_z90"): 5e-14,  # 8.7e-15
     ("dense", "translate_1e5"): 5e-12,  # 1.0e-12: absolute coordinates keep fewer digits
     ("accelerated", "translate"): 1.5e-12,  # 7.1e-13: a shift flips last bits of float32 U
     ("accelerated", "reverse"): 8e-7,  # 1.6e-7: panel order moves the octree and ACA pivots
     ("accelerated", "scale2"): 5e-12,  # 8.9e-13
+    ("accelerated", "scale3"): 2.5e-6,  # 4.7e-7: the far field amplifies that rounding
     ("accelerated", "swap_xy"): 2.5e-6,  # 4.4e-7: so do the panel frames
     ("accelerated", "rotate_z90"): 6.5e-6,  # 1.3e-6
     ("accelerated", "translate_1e5"): 1.5e-6,  # 2.9e-7
@@ -1871,9 +1874,9 @@ def test_maxwell_matrix_invariant_under_translation_and_box_order(mode):
 
 @pytest.mark.parametrize("mode", ["dense", "accelerated"])
 def test_maxwell_matrix_invariant_under_scale_reflection_rotation_and_far_translation(mode):
-    """Scaling by 2 (with h), swapping x and y, a 90 degree turn about z and a 1e5 nm
+    """Scaling by 2 or 3 (with h), swapping x and y, a 90 degree turn about z and a 1e5 nm
     shift give the same Maxwell matrix, scaled by the length factor, up to rounding."""
-    check_invariance(mode, ["scale2", "swap_xy", "rotate_z90", "translate_1e5"])
+    check_invariance(mode, ["scale2", "scale3", "swap_xy", "rotate_z90", "translate_1e5"])
 
 
 # seeds of random_device; 252 and 275 are the two of seeds 0-299 whose far field at

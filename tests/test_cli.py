@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 import shutil
 import threading
 from importlib import resources
@@ -683,3 +684,155 @@ def test_sweeps_apply_epsilon_r(workdir, monkeypatch):
     default, vacuum = rows
     assert default["status"] == vacuum["status"] == "ok"
     assert vacuum["C_SLd1_aF"] == pytest.approx(default["C_SLd1_aF"] / 6.0, rel=1e-9)
+
+
+# Maxwell JSON fields stability, induced-charge and compare reject, each over TINY_CAPS
+BAD_MAXWELL = {
+    "entries-scalar": {"entries_aF": 0},
+    "entries-one-row": {"entries_aF": [[12.0, -4.0]]},
+    "name-not-text": {"conductor_names": ["d1", 0]},
+    "name-repeated": {"conductor_names": ["d1", "d1"]},
+    "role-of-unknown-conductor": {"roles": {"d1": "d1", "i1": "d2"}},
+}
+
+
+@pytest.mark.parametrize("command, out", [
+    ("stability", ["--out-prefix", "diag"]),
+    ("induced-charge", ["--out", "dq.json"]),
+    ("compare", ["--measured", "reference_measured.json", "--out", "report.json"]),
+], ids=["stability", "induced-charge", "compare"])
+@pytest.mark.parametrize("case", BAD_MAXWELL)
+def test_malformed_maxwell_json_is_one_error_line(workdir, capsys, command, out, case):
+    """Names and entries that do not agree, found by the generated caps below: each was a
+    traceback from the circuit reduction or the report."""
+    caps = {**TINY_CAPS, "roles": {"d1": "d1", "d2": "d2"}, **BAD_MAXWELL[case]}
+    (workdir / "caps.json").write_text(json.dumps(caps))
+    before = set(workdir.iterdir())
+    assert run([command, "--caps", "caps.json", *out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: caps.json is not a valid Maxwell JSON")
+    assert set(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("thickness", [1e-300, 1e-200, 1e-30])
+@pytest.mark.parametrize("mode", ["dense", "accelerated"])
+def test_box_whose_panels_vanish_in_metres(workdir, capsys, mode, thickness):
+    """Box SL_s made `thickness` nm thick: its panels' edges vanish against their corner
+    coordinates in metres.  extract, and a dense sweep, which meshes the static boxes once,
+    exit 1 with one error line and no file; an accelerated sweep fails its one cell."""
+    device = json.loads((workdir / "reference_device.json").read_text())
+    box = next(b for b in device["boxes"] if b["name"] == "SL_s")
+    box["dims_nm"][1] = thickness
+    (workdir / "thin.json").write_text(json.dumps(device))
+    common = ["--geometry", "thin.json", "--mode", mode, "--h-max", "40"]
+    message = "error: panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)\n"
+    before = set(workdir.iterdir())
+    assert run(["extract", *common, "--out", "caps.json"]) == 1
+    assert capsys.readouterr().err == message
+    assert set(workdir.iterdir()) == before
+    sweep = ["sweep-misalign", *common, "--out", "s.csv", "--dx", "0", "--dy", "0"]
+    if mode == "dense":
+        assert run(sweep) == 1
+        assert capsys.readouterr().err == message
+        assert set(workdir.iterdir()) == before
+    else:
+        assert run(sweep) == 0
+        assert capsys.readouterr().err == ""
+        assert (workdir / "s.csv").read_text().splitlines()[1].endswith(",failed")
+
+
+# Generated inputs: seeded mutations of a valid JSON input, run through the CLI in-process.
+# A mutation writes a non-finite, zero, negative or extreme number, a value of the wrong
+# type, or removes the key or list item (REMOVED).
+REMOVED = object()
+MUTANT_VALUES = (float("nan"), float("inf"), -float("inf"), 0, -1, 1e300, 1e-300,
+                 "x", None, True, [], {}, REMOVED)
+
+
+def mutated(obj, rng):
+    """A copy of the JSON value obj with one to three nodes replaced or removed, and a
+    description of each edit.  Each node is found by a walk from the root that stops at
+    each level with probability 1/2, and always at a leaf: a top-level key, a box key or
+    one coordinate of a device file."""
+    obj = json.loads(json.dumps(obj))
+    edits = []
+    for _ in range(rng.randint(1, 3)):
+        node, path = obj, []
+        while node:
+            key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+            path.append(key)
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child) or rng.random() < 0.5:
+                value = rng.choice(MUTANT_VALUES)
+                if value is REMOVED:
+                    del node[key]
+                else:
+                    node[key] = value
+                edits.append(f"{path}: {'removed' if value is REMOVED else repr(value)}")
+                break
+            node = child
+    return obj, edits
+
+
+def check_contract(workdir, capsys, argv, output, edits):
+    """run(argv) exits 0 having written output, or exits 1 or 2 with one error line and no
+    file left behind; returns the exit code."""
+    before = set(workdir.iterdir())
+    code = run(argv)
+    err = capsys.readouterr().err
+    case = (argv, edits, err)
+    if code == 0:
+        assert (workdir / output).exists(), case
+    else:
+        assert code in (1, 2), case
+        assert err.count("\n") == 1 and err.startswith("error: "), case
+        assert set(workdir.iterdir()) == before, case
+    return code
+
+
+def test_generated_devices_keep_the_cli_contract(workdir, capsys):
+    """Seeded mutations of the reference device, each through a coarse extract and a
+    one-cell sweep.  Dense mode only: its guard rejects a huge box before any mesh, so no
+    case can allocate past the machine."""
+    rng = random.Random(0)
+    device = json.loads((workdir / "reference_device.json").read_text())
+    codes = []
+    for i in range(150):
+        obj, edits = mutated(device, rng)
+        (workdir / f"device_{i}.json").write_text(json.dumps(obj))
+        common = ["--geometry", f"device_{i}.json", "--mode", "dense", "--h-max", "40"]
+        for argv, output in ((["extract", *common, "--out", f"caps_{i}.json"], f"caps_{i}.json"),
+                             (["sweep-misalign", *common, "--out", f"sweep_{i}.csv",
+                               "--dx", "0", "--dy", "0"], f"sweep_{i}.csv")):
+            codes.append(check_contract(workdir, capsys, argv, output, edits))
+    assert {0, 1} <= set(codes)
+
+
+def test_generated_caps_and_measured_files_keep_the_cli_contract(workdir, capsys):
+    """Seeded mutations of a Maxwell JSON and of a ModelCaps JSON through stability,
+    induced-charge and compare, and of the measured-pairs JSON through compare."""
+    assert run(["extract", "--geometry", "reference_device.json", "--out", "caps.json",
+                "--mode", "dense", "--h-max", "40"]) == 0
+    valid = {"maxwell": json.loads((workdir / "caps.json").read_text()),
+             "model": island_caps().to_json(),
+             "measured": json.loads((workdir / "reference_measured.json").read_text())}
+    rng = random.Random(0)
+    codes = []
+    for i in range(240):
+        kind = ("maxwell", "model", "measured")[i % 3]
+        obj, edits = mutated(valid[kind], rng)
+        path = f"{kind}_{i}.json"
+        (workdir / path).write_text(json.dumps(obj))
+        report = ["--out", f"report_{i}.json"]
+        if kind == "measured":
+            runs = [(["compare", "--caps", "caps.json", "--measured", path, *report],
+                     f"report_{i}.json")]
+        else:
+            runs = [(["stability", "--caps", path, "--n", "21", "--out-prefix", f"diag_{i}"],
+                     f"diag_{i}_grid.csv"),
+                    (["induced-charge", "--caps", path, "--out", f"dq_{i}.json"], f"dq_{i}.json"),
+                    (["compare", "--caps", path, "--measured", "reference_measured.json", *report],
+                     f"report_{i}.json")]
+        for argv, output in runs:
+            codes.append(check_contract(workdir, capsys, argv, output, edits))
+    assert {0, 1} <= set(codes)
