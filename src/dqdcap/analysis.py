@@ -254,15 +254,15 @@ class SweepMap:
 def _cell_solver(spec, mode, h_max_nm):
     """The Maxwell solve of one sweep cell, as a function of its moved device.
 
-    A sweep moves only the two dots.  In dense mode the device without them
-    is meshed, assembled and factored once here; each cell then meshes its
-    two dots as a mesh of their own and hands them to the factor, which
-    solves for the dot panels only (DenseFactor.maxwell).  A static block
-    that cannot be meshed or factored, or is over the dense guard (checked
-    before it is meshed), would fail every cell for the one reason, so its
-    error is raised here, before any cell runs.  The accelerated mode, and a
-    device with nothing but the dots, solve every cell in full.  A dense
-    cell meets the guard before any of its boxes is meshed.
+    A sweep moves only the two dots.  The device without them is meshed once
+    here, in both modes, and in dense mode assembled and factored; each cell
+    then meshes its two dots as a mesh of their own and hands them to the
+    factor, which solves for the dot panels only (DenseFactor.maxwell).  A
+    static block that cannot be meshed or factored, or is over the dense
+    guard (checked before it is meshed), would fail every cell for the one
+    reason, so its error is raised here, before any cell runs.  The
+    accelerated mode, and a device with nothing but the dots, solve every
+    cell in full; a dense cell meets the guard before its boxes are meshed.
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
@@ -272,6 +272,8 @@ def _cell_solver(spec, mode, h_max_nm):
             check_dense_size(panel_count(moved, h_max_nm))
         return solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r, roles=moved.roles)
 
+    if static.boxes and mode != "dense":
+        mesh_device(static, h_max_nm)  # a static box that cannot be meshed fails here
     if mode != "dense" or not static.boxes:
         return whole
     check_dense_size(panel_count(static, h_max_nm))
@@ -280,7 +282,7 @@ def _cell_solver(spec, mode, h_max_nm):
     def cell(moved):
         moving = replace(moved, boxes=tuple(b for b in moved.boxes if b.group in dots))
         check_dense_size(factor.mesh.n_panels + panel_count(moving, h_max_nm))
-        return factor.maxwell(mesh_device(moving, h_max_nm), moved.groups, moved.roles)
+        return factor.maxwell(mesh_device(moving, h_max_nm), moved.roles)
 
     return cell
 
@@ -352,15 +354,14 @@ def _fill_db(sweep: SweepMap):
         r["dV_SL_dB"] = 20.0 * math.log10(v / ref) if (ref and v) else None
 
 
-def misalign_sweep(spec, dx_list, dy_list, mode="dense", h_max_nm=DEFAULT_H_MAX_NM, jobs=1,
-                   r_nm=None) -> SweepMap:
+def misalign_sweep(spec, dx_list, dy_list, mode="dense", h_max_nm=DEFAULT_H_MAX_NM,
+                   jobs=1) -> SweepMap:
     """Solve the device over the (dx, dy) misalignment grid and record transfer metrics.
 
-    Cells run over dx_list, then dy_list within each dx.  Failed cells are
-    reported with status "failed" and never interpolated.
+    Cells run over dx_list, then dy_list within each dx, both dots R x R x R/4
+    with R the d1 box's x size.  Failed cells have status "failed", never interpolated.
     """
-    if r_nm is None:
-        r_nm = spec.boxes[[b.role for b in spec.boxes].index("d1")].dims_nm[0]
+    r_nm = spec.boxes[[b.role for b in spec.boxes].index("d1")].dims_nm[0]
     cells = [{"dx_nm": float(dx), "dy_nm": float(dy)} for dx in dx_list for dy in dy_list]
     if not cells:
         raise AnalysisError("empty misalignment grid")
@@ -368,8 +369,7 @@ def misalign_sweep(spec, dx_list, dy_list, mode="dense", h_max_nm=DEFAULT_H_MAX_
                       mode, h_max_nm, jobs)
 
 
-def dotsize_sweep(spec, r_list=(10.0, 20.0, 30.0, 40.0, 50.0), mode="dense",
-                  h_max_nm=DEFAULT_H_MAX_NM, jobs=1) -> SweepMap:
+def dotsize_sweep(spec, r_list, mode="dense", h_max_nm=DEFAULT_H_MAX_NM, jobs=1) -> SweepMap:
     """Solve the aligned device for each dot size R and record coupling and delta q."""
     if not r_list or any(r <= 0 for r in r_list):
         raise AnalysisError("dot sizes must be positive")

@@ -10,7 +10,7 @@ from .._blas import thread_map
 from ..constants import EPS0
 
 _TINY = 1e-300
-BLOCK_PANELS = 256  # source panels per block; corner nodes are shared within a block
+BLOCK_PANELS = 256  # columns per chunk of the assembly, one thread_map item each
 _TILE = 1 << 14  # target x node values per kernel evaluation (128 kB per array)
 COINCIDENT_M = 1e-12  # centroids closer than this (in metres) coincide
 
@@ -57,10 +57,10 @@ def _unique_rows(rows):
 
 
 def _frame_groups(quads):
-    """Split a block of panels by frame, and find each frame's shared corner nodes.
+    """Split panels by frame, and find each frame's shared corner nodes.
 
-    Yields (frame, panels, nodes, inc): the panel_frames row, the block
-    positions of the panels in that frame, their unique corner points, and
+    Yields (frame, panels, nodes, inc): the panel_frames row, the positions
+    in quads of the panels in that frame, their unique corner points, and
     each panel's four corner indices into nodes.  Frames and points are
     compared on their exact float bits, so panels on one box face share
     their nodes and nothing else is assumed about the mesh.
@@ -87,37 +87,33 @@ def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
     """Write potential_block(mesh, target_points, source_idx, epsilon_r, groups) into out.
 
     The corner term is evaluated once per (target, shared corner node) in
-    row tiles of about _TILE values; every value depends only on its target
-    and node, so the result does not depend on the blocking or tiling.
+    row tiles of about _TILE values; every value depends only on its target,
+    node and frame, so the result does not depend on the grouping or tiling.
     """
-    pref = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r)
     tx, ty, tz = (np.ascontiguousarray(target_points[:, k, None]) for k in range(3))
-    m = len(target_points)
-    for s in range(0, len(source_idx), BLOCK_PANELS):
-        idx = source_idx[s:s + BLOCK_PANELS]
-        cols = out[:, s:s + len(idx)]
-        scale = pref / mesh.areas[idx]
-        grouped = _frame_groups(mesh.corners[idx]) if groups is None else groups[s // BLOCK_PANELS]
-        for (uhat, vhat, what), panels, nodes, inc in grouped:
-            px, py, pz = nodes.T
-            step = max(1, _TILE // len(nodes))
-            for r in range(0, m, step):
-                rel = (tx[r:r + step] - px, ty[r:r + step] - py, tz[r:r + step] - pz)
-                f = _corner_term(_dot(rel, uhat), _dot(rel, vhat), np.abs(_dot(rel, what)))
-                # the +1/-1 corner incidence, summed in the fixed order 0, 3, 1, 2
-                cols[r:r + step, panels] = (f[:, inc[:, 0]] - f[:, inc[:, 3]]
-                                            - f[:, inc[:, 1]] + f[:, inc[:, 2]]) * scale[panels]
+    scale = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r) / mesh.areas[source_idx]
+    if groups is None:
+        groups = _frame_groups(mesh.corners[source_idx])
+    for (uhat, vhat, what), panels, nodes, inc in groups:
+        px, py, pz = nodes.T
+        step = max(1, _TILE // len(nodes))
+        for r in range(0, len(target_points), step):
+            rel = (tx[r:r + step] - px, ty[r:r + step] - py, tz[r:r + step] - pz)
+            f = _corner_term(_dot(rel, uhat), _dot(rel, vhat), np.abs(_dot(rel, what)))
+            # the +1/-1 corner incidence, summed in the fixed order 0, 3, 1, 2
+            out[r:r + step, panels] = (f[:, inc[:, 0]] - f[:, inc[:, 3]]
+                                       - f[:, inc[:, 1]] + f[:, inc[:, 2]]) * scale[panels]
 
 
 def potential_block(mesh, target_points, source_idx, epsilon_r, groups=None):
     """Dense block: potential at target_points per unit total charge on each source panel.
 
-    Evaluates the corner term once per shared corner node of each block of
-    BLOCK_PANELS source panels; each column equals the per-panel signed
-    corner sum F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding,
-    and is bitwise independent of the blocking.  groups, when given, holds
-    the _frame_groups of each block, as lists, as assemble_system returns
-    them for all of its mesh's panels, and spares grouping them again.
+    Evaluates the corner term once per shared corner node of the source
+    panels; each column equals the per-panel signed corner sum
+    F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding, bitwise
+    whatever the other sources.  groups, a frame grouping of the sources at
+    their positions in source_idx (assemble_system's, for all of its mesh's
+    panels), spares grouping them again.
     """
     target_points = np.asarray(target_points, dtype=np.float64)
     source_idx = np.asarray(source_idx)
@@ -178,14 +174,13 @@ def check_distinct_centroids(centroids, among=None):
 
 def assemble_system(mesh, epsilon_r):
     """Full collocation matrix: volts at panel centroids per unit panel charge,
-    and the frame groups of its source panels' BLOCK_PANELS blocks, in order.
+    and the frame groups of all its source panels, each chunk's in turn.
 
     The matrix is Fortran-ordered, so LU can factor it in place, and filled
-    in place by column chunks of BLOCK_PANELS, one thread_map item each.
-    numpy releases the GIL on the kernel's tiles, and every value depends
-    only on its target and node, so the matrix is bitwise the same on any
-    number of threads.  The groups are potential_block's groups for sources
-    that are all of the mesh's panels.
+    in place by column chunks of BLOCK_PANELS, one thread_map item each,
+    that group their own sources.  numpy releases the GIL on the kernel's
+    tiles, and every value depends only on its target, node and frame, so
+    the matrix is bitwise the same on any number of threads.
     """
     n = mesh.n_panels
     if n == 0:
@@ -197,7 +192,7 @@ def assemble_system(mesh, epsilon_r):
     def fill(start):
         stop = min(start + BLOCK_PANELS, n)
         groups = list(_frame_groups(mesh.corners[start:stop]))
-        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop], [groups])
-        return groups
+        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop], groups)
+        return [(frame, panels + start, nodes, inc) for frame, panels, nodes, inc in groups]
 
-    return A, thread_map(fill, range(0, n, BLOCK_PANELS))
+    return A, [g for chunk in thread_map(fill, range(0, n, BLOCK_PANELS)) for g in chunk]

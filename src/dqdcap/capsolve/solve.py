@@ -164,16 +164,16 @@ def _lu_solve(lu, piv, b):
 class DenseFactor:
     """LU factor of the collocation matrix of a fixed panel set: the static block.
 
-    maxwell(moving, names) extracts the Maxwell matrix of the static panels
-    together with moving, a PanelMesh of the conductors the static block does
-    not have (the moving panels), its conductors in the order names.  With
-    A_ss the static block and Z = A_ss^-1 b_s, it assembles only the strips
-    A_sd, A_ds and A_dd and eliminates the k moving panels through the k x k
-    Schur complement
+    maxwell(moving) extracts the Maxwell matrix of the static panels together
+    with moving, a PanelMesh of the conductors the static block does not have
+    (the moving panels); its conductors are the static ones, then the moving
+    ones.  With A_ss the static block and Z = A_ss^-1 b_s, it assembles only
+    the strips A_sd, A_ds and A_dd and eliminates the k moving panels through
+    the k x k Schur complement
         S = A_dd - A_ds Y,  Y = A_ss^-1 A_sd,
         x_d = S^-1 (b_d - A_ds Z),  x_s = Z - Y x_d.
     Without moving panels it is the plain dense solve.  The static panels,
-    the sources of A_ds, keep the frame groups their assembly built.
+    the sources of A_ds, keep the frame grouping their assembly built.
     maxwell may run on several threads at once.
     """
 
@@ -187,28 +187,22 @@ class DenseFactor:
         self.epsilon_r = epsilon_r
         self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(static_mesh))
 
-    def maxwell(self, moving=None, names=None, roles=None) -> MaxwellMatrix:
-        static = self.mesh
-        own = static.conductor_names + (moving.conductor_names if moving is not None else [])
-        names = own if names is None else list(names)
-        bad = [c for c in dict.fromkeys(own + names) if own.count(c) != 1 or names.count(c) != 1]
-        if bad:
-            raise SolverError("names must list each static and moving conductor once, "
-                              f"not so for {bad}")
-        column = {c: i for i, c in enumerate(names)}
+    def maxwell(self, moving=None, roles=None) -> MaxwellMatrix:
+        static, k_s = self.mesh, self.mesh.n_cond
+        names = static.conductor_names + (moving.conductor_names if moving is not None else [])
+        both = [c for c in names[k_s:] if c in names[:k_s]]
+        if both:
+            raise SolverError(f"conductors {both} are both static and moving")
         n_s, n_cond = static.n_panels, len(names)
         n_d = moving.n_panels if moving is not None else 0
         check_dense_size(n_s + n_d)
-        static_ids = np.array([column[c] for c in static.conductor_names], dtype=np.int64)
-        cond_ids = static_ids[static.cond_ids]
+        cond_ids = static.cond_ids
         z = np.zeros((n_s, n_cond))
-        z[:, static_ids] = self.z
+        z[:, :k_s] = self.z
         info_d = _solver_info("dense", n_s + n_d, rcond=self.rcond)
         x = np.empty((n_s + n_d, n_cond))
         if n_d:
-            moving_ids = np.array([column[c] for c in moving.conductor_names],
-                                  dtype=np.int64)[moving.cond_ids]
-            cond_ids = np.concatenate([cond_ids, moving_ids])
+            cond_ids = np.concatenate([cond_ids, moving.cond_ids + k_s])
             # the static block passed the check whole
             check_distinct_centroids(np.concatenate([static.centroids, moving.centroids]),
                                      among=np.arange(n_s, n_s + n_d))
@@ -219,7 +213,7 @@ class DenseFactor:
             s = potential_block(moving, moving.centroids, d_idx, eps) - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
             b_d = np.zeros((n_d, n_cond))
-            b_d[d_idx, moving_ids] = 1.0
+            b_d[d_idx, cond_ids[n_s:]] = 1.0
             x[n_s:] = _lu_solve(lu_s, piv_s, b_d - a_ds @ z)
             z = z - y @ x[n_s:]
         x[:n_s] = z

@@ -257,6 +257,13 @@ def transform_dots(spec: DeviceSpec, dx_nm: float, dy_nm: float, r_nm: float) ->
 # Panel meshes
 # ---------------------------------------------------------------------------
 
+def _rectangle_areas(u, v):
+    """Panel areas |u| |v| from edges u, v, and whether each is positive, u perpendicular to v."""
+    areas = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    dots = np.abs(np.einsum("ij,ij->i", u, v))
+    return areas, not (np.any(areas <= 0) or np.any(dots > 1e-9 * areas))
+
+
 class PanelMesh:
     """Flat list of rectangular panels tagged by conductor id.
 
@@ -271,14 +278,12 @@ class PanelMesh:
         self.conductor_names = list(conductor_names)
         if self.corners.shape != (len(self.cond_ids), 4, 3):
             raise ValueError("corners must have shape (n_panels, 4, 3)")
-        u, v = self.edge_u, self.edge_v
         # computed once, as the kernels look them up for every block of panels
         self.centroids = self.corners.mean(axis=1)
-        self.areas = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        self.areas, rectangles = _rectangle_areas(self.edge_u, self.edge_v)
         for a in (self.corners, self.cond_ids, self.centroids, self.areas):
             a.flags.writeable = False
-        dots = np.abs(np.einsum("ij,ij->i", u, v))
-        if np.any(self.areas <= 0) or np.any(dots > 1e-9 * self.areas):
+        if not rectangles:
             raise DeviceError(
                 "panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)")
 
@@ -387,7 +392,8 @@ def mesh_device(spec: DeviceSpec, h_max_nm: float) -> PanelMesh:
     equal inputs always produce identical panel lists, and a box's panels
     depend only on the box and the air gap, so the boxes of any sub-device
     (its static boxes, or its dots alone) mesh bitwise as they do in the
-    whole.  Every box's panel count is checked before any box is meshed.
+    whole.  Every box's panel count is checked before any box is meshed, and
+    a box whose panels are no rectangles in metres is named in a DeviceError.
     """
     if h_max_nm <= 0:
         raise ValueError("h_max must be positive")
@@ -401,8 +407,12 @@ def mesh_device(spec: DeviceSpec, h_max_nm: float) -> PanelMesh:
         lo = b.min_nm
         if lo[2] >= 0.0 and spec.air_gap_nm:
             lo = (lo[0], lo[1], lo[2] + spec.air_gap_nm)
-        corners.append(_mesh_box(lo, b.dims_nm, h_max_nm) * NM)
-        ids.append(np.full(len(corners[-1]), gid[b.group], dtype=np.int64))
+        quads = _mesh_box(lo, b.dims_nm, h_max_nm) * NM
+        if not _rectangle_areas(quads[:, 1] - quads[:, 0], quads[:, 3] - quads[:, 0])[1]:
+            raise DeviceError(f"box {b.name!r} with dims_nm {list(b.dims_nm)} meshes into "
+                              "degenerate panels: an edge vanishes in metres")
+        corners.append(quads)
+        ids.append(np.full(len(quads), gid[b.group], dtype=np.int64))
     return PanelMesh(np.concatenate(corners, axis=0), np.concatenate(ids), list(groups))
 
 

@@ -173,7 +173,7 @@ def pattern_shift_delta_q(caps: ModelCaps, sweep_gate: str = "g1") -> float:
     return min(shift, 1.0 - shift)
 
 
-def run_validation(rng_seed=20240817):
+def run_validation():
     """Return a list of (name, passed, detail) oracle checks."""
     checks = []
 
@@ -218,7 +218,7 @@ def run_validation(rng_seed=20240817):
           f"{v * 1e3:.4f} mV vs {expect_v * 1e3:.4f} mV")
 
     # stable configuration vs exhaustive scan
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(20240817)
     agree = True
     for _ in range(20):
         caps = random_model_caps(rng)
@@ -229,7 +229,7 @@ def run_validation(rng_seed=20240817):
     check("stable config vs brute force", agree)
 
     # delta q closed form vs the transfer-point pattern shift
-    rng = np.random.default_rng(rng_seed + 1)
+    rng = np.random.default_rng(20240818)
     worst = max(abs(delta_q(caps) - pattern_shift_delta_q(caps))
                 for caps in (random_model_caps(rng) for _ in range(5)))
     check("delta q closed form vs transfer-point pattern", worst < 1e-12,

@@ -387,6 +387,16 @@ def chunk_loop_assembly(mesh, epsilon_r):
                                       epsilon_r) for s in range(0, n, size)])
 
 
+def assert_chunk_groups(groups, mesh, size):
+    """groups is one flat list: the frame groups of each column chunk of size panels, in
+    chunk order, their positions offset by the chunk start."""
+    want = [(frame, panels + s, nodes, inc) for s in range(0, mesh.n_panels, size)
+            for frame, panels, nodes, inc in kernels._frame_groups(mesh.corners[s:s + size])]
+    assert len(groups) == len(want)
+    for g, w in zip(groups, want):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
 ASSEMBLY_MESHES = {
     "reference_h16": lambda: mesh_device(build_reference_device(), 16.0),  # 5 chunks
     "generated0_h10": lambda: mesh_device(random_device(np.random.default_rng(0)), 10.0),
@@ -406,15 +416,7 @@ class TestThreadedAssembly:
         got, groups = assemble_system(mesh, 6.0)
         assert got.flags.f_contiguous
         assert np.array_equal(got, chunk_loop_assembly(mesh, 6.0))
-        # the frame groups of each chunk's sources, in chunk order
-        size = kernels.BLOCK_PANELS
-        want = [list(kernels._frame_groups(mesh.corners[s:s + size]))
-                for s in range(0, mesh.n_panels, size)]
-        assert len(groups) == len(want)
-        for got_block, want_block in zip(groups, want):
-            assert len(got_block) == len(want_block)
-            for g, w in zip(got_block, want_block):
-                assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        assert_chunk_groups(groups, mesh, kernels.BLOCK_PANELS)
 
     def test_every_chunk_filled_once_under_contention(self, monkeypatch):
         """Eight threads on small chunks, switching every microsecond."""
@@ -437,8 +439,7 @@ class TestThreadedAssembly:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(starts) == list(range(0, mesh.n_panels, 16))
-        assert [sum(len(p) for _, p, _, _ in g) for g in groups] == \
-            [min(16, mesh.n_panels - s) for s in range(0, mesh.n_panels, 16)]
+        assert_chunk_groups(groups, mesh, 16)
         assert np.array_equal(got, want)
 
     def test_error_in_a_chunk_reaches_the_caller_and_ends_the_pool(self, monkeypatch):
@@ -1387,20 +1388,23 @@ def full_mesh_maxwell(factor, mesh, roles=None):
     """The reference for DenseFactor.maxwell: the Maxwell matrix of a whole mesh that holds
     factor's static panels, bitwise unchanged, among its moving ones (each conductor's
     panels wherever the mesh has them), by block elimination over the static and moving
-    panel positions s_idx and d_idx, every source block grouped by frame afresh."""
-    names = mesh.conductor_names
-    remap = np.array([names.index(c) for c in factor.mesh.conductor_names], dtype=np.int64)
-    static = np.isin(mesh.cond_ids, remap)
+    panel positions s_idx and d_idx, every source block grouped by frame afresh.  Its
+    conductors are in the factor's order: the static ones, then the moving ones."""
+    static_names = factor.mesh.conductor_names
+    names = static_names + [c for c in mesh.conductor_names if c not in static_names]
+    cond_ids = np.array([names.index(c) for c in mesh.conductor_names])[mesh.cond_ids]
+    static = cond_ids < len(static_names)
     s_idx, d_idx = np.flatnonzero(static), np.flatnonzero(~static)
-    assert np.array_equal(mesh.cond_ids[s_idx], remap[factor.mesh.cond_ids])
+    assert np.array_equal(cond_ids[s_idx], factor.mesh.cond_ids)
     assert mesh.corners[s_idx].tobytes() == factor.mesh.corners.tobytes()
     centroids = mesh.centroids
     check_distinct_centroids(centroids, among=d_idx)
-    rhs = _conductor_rhs(mesh)
-    z = np.zeros((len(s_idx), mesh.n_cond))
-    z[:, remap] = factor.z
+    rhs = np.zeros((mesh.n_panels, len(names)))
+    rhs[np.arange(mesh.n_panels), cond_ids] = 1.0
+    z = np.zeros((len(s_idx), len(names)))
+    z[:, :len(static_names)] = factor.z
     info = _solver_info("dense", mesh.n_panels, rcond=factor.rcond)
-    x = np.empty((mesh.n_panels, mesh.n_cond))
+    x = np.empty((mesh.n_panels, len(names)))
     if len(d_idx):
         eps = factor.epsilon_r
         a_sd = potential_block(mesh, centroids[s_idx], d_idx, eps)
@@ -1411,7 +1415,16 @@ def full_mesh_maxwell(factor, mesh, roles=None):
         x[d_idx] = _lu_solve(lu_s, piv_s, rhs[d_idx] - a_ds @ z)
         z = z - y @ x[d_idx]
     x[s_idx] = z
-    return _finalize(_conductor_charges(mesh, x), names, info, roles)
+    charges = np.zeros((len(names), len(names)))
+    np.add.at(charges, cond_ids, x)
+    return _finalize(charges, names, info, roles)
+
+
+def in_order(maxwell, names):
+    """maxwell's entries with rows and columns in the conductor order names."""
+    order = [maxwell.conductor_names.index(c) for c in names]
+    assert sorted(order) == list(range(maxwell.n_cond))
+    return maxwell.entries[np.ix_(order, order)]
 
 
 def assert_bitwise(got, want):
@@ -1437,36 +1450,25 @@ class TestDenseFactor:
         assert spec.boxes[0].group in dots and spec.boxes[1].group in dots
         factor = DenseFactor(mesh_device(without_dots(spec), 16.0), spec.epsilon_r)
         moved = transform_dots(spec, -30.0, 20.0, 30.0)
-        got = factor.maxwell(mesh_device(only_dots(moved), 16.0), moved.groups, moved.roles)
+        got = factor.maxwell(mesh_device(only_dots(moved), 16.0), moved.roles)
         mesh = mesh_device(moved, 16.0)
         assert_bitwise(got, full_mesh_maxwell(factor, mesh, moved.roles))
         want = solve_dense(mesh, spec.epsilon_r, roles=moved.roles)
-        assert got.conductor_names == want.conductor_names == moved.groups
-        assert np.abs(got.entries - want.entries).max() <= 1e-9 * np.abs(want.entries).min()
+        assert want.conductor_names == moved.groups
+        err = np.abs(in_order(got, want.conductor_names) - want.entries).max()
+        assert err <= 1e-9 * np.abs(want.entries).min()
 
-    def test_names_must_list_each_conductor_once(self, static_h16):
+    def test_a_conductor_both_static_and_moving_is_rejected(self, static_h16):
         spec, factor = static_h16
-        moving = mesh_device(only_dots(spec), 16.0)
-        names = list(spec.groups)
         island = spec.group_of_role("i1")
-        dot = spec.group_of_role("d1")
-        for bad, named in ((names[:-1], [names[-1]]),
-                           ([c for c in names if c != island], [island]),
-                           ([c for c in names if c != dot], [dot]),
-                           (names + [dot], [dot]),
-                           (names + [island], [island]),
-                           (names + ["X"], ["X"])):
-            with pytest.raises(SolverError, match=re.escape(f"not so for {named}")):
-                factor.maxwell(moving, bad)
-        with pytest.raises(SolverError, match=re.escape(f"not so for {[dot]}")):
-            factor.maxwell(names=factor.mesh.conductor_names + [dot])
-        # the default order: the static conductors, then the moving ones (the same
-        # matrix up to rounding, as the products run over its columns in another order)
+        moving = mesh_device(only_dots(spec), 16.0)
+        both = concat_meshes([moving, mesh_device(replace(spec, boxes=tuple(
+            b for b in spec.boxes if b.group == island)), 16.0)])
+        with pytest.raises(SolverError, match=re.escape(f"conductors {[island]} are both")):
+            factor.maxwell(both)
+        # the order: the static conductors, then the moving ones
         got = factor.maxwell(moving)
         assert list(got.conductor_names) == factor.mesh.conductor_names + moving.conductor_names
-        order = [got.conductor_names.index(c) for c in names]
-        want = factor.maxwell(moving, names).entries
-        assert np.abs(got.entries[np.ix_(order, order)] - want).max() <= 1e-12 * want.max()
 
     def test_concurrent_solves_equal_serial_bitwise(self, static_h16):
         """One shared factor on 4 threads: each LU solve needs its own pivot vector."""
@@ -1480,7 +1482,7 @@ class TestDenseFactor:
         try:
             with ThreadPoolExecutor(max_workers=4) as ex:
                 futures = [ex.submit(factor.maxwell, mesh_device(only_dots(moved), 16.0),
-                                     moved.groups, moved.roles) for moved in cells]
+                                     moved.roles) for moved in cells]
                 threaded = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -1490,7 +1492,7 @@ class TestDenseFactor:
 
     def test_extract_builds_no_static_groups(self, monkeypatch):
         """A factor with no moving panels is the plain dense solve: its one grouping per
-        BLOCK_PANELS block is the assembly's, which the factor keeps."""
+        BLOCK_PANELS chunk is the assembly's, which the factor keeps as one flat list."""
         calls = []
         frame_groups = kernels._frame_groups
         monkeypatch.setattr(kernels, "_frame_groups",
@@ -1498,8 +1500,10 @@ class TestDenseFactor:
         mesh = mesh_device(build_reference_device(), 16.0)
         factor = DenseFactor(mesh, 6.0)
         factor.maxwell()
-        blocks = math.ceil(mesh.n_panels / kernels.BLOCK_PANELS)
-        assert len(calls) == len(factor.groups) == blocks
+        size = kernels.BLOCK_PANELS
+        assert calls == [min(size, mesh.n_panels - s) for s in range(0, mesh.n_panels, size)]
+        panels = np.concatenate([p for _, p, _, _ in factor.groups])
+        assert np.array_equal(np.sort(panels), np.arange(mesh.n_panels))
 
 
 class TestSolveDense:

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import random
@@ -46,6 +47,27 @@ def test_bad_range_is_usage_failure(workdir):
     code = run(["sweep-dotsize", "--geometry", "reference_device.json",
                 "--out", "s.csv", "--r", "10:bad"])
     assert code == 1
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+# the sweep CSV columns the benchmark compares with its reference
+BENCH_SWEEP_FIELDS = ("C_SLd1_aF", "C_SRd2_aF", "dV_SL_mV", "dV_SR_mV", "theta_deg", "delta_q_e")
+
+
+def test_bench_sweep_matches_its_reference(workdir):
+    """The benchmark's seed-0 sweep, run in-process, writes the rows and statuses of its
+    committed reference CSV, with every field the benchmark checks within 1e-9 relative."""
+    assert run(["sweep-misalign", "--geometry", str(BENCH_DATA / "reference_device.json"),
+                "--out", "sweep.csv", "--dx", "-90:90:30", "--dy", "-50:50:50",
+                "--mode", "dense", "--h-max", "16", "--jobs", "2"]) == 0
+    got, want = ([*csv.DictReader(path.read_text().splitlines())]
+                 for path in (workdir / "sweep.csv", BENCH_DATA / "ref_sweep_misalign_h16.csv"))
+    assert len(want) == 21
+    assert [(r["dx_nm"], r["dy_nm"], r["status"]) for r in got] == \
+        [(r["dx_nm"], r["dy_nm"], r["status"]) for r in want]
+    for row, ref in zip(got, want):
+        for f in BENCH_SWEEP_FIELDS:
+            assert float(row[f]) == pytest.approx(float(ref[f]), rel=1e-9, abs=0), (row, f)
 
 
 def test_unknown_subcommand_exits_2():
@@ -718,27 +740,23 @@ def test_malformed_maxwell_json_is_one_error_line(workdir, capsys, command, out,
 @pytest.mark.parametrize("mode", ["dense", "accelerated"])
 def test_box_whose_panels_vanish_in_metres(workdir, capsys, mode, thickness):
     """Box SL_s made `thickness` nm thick: its panels' edges vanish against their corner
-    coordinates in metres.  extract, and a dense sweep, which meshes the static boxes once,
-    exit 1 with one error line and no file; an accelerated sweep fails its one cell."""
+    coordinates in metres.  extract, and a sweep in either mode, which meshes the static
+    boxes once before any cell, exit 1 with one error line that names the box, and no
+    file."""
     device = json.loads((workdir / "reference_device.json").read_text())
     box = next(b for b in device["boxes"] if b["name"] == "SL_s")
     box["dims_nm"][1] = thickness
     (workdir / "thin.json").write_text(json.dumps(device))
     common = ["--geometry", "thin.json", "--mode", mode, "--h-max", "40"]
-    message = "error: panels must be non-degenerate rectangles (edge_u perpendicular to edge_v)\n"
+    message = (f"error: box 'SL_s' with dims_nm {box['dims_nm']} meshes into degenerate "
+               "panels: an edge vanishes in metres\n")
     before = set(workdir.iterdir())
     assert run(["extract", *common, "--out", "caps.json"]) == 1
     assert capsys.readouterr().err == message
     assert set(workdir.iterdir()) == before
-    sweep = ["sweep-misalign", *common, "--out", "s.csv", "--dx", "0", "--dy", "0"]
-    if mode == "dense":
-        assert run(sweep) == 1
-        assert capsys.readouterr().err == message
-        assert set(workdir.iterdir()) == before
-    else:
-        assert run(sweep) == 0
-        assert capsys.readouterr().err == ""
-        assert (workdir / "s.csv").read_text().splitlines()[1].endswith(",failed")
+    assert run(["sweep-misalign", *common, "--out", "s.csv", "--dx", "0", "--dy", "0"]) == 1
+    assert capsys.readouterr().err == message
+    assert set(workdir.iterdir()) == before
 
 
 # Generated inputs: seeded mutations of a valid JSON input, run through the CLI in-process.

@@ -1,6 +1,8 @@
-"""Every public function, class and method in the package has a consumer outside tests/."""
+"""Every public function, class and method in the package has a consumer outside tests/,
+and every defaulted parameter of a package function a caller outside tests/ that passes it."""
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -11,6 +13,15 @@ ALLOWED = {
     "build_reference_device": "the reference device's documented entry point (README)",
     "dumps_device": "loads_device's inverse; their round trip is tested",
     "set_transfer_points": "rejects caps with no i1 island, which the bare routine cannot read",
+}
+
+# (function, parameter) of defaulted parameters no caller in src/ or bench/ passes, each
+# kept for the reason given
+ALLOWED_PARAMETERS = {
+    ("random_model_caps", "island"): "only tests draw caps without an island",
+    ("brute_force_stable_config", "half"): "only tests start the scan at another width",
+    ("pattern_shift_delta_q", "sweep_gate"): "only tests sweep SL or SR: delta q's sweep-gate "
+                                             "invariance, acceptance criterion 9",
 }
 
 
@@ -55,3 +66,70 @@ def test_every_public_name_has_a_consumer():
     unused = {(module, name) for module, name in public_definitions()
               if name.rsplit(".", 1)[-1] not in seen}
     assert {name for _, name in unused} == set(ALLOWED), sorted(unused)
+
+
+def defaulted_parameters():
+    """(module, callee name, parameter, positional index or None) of each defaulted
+    parameter of a package function or method; a method's index does not count self, and
+    __init__ is called by its class's name."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text())
+        methods = {item: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            skip = int(node in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list))
+            name = methods[node] if node.name == "__init__" else node.name
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield module, name, arg.arg, i - skip
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield module, name, arg.arg, None
+
+
+def passed_parameters():
+    """{callee name: (most positional arguments, keyword names)} over the calls in src/ and
+    bench/.  A starred argument passes every position; **name passes the keys of a
+    `name = dict(...)` in the same module, and any other ** passes every keyword (None)."""
+    passed = {}
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        dicts = {t.id: {kw.arg for kw in node.value.keywords}
+                 for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Call)
+                 and isinstance(node.value.func, ast.Name) and node.value.func.id == "dict"
+                 for t in node.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            seen = passed.setdefault(
+                func.id if isinstance(func, ast.Name) else getattr(func, "attr", None),
+                [0, set()])
+            starred = any(isinstance(x, ast.Starred) for x in call.args)
+            seen[0] = max(seen[0], math.inf if starred else len(call.args))
+            for kw in call.keywords:
+                if kw.arg is None:
+                    seen[1] |= dicts.get(getattr(kw.value, "id", None), {None})
+                else:
+                    seen[1].add(kw.arg)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default no caller overrides is a constant: make it one, or give it a caller.  An
+    allowed parameter that gains a caller leaves ALLOWED_PARAMETERS."""
+    passed = passed_parameters()
+    unused = set()
+    for module, name, param, index in defaulted_parameters():
+        most, names = passed.get(name, (0, set()))
+        if not (param in names or None in names or (index is not None and index < most)):
+            unused.add((module, name, param))
+    assert {(name, param) for _, name, param in unused} == set(ALLOWED_PARAMETERS), \
+        sorted(unused)
