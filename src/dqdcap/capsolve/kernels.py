@@ -86,9 +86,9 @@ def _dot(rel, e):
 def _fill_block(mesh, target_points, source_idx, epsilon_r, out, groups=None):
     """Write potential_block(mesh, target_points, source_idx, epsilon_r, groups) into out.
 
-    The corner term is evaluated once per (target, shared corner node) in
-    row tiles of about _TILE values; every value depends only on its target,
-    node and frame, so the result does not depend on the grouping or tiling.
+    Groups the sources unless groups is given, and evaluates the corner term once per
+    (target, shared corner node) in row tiles of about _TILE values; each value depends
+    only on its target, node and frame, so neither the grouping nor the tiling shows.
     """
     tx, ty, tz = (np.ascontiguousarray(target_points[:, k, None]) for k in range(3))
     scale = 1.0 / (4.0 * np.pi * EPS0 * epsilon_r) / mesh.areas[source_idx]
@@ -111,9 +111,8 @@ def potential_block(mesh, target_points, source_idx, epsilon_r, groups=None):
     Evaluates the corner term once per shared corner node of the source
     panels; each column equals the per-panel signed corner sum
     F(c0) - F(c1) + F(c2) - F(c3) of _corner_term up to rounding, bitwise
-    whatever the other sources.  groups, a frame grouping of the sources at
-    their positions in source_idx (assemble_system's, for all of its mesh's
-    panels), spares grouping them again.
+    whatever the other sources.  groups, the sources' frame grouping at their
+    positions in source_idx (DenseFactor.groups), spares regrouping them.
     """
     target_points = np.asarray(target_points, dtype=np.float64)
     source_idx = np.asarray(source_idx)
@@ -173,8 +172,7 @@ def check_distinct_centroids(centroids, among=None):
 
 
 def assemble_system(mesh, epsilon_r):
-    """Full collocation matrix: volts at panel centroids per unit panel charge,
-    and the frame groups of all its source panels, each chunk's in turn.
+    """Full collocation matrix: volts at panel centroids per unit panel charge.
 
     The matrix is Fortran-ordered, so LU can factor it in place, and filled
     in place by column chunks of BLOCK_PANELS, one thread_map item each,
@@ -191,8 +189,7 @@ def assemble_system(mesh, epsilon_r):
 
     def fill(start):
         stop = min(start + BLOCK_PANELS, n)
-        groups = list(_frame_groups(mesh.corners[start:stop]))
-        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop], groups)
-        return [(frame, panels + start, nodes, inc) for frame, panels, nodes, inc in groups]
+        _fill_block(mesh, centroids, np.arange(start, stop), epsilon_r, A[:, start:stop])
 
-    return A, [g for chunk in thread_map(fill, range(0, n, BLOCK_PANELS)) for g in chunk]
+    thread_map(fill, range(0, n, BLOCK_PANELS))
+    return A

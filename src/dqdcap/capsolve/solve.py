@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .. import _blas
 from ..constants import AF, OFFDIAG_TOL
-from . import tree
+from . import kernels, tree
 from .kernels import AssemblyError, assemble_system, check_distinct_centroids, potential_block
 from .tree import (
     FAR_DTYPE, LEAF_SIZE, build_far_operators, build_octree, by_source, index_type,
@@ -168,24 +169,27 @@ class DenseFactor:
     with moving, a PanelMesh of the conductors the static block does not have
     (the moving panels); its conductors are the static ones, then the moving
     ones.  With A_ss the static block and Z = A_ss^-1 b_s, it assembles only
-    the strips A_sd, A_ds and A_dd and eliminates the k moving panels through
-    the k x k Schur complement
+    A_ds and the strip [A_sd; A_dd], the latter in one kernel call at all the
+    centroids, and eliminates the k moving panels through the Schur complement
         S = A_dd - A_ds Y,  Y = A_ss^-1 A_sd,
         x_d = S^-1 (b_d - A_ds Z),  x_s = Z - Y x_d.
-    Without moving panels it is the plain dense solve.  The static panels,
-    the sources of A_ds, keep the frame grouping their assembly built.
-    maxwell may run on several threads at once.
+    Without moving panels it is the plain dense solve.  The sources of A_ds,
+    the static panels, are grouped by frame once, as one mesh, when first
+    needed (groups).  maxwell may run on several threads at once.
     """
 
     def __init__(self, static_mesh, epsilon_r):
         _check_epsilon_r(epsilon_r)
         check_dense_size(static_mesh.n_panels)
-        # A is Fortran-ordered, so _lu factors it in place
-        A, self.groups = assemble_system(static_mesh, epsilon_r)
-        self.lu, self.piv, self.rcond = _lu(A)
+        # the matrix is Fortran-ordered, so _lu factors it in place
+        self.lu, self.piv, self.rcond = _lu(assemble_system(static_mesh, epsilon_r))
         self.mesh = static_mesh
         self.epsilon_r = epsilon_r
         self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(static_mesh))
+
+    @functools.cached_property
+    def groups(self):
+        return list(kernels._frame_groups(self.mesh.corners))
 
     def maxwell(self, moving=None, roles=None) -> MaxwellMatrix:
         static, k_s = self.mesh, self.mesh.n_cond
@@ -203,17 +207,16 @@ class DenseFactor:
         x = np.empty((n_s + n_d, n_cond))
         if n_d:
             cond_ids = np.concatenate([cond_ids, moving.cond_ids + k_s])
+            points = np.concatenate([static.centroids, moving.centroids])
             # the static block passed the check whole
-            check_distinct_centroids(np.concatenate([static.centroids, moving.centroids]),
-                                     among=np.arange(n_s, n_s + n_d))
-            eps, d_idx = self.epsilon_r, np.arange(n_d)
-            a_sd = potential_block(moving, static.centroids, d_idx, eps)
+            check_distinct_centroids(points, among=np.arange(n_s, n_s + n_d))
+            eps = self.epsilon_r
+            a_d = potential_block(moving, points, np.arange(n_d), eps)  # A_sd above A_dd
             a_ds = potential_block(static, moving.centroids, np.arange(n_s), eps, self.groups)
-            y = _lu_solve(self.lu, self.piv, a_sd)
-            s = potential_block(moving, moving.centroids, d_idx, eps) - a_ds @ y
+            y = _lu_solve(self.lu, self.piv, a_d[:n_s])
+            s = a_d[n_s:] - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
-            b_d = np.zeros((n_d, n_cond))
-            b_d[d_idx, cond_ids[n_s:]] = 1.0
+            b_d = np.eye(n_cond)[cond_ids[n_s:]]
             x[n_s:] = _lu_solve(lu_s, piv_s, b_d - a_ds @ z)
             z = z - y @ x[n_s:]
         x[:n_s] = z

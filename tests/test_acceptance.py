@@ -14,9 +14,7 @@ from dqdcap.analysis import coulomb_period, stability_diagram, transfer_metrics
 from dqdcap.capsolve import solve_accelerated, solve_dense
 from dqdcap.charging import (
     Bias,
-    ChargingError,
     ModelCaps,
-    compensate,
     config_energy,
     delta_q,
     reduce_caps,

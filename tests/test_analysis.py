@@ -747,16 +747,22 @@ class TestStaticBlockSweep:
 
     def test_sweep_meshes_static_boxes_and_groups_static_panels_once(self, monkeypatch):
         """Whatever the cell count, a dense sweep meshes each static box once and each cell
-        its two dots once; it groups the static source panels by frame once, to assemble
-        the static block, whose groups serve every cell's A_ds, and each cell's dot panels
-        twice, for A_sd and A_dd.  A second sweep does all of it again: nothing is kept
+        its two dots once.  It groups the static source panels by frame per BLOCK_PANELS
+        chunk, to assemble the static block, and once as one mesh, for every cell's A_ds;
+        each cell groups its dot panels once, for the strip of A_sd above A_dd, and makes
+        those two kernel calls only.  A second sweep does all of it again: nothing is kept
         between sweeps."""
-        meshed, grouped = [], []
+        meshed, grouped, blocks_of = [], [], []
         mesh_box, frame_groups = geometry._mesh_box, kernels._frame_groups
+        solve_module = importlib.import_module("dqdcap.capsolve.solve")
+        block = solve_module.potential_block
         monkeypatch.setattr(geometry, "_mesh_box",
                             lambda lo, dims, h: meshed.append(tuple(dims)) or mesh_box(lo, dims, h))
         monkeypatch.setattr(kernels, "_frame_groups",
                             lambda quads: grouped.append(len(quads)) or frame_groups(quads))
+        monkeypatch.setattr(solve_module, "potential_block",
+                            lambda mesh, targets, cols, *args: blocks_of.append(
+                                (len(targets), len(cols))) or block(mesh, targets, cols, *args))
         spec = build_reference_device()
         static = [b.dims_nm for b in spec.boxes if b.role not in ("d1", "d2")]
         n_static = panel_count(replace(spec, boxes=tuple(
@@ -772,13 +778,16 @@ class TestStaticBlockSweep:
         for sweep, sizes in runs + runs:
             meshed.clear()
             grouped.clear()
+            blocks_of.clear()
             assert all(r["status"] == "ok" for r in sweep().rows)
             assert meshed[:len(static)] == static  # before any cell, in declaration order
             assert sorted(meshed[len(static):]) == sorted([(r, r, r / 4) for r in sizes] * 2)
-            # A_sd and A_dd: the sources are the panels of both dots
+            # the strip's sources are the panels of both dots
             dots = [panel_count(transform_dots(spec, 0.0, 0.0, r), 16.0) - n_static
                     for r in sizes]
-            assert sorted(grouped) == sorted(blocks + dots * 2)
+            assert sorted(grouped) == sorted(blocks + [n_static] + dots)
+            assert sorted(blocks_of) == sorted([(n_static + d, d) for d in dots]
+                                               + [(d, n_static) for d in dots])
 
     @pytest.mark.parametrize("device", ["reference", "dots_only"])
     def test_dense_guard_applies_before_a_cell_meshes_its_dots(self, monkeypatch, device):
@@ -838,7 +847,7 @@ class TestStaticBlockSweep:
         """An exactly singular static block (here all zeros) is rejected by its LU, once."""
         solve_module = importlib.import_module("dqdcap.capsolve.solve")
         monkeypatch.setattr(solve_module, "assemble_system",
-                            lambda mesh, eps: (np.zeros((mesh.n_panels,) * 2, order="F"), None))
+                            lambda mesh, eps: np.zeros((mesh.n_panels,) * 2, order="F"))
         with pytest.raises(SolverError, match=r"^ill-conditioned collocation system \(rcond ~ 0"):
             _tiny_sweep(jobs=2)
         assert cells_run == []
@@ -852,9 +861,10 @@ class TestStaticBlockSweep:
 
         def nan_at_dx_20(mesh, targets, cols, eps, groups=None):
             b = block(mesh, targets, cols, eps, groups)
-            # the dots' own block, in the cell whose dots are centred at x = +20 nm
-            if len(targets) == len(cols) and mesh.centroids[cols, 0].mean() > 10e-9:
-                b[0, 0] = np.nan
+            # A_dd, the last rows of the dots' strip, in the cell whose dots are centred at
+            # x = +20 nm
+            if len(targets) > len(cols) and mesh.centroids[cols, 0].mean() > 10e-9:
+                b[-1, 0] = np.nan
             return b
 
         monkeypatch.setattr(solve_module, "potential_block", nan_at_dx_20)

@@ -7,7 +7,6 @@ import os
 import re
 import sys
 import threading
-import time
 import tracemalloc
 import types
 import weakref
@@ -151,8 +150,8 @@ class TestKernel:
 
     def test_epsilon_scaling_halves_entries(self):
         mesh = sphere_mesh(5.0, 2)
-        a1, _ = assemble_system(mesh, 1.0)
-        a2, _ = assemble_system(mesh, 2.0)
+        a1 = assemble_system(mesh, 1.0)
+        a2 = assemble_system(mesh, 2.0)
         assert np.allclose(a2, 0.5 * a1, rtol=1e-14)
 
     def test_coincident_centroids_rejected(self, no_assembly_pool):
@@ -208,12 +207,12 @@ class TestKernel:
 
     def test_bitwise_equal_for_any_chunk_size_and_worker_count(self, monkeypatch):
         mesh = mesh_device(build_reference_device(), 16.0)
-        a1, _ = assemble_system(mesh, 6.0)
+        a1 = assemble_system(mesh, 6.0)
         for block_panels in (kernels.BLOCK_PANELS, 100):
             monkeypatch.setattr(kernels, "BLOCK_PANELS", block_panels)
             for workers in (1, 2):
                 monkeypatch.setattr(_blas, "worker_count", lambda: workers)
-                assert np.array_equal(a1, assemble_system(mesh, 6.0)[0]), (block_panels, workers)
+                assert np.array_equal(a1, assemble_system(mesh, 6.0)), (block_panels, workers)
 
 
 def mp_panel_integral(mpmath, corner, far_corner, point):
@@ -329,7 +328,7 @@ class TestSharedNodeKernel:
         got = potential_block(mesh, mesh.centroids, idx, 6.0)
         want = loop_potential_block(mesh, mesh.centroids, idx, 6.0)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
-        assert np.array_equal(assemble_system(mesh, 6.0)[0], got)
+        assert np.array_equal(assemble_system(mesh, 6.0), got)
 
     def test_arbitrary_source_subset_and_targets(self):
         mesh = mesh_device(build_reference_device(), 16.0)
@@ -373,7 +372,7 @@ class TestSharedNodeKernel:
 
         def loop_assemble(mesh, epsilon_r):
             c = mesh.centroids
-            return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r), None
+            return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r)
 
         monkeypatch.setattr(solve_module, "assemble_system", loop_assemble)
         want = solve_dense(mesh, 6.0, roles=spec.roles)
@@ -385,16 +384,6 @@ def chunk_loop_assembly(mesh, epsilon_r):
     n, size = mesh.n_panels, kernels.BLOCK_PANELS
     return np.hstack([potential_block(mesh, mesh.centroids, np.arange(s, min(s + size, n)),
                                       epsilon_r) for s in range(0, n, size)])
-
-
-def assert_chunk_groups(groups, mesh, size):
-    """groups is one flat list: the frame groups of each column chunk of size panels, in
-    chunk order, their positions offset by the chunk start."""
-    want = [(frame, panels + s, nodes, inc) for s in range(0, mesh.n_panels, size)
-            for frame, panels, nodes, inc in kernels._frame_groups(mesh.corners[s:s + size])]
-    assert len(groups) == len(want)
-    for g, w in zip(groups, want):
-        assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
 
 ASSEMBLY_MESHES = {
@@ -413,10 +402,9 @@ class TestThreadedAssembly:
     def test_equals_serial_chunk_loop(self, name, workers, monkeypatch):
         mesh = ASSEMBLY_MESHES[name]()
         monkeypatch.setattr(_blas, "worker_count", lambda: workers)
-        got, groups = assemble_system(mesh, 6.0)
+        got = assemble_system(mesh, 6.0)
         assert got.flags.f_contiguous
         assert np.array_equal(got, chunk_loop_assembly(mesh, 6.0))
-        assert_chunk_groups(groups, mesh, kernels.BLOCK_PANELS)
 
     def test_every_chunk_filled_once_under_contention(self, monkeypatch):
         """Eight threads on small chunks, switching every microsecond."""
@@ -435,11 +423,10 @@ class TestThreadedAssembly:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got, groups = assemble_system(mesh, 6.0)
+            got = assemble_system(mesh, 6.0)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(starts) == list(range(0, mesh.n_panels, 16))
-        assert_chunk_groups(groups, mesh, 16)
         assert np.array_equal(got, want)
 
     def test_error_in_a_chunk_reaches_the_caller_and_ends_the_pool(self, monkeypatch):
@@ -479,7 +466,7 @@ def operator_and_dense(request):
     make_mesh, eps = FAR_FIELD_MESHES[request.param]
     mesh = make_mesh()
     op = _AcceleratedOperator(mesh, eps)
-    return op, assemble_system(mesh, eps)[0]
+    return op, assemble_system(mesh, eps)
 
 
 class TestCrossApproximationFarField:
@@ -1470,9 +1457,11 @@ class TestDenseFactor:
         got = factor.maxwell(moving)
         assert list(got.conductor_names) == factor.mesh.conductor_names + moving.conductor_names
 
-    def test_concurrent_solves_equal_serial_bitwise(self, static_h16):
-        """One shared factor on 4 threads: each LU solve needs its own pivot vector."""
-        spec, factor = static_h16
+    def test_concurrent_solves_equal_serial_bitwise(self):
+        """One shared, fresh factor on 4 threads: each LU solve needs its own pivot vector,
+        and the first cells race to group the static panels."""
+        spec = build_reference_device()
+        factor = DenseFactor(mesh_device(without_dots(spec), 16.0), spec.epsilon_r)
         cells = [transform_dots(spec, dx, dy, 40.0)
                  for dx in (-60.0, -30.0, 0.0, 30.0, 60.0, 90.0) for dy in (-40.0, 0.0, 40.0)]
         serial = [full_mesh_maxwell(factor, mesh_device(moved, 16.0), moved.roles)
@@ -1491,8 +1480,8 @@ class TestDenseFactor:
             assert_bitwise(got, want)
 
     def test_extract_builds_no_static_groups(self, monkeypatch):
-        """A factor with no moving panels is the plain dense solve: its one grouping per
-        BLOCK_PANELS chunk is the assembly's, which the factor keeps as one flat list."""
+        """A factor with no moving panels is the plain dense solve: it groups its panels
+        only in the assembly, once per BLOCK_PANELS chunk, and never as one mesh."""
         calls = []
         frame_groups = kernels._frame_groups
         monkeypatch.setattr(kernels, "_frame_groups",
@@ -1502,8 +1491,52 @@ class TestDenseFactor:
         factor.maxwell()
         size = kernels.BLOCK_PANELS
         assert calls == [min(size, mesh.n_panels - s) for s in range(0, mesh.n_panels, size)]
-        panels = np.concatenate([p for _, p, _, _ in factor.groups])
-        assert np.array_equal(np.sort(panels), np.arange(mesh.n_panels))
+        assert "groups" not in vars(factor)
+
+
+STATIC_GROUP_DEVICES = {
+    "reference": build_reference_device,  # 1 132 static panels at h = 16, 2 220 at h = 10
+    "generated4": lambda: random_device(np.random.default_rng(4)),  # 138 and 296
+}
+
+
+@pytest.fixture(scope="module", params=[(name, h) for name in STATIC_GROUP_DEVICES
+                                        for h in (16.0, 10.0)],
+                ids=lambda p: f"{p[0]}_h{p[1]:g}")
+def factor_and_dots(request):
+    """A device's static block factored at h, and its two dots meshed alone."""
+    name, h = request.param
+    spec = STATIC_GROUP_DEVICES[name]()
+    return (DenseFactor(mesh_device(without_dots(spec), h), spec.epsilon_r),
+            mesh_device(only_dots(spec), h))
+
+
+class TestStaticGroupsOracle:
+    """The Schur step's two kernel calls against the plain, ungrouped ones, bitwise."""
+
+    def test_groups_are_the_whole_static_mesh_grouped(self, factor_and_dots):
+        factor, _ = factor_and_dots
+        want = list(kernels._frame_groups(factor.mesh.corners))
+        assert len(factor.groups) == len(want)
+        for got, w in zip(factor.groups, want):
+            assert all(np.array_equal(a, b) for a, b in zip(got, w))
+
+    def test_a_ds_with_the_groups_equals_the_ungrouped_call(self, factor_and_dots):
+        factor, dots = factor_and_dots
+        static, eps = factor.mesh, factor.epsilon_r
+        idx = np.arange(static.n_panels)
+        got = potential_block(static, dots.centroids, idx, eps, factor.groups)
+        assert np.array_equal(got, potential_block(static, dots.centroids, idx, eps))
+
+    def test_merged_dot_strip_is_a_sd_above_a_dd(self, factor_and_dots):
+        factor, dots = factor_and_dots
+        static, eps, idx = factor.mesh, factor.epsilon_r, np.arange(dots.n_panels)
+        strip = potential_block(dots, np.concatenate([static.centroids, dots.centroids]),
+                                idx, eps)
+        assert np.array_equal(strip[:static.n_panels],
+                              potential_block(dots, static.centroids, idx, eps))
+        assert np.array_equal(strip[static.n_panels:],
+                              potential_block(dots, dots.centroids, idx, eps))
 
 
 class TestSolveDense:
@@ -1572,7 +1605,7 @@ def reference_matrix_h16():
     """The collocation matrix of the reference device at h = 16 (1 192 panels), Fortran order."""
     spec = build_reference_device()
     mesh = mesh_device(spec, 16.0)
-    return assemble_system(mesh, spec.epsilon_r)[0], _conductor_rhs(mesh)
+    return assemble_system(mesh, spec.epsilon_r), _conductor_rhs(mesh)
 
 
 def random_system():

@@ -1,5 +1,6 @@
 """Every public function, class and method in the package has a consumer outside tests/,
-and every defaulted parameter of a package function a caller outside tests/ that passes it."""
+every defaulted parameter of a package function a caller outside tests/ that passes it, and
+every name a module of the package or of tests/ imports a use in that module."""
 
 import ast
 import math
@@ -133,3 +134,27 @@ def test_every_defaulted_parameter_is_passed():
             unused.add((module, name, param))
     assert {(name, param) for _, name, param in unused} == set(ALLOWED_PARAMETERS), \
         sorted(unused)
+
+
+def unused_imports(path):
+    """(line, name) of each name the module at path imports and never reads.  A dotted
+    `import a.b` binds a; `__future__` imports set compiler flags and bind nothing used."""
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield alias.lineno, name
+
+
+def test_every_import_is_used():
+    """An unused import is dead weight that hides which modules a file needs: delete it.
+    Package __init__ modules import only to re-export, so they are exempt."""
+    paths = [p for p in sorted(PACKAGE.rglob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = [(path.relative_to(ROOT).as_posix(), line, name)
+              for path in paths for line, name in unused_imports(path)]
+    assert unused == []

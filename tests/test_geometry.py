@@ -12,7 +12,6 @@ from dqdcap.geometry import (
     Box,
     DeviceError,
     DeviceSpec,
-    PanelMesh,
     concat_meshes,
     dumps_device,
     loads_device,
