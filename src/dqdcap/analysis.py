@@ -8,13 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import thread_map
-from .capsolve import (
-    AssemblyError,
-    DenseFactor,
-    SolverError,
-    check_dense_size,
-    solve,
-)
+from .capsolve import AssemblyError, DenseFactor, SolverError, check_dense_size, solve
 from .charging import (
     ChargingError,
     ModelCaps,
@@ -25,7 +19,9 @@ from .charging import (
     reduce_caps,
 )
 from .constants import AF, MV, Q_E
-from .geometry import DEFAULT_H_MAX_NM, DeviceError, mesh_device, panel_count, transform_dots
+from .geometry import (
+    DEFAULT_H_MAX_NM, DeviceError, PanelMesh, mesh_device, panel_count, transform_dots,
+)
 
 WINDOW_CAP_V = 20.0
 MIN_LINES = 3
@@ -255,29 +251,26 @@ def _cell_solver(spec, mode, h_max_nm):
     """The Maxwell solve of one sweep cell, as a function of its moved device.
 
     A sweep moves only the two dots.  The device without them is meshed once
-    here, in both modes, and in dense mode assembled and factored; each cell
-    then meshes its two dots as a mesh of their own and hands them to the
-    factor, which solves for the dot panels only (DenseFactor.maxwell).  A
-    static block that cannot be meshed or factored, or is over the dense
-    guard (checked before it is meshed), would fail every cell for the one
-    reason, so its error is raised here, before any cell runs.  The
-    accelerated mode, and a device with nothing but the dots, solve every
-    cell in full; a dense cell meets the guard before its boxes are meshed.
+    here, in both modes.  An accelerated cell solves its whole moved device.
+    A dense one hands its two dots, meshed alone, to the factor of the static
+    side (assembled, factored and grouped by frame here; empty in a device of
+    nothing but dots), which solves for the dot panels only (DenseFactor.maxwell).
+    A static side that cannot be meshed or factored, or is over the dense guard
+    (checked before it is meshed), would fail every cell for the one reason,
+    so its error is raised here; a dense cell meets the guard before its dots
+    are meshed.
     """
     dots = {spec.group_of_role("d1"), spec.group_of_role("d2")}
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.group not in dots))
-
-    def whole(moved):
-        if mode == "dense":
-            check_dense_size(panel_count(moved, h_max_nm))
-        return solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r, roles=moved.roles)
-
-    if static.boxes and mode != "dense":
-        mesh_device(static, h_max_nm)  # a static box that cannot be meshed fails here
-    if mode != "dense" or not static.boxes:
-        return whole
+    if mode != "dense":
+        if static.boxes:
+            mesh_device(static, h_max_nm)  # a static box that cannot be meshed fails here
+        return lambda moved: solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r,
+                                   roles=moved.roles)
     check_dense_size(panel_count(static, h_max_nm))
-    factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
+    factor = DenseFactor(mesh_device(static, h_max_nm) if static.boxes
+                         else PanelMesh(np.empty((0, 4, 3)), (), ()), spec.epsilon_r)
+    factor.groups  # grouped before the cells start: from Python 3.12 cached_property takes no lock
 
     def cell(moved):
         moving = replace(moved, boxes=tuple(b for b in moved.boxes if b.group in dots))
@@ -323,7 +316,7 @@ def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
 
     place(cell) gives the cell's dot placement (dx, dy, R).  Rows keep the
     order of cells, so the sweep does not depend on jobs.  Each cell's BLAS
-    and dense assembly run on its own thread: the cells are the parallelism.
+    and kernel calls run on its own thread: the cells are the parallelism.
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be at least 1, got {jobs}")

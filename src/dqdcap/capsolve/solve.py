@@ -127,10 +127,8 @@ def _conductor_charges(mesh, x):
 
 
 def check_dense_size(n_panels):
-    """Reject a dense solve of n_panels panels; callers that can count the panels
-    before meshing call it first, so a mesh too large for dense mode is never built."""
-    if n_panels == 0:
-        raise AssemblyError("empty mesh")
+    """Reject a dense solve of over DENSE_PANEL_GUARD panels (maxwell rejects an empty one);
+    callers that count the panels before meshing call it first, so no such mesh is built."""
     if n_panels > DENSE_PANEL_GUARD:
         raise SolverError(f"{n_panels} panels exceeds the dense-mode guard of {DENSE_PANEL_GUARD}")
 
@@ -173,19 +171,22 @@ class DenseFactor:
     centroids, and eliminates the k moving panels through the Schur complement
         S = A_dd - A_ds Y,  Y = A_ss^-1 A_sd,
         x_d = S^-1 (b_d - A_ds Z),  x_s = Z - Y x_d.
-    Without moving panels it is the plain dense solve.  The sources of A_ds,
-    the static panels, are grouped by frame once, as one mesh, when first
-    needed (groups).  maxwell may run on several threads at once.
+    Without moving panels it is the plain dense solve; without static ones
+    there is no LU (nor rcond), Y and Z have no rows, and S = A_dd.  The
+    static panels, the sources of A_ds, are grouped by frame once, as one
+    mesh, when first needed (groups).  maxwell may run on several threads at once.
     """
 
     def __init__(self, static_mesh, epsilon_r):
         _check_epsilon_r(epsilon_r)
         check_dense_size(static_mesh.n_panels)
-        # the matrix is Fortran-ordered, so _lu factors it in place
-        self.lu, self.piv, self.rcond = _lu(assemble_system(static_mesh, epsilon_r))
         self.mesh = static_mesh
         self.epsilon_r = epsilon_r
-        self.z = _lu_solve(self.lu, self.piv, _conductor_rhs(static_mesh))
+        self.z = _conductor_rhs(static_mesh)  # no rows without static panels: nothing to factor
+        if static_mesh.n_panels:
+            # the matrix is Fortran-ordered, so _lu factors it in place
+            self.lu, self.piv, self.rcond = _lu(assemble_system(static_mesh, epsilon_r))
+            self.z = _lu_solve(self.lu, self.piv, self.z)
 
     @functools.cached_property
     def groups(self):
@@ -199,11 +200,13 @@ class DenseFactor:
             raise SolverError(f"conductors {both} are both static and moving")
         n_s, n_cond = static.n_panels, len(names)
         n_d = moving.n_panels if moving is not None else 0
+        if not n_s + n_d:
+            raise AssemblyError("empty mesh")
         check_dense_size(n_s + n_d)
         cond_ids = static.cond_ids
         z = np.zeros((n_s, n_cond))
         z[:, :k_s] = self.z
-        info_d = _solver_info("dense", n_s + n_d, rcond=self.rcond)
+        info_d = _solver_info("dense", n_s + n_d, **({"rcond": self.rcond} if n_s else {}))
         x = np.empty((n_s + n_d, n_cond))
         if n_d:
             cond_ids = np.concatenate([cond_ids, moving.cond_ids + k_s])
@@ -213,7 +216,7 @@ class DenseFactor:
             eps = self.epsilon_r
             a_d = potential_block(moving, points, np.arange(n_d), eps)  # A_sd above A_dd
             a_ds = potential_block(static, moving.centroids, np.arange(n_s), eps, self.groups)
-            y = _lu_solve(self.lu, self.piv, a_d[:n_s])
+            y = _lu_solve(self.lu, self.piv, a_d[:n_s]) if n_s else a_d[:0]
             s = a_d[n_s:] - a_ds @ y
             lu_s, piv_s, info_d["schur_rcond"] = _lu(s)
             b_d = np.eye(n_cond)[cond_ids[n_s:]]

@@ -444,6 +444,9 @@ def run(argv) -> int:
     except MemoryError as e:
         print(f"error: out of memory{f' ({e})' if str(e) else ''}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # SIGINT: no output file is left, as for any failure
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main():

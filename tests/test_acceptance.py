@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
 import csv
+import math
 import time
 from importlib import resources
 
@@ -272,3 +273,32 @@ def test_criterion_11_full_misalignment_sweep(full_sweep):
     ok = len(rows) == 209 and elapsed < 1800.0 and n_ok == 209
     report(11, "19x11 misalignment sweep (dense, coarse mesh, --jobs 8) under 30 min",
            ok, f"{len(rows)} rows ({n_ok} ok) in {elapsed / 60.0:.1f} min")
+
+
+def _ninth_digit_unit(value):
+    """One unit in the ninth significant digit of value, as %.9g prints it."""
+    return 10.0 ** (math.floor(math.log10(abs(value))) - 8)
+
+
+def test_full_sweep_is_point_symmetric(full_sweep):
+    """The reference device maps onto itself under (x, y) -> (-x, -y) with d1, d2 and SL,
+    SR swapped, and a cell moves both dots by (dx, dy).  So every printed cell equals its
+    (-dx, -dy) partner with the roles swapped, a check on the mesher, the solve, the
+    reduction and the closed-form metrics at once: C_SLd1 = C_SRd2', dV_SL = dV_SR' and
+    theta + theta' = 90 deg, each within one unit in the ninth printed digit of the
+    larger value (the measured gaps, in those units, are printed beside the bound)."""
+    rows, _ = full_sweep
+    cells = {(float(r["dx_nm"]), float(r["dy_nm"])): r for r in rows}
+    assert len(cells) == 209
+    worst = {"C": 0.0, "dV": 0.0, "theta": 0.0}
+    for (dx, dy), row in cells.items():
+        partner = cells[(-dx, -dy)]
+        assert row["status"] == partner["status"] == "ok", (dx, dy)
+        for key, a, b in (("C", "C_SLd1_aF", "C_SRd2_aF"), ("dV", "dV_SL_mV", "dV_SR_mV")):
+            x, y = float(row[a]), float(partner[b])
+            worst[key] = max(worst[key], abs(x - y) / _ninth_digit_unit(max(abs(x), abs(y))))
+        x, y = float(row["theta_deg"]), float(partner["theta_deg"])
+        worst["theta"] = max(worst["theta"], abs(x + y - 90.0) / _ninth_digit_unit(max(x, y)))
+    print(f"point symmetry over {len(cells)} cells: worst gaps {worst} "
+          "in units of the ninth printed digit, bound 1")
+    assert all(gap <= 1.0 for gap in worst.values()), worst

@@ -572,8 +572,8 @@ class TestThreadMap:
 # Run in a fresh process, where only the libraries the sweep uses are mapped: a dense
 # sweep of the dots-only device (argv[1]) that records each OpenBLAS's thread count when
 # the outermost single_threaded_blas block (the sweep's) is entered, inside
-# each cell, and after the sweep.  Each cell's assembly opens a nested block,
-# which is not recorded.  numpy's OpenBLAS is set to 3 threads first.
+# each cell, and after the sweep.  A nested block would not be recorded; a cell of
+# this device opens none.  numpy's OpenBLAS is set to 3 threads first.
 _FRESH_SWEEP = """
 import contextlib, json, sys, threading
 from dqdcap import _blas, analysis
@@ -653,8 +653,11 @@ ORACLE_SEEDS = [seed for seed, solves in GENERATED_SWEEP_SEEDS.items() if solves
 
 def oracle_device(device):
     """(spec, misalignment grid, dot sizes) for the cell-path oracle tests: the reference
-    device, the same with its dots declared first, or random_device(seed) at the grid of
-    generated_sweeps."""
+    device, the same with its dots declared first, DOTS_ONLY, or random_device(seed) at the
+    grid of generated_sweeps."""
+    if device == "dots_only":
+        spec = loads_device(json.dumps(DOTS_ONLY))
+        return spec, ([-40.0, 0.0, 20.0], [-20.0, 0.0]), (20.0, 30.0, 50.0)
     if device in ("reference", "dots_first"):
         spec = build_reference_device()
         if device == "dots_first":
@@ -668,7 +671,7 @@ def oracle_device(device):
 def full_mesh_solver(spec, h_max_nm):
     """The straightforward dense cell path: the whole moved device meshed, and solved by
     full_mesh_maxwell against the factored static block.  A device with nothing but its
-    dots solves each cell in full."""
+    dots solves each cell in full, by solve_dense."""
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.role not in ("d1", "d2")))
     if not static.boxes:
         return lambda moved: solve_dense(mesh_device(moved, h_max_nm), spec.epsilon_r,
@@ -696,13 +699,15 @@ class TestStaticBlockSweep:
             rel = np.abs(in_order(got, want.conductor_names) - want.entries) / np.abs(want.entries)
             assert rel.max() <= 1e-9, (dx, dy, r)
 
-    @pytest.mark.parametrize("device", ["reference", "dots_first", *ORACLE_SEEDS])
+    @pytest.mark.parametrize("device", ["reference", "dots_first", "dots_only", *ORACLE_SEEDS])
     def test_cells_equal_the_full_mesh_path_bitwise(self, device):
         """Each cell meshes its two dots alone and reuses the static panels' frame groups:
         every Maxwell entry, the conductor order and the solver dict (schur_rcond too) are
         bitwise the whole moved device meshed and its static panels regrouped per cell, or
-        both paths fail with one message."""
+        both paths fail with one message.  With nothing but dots (DOTS_ONLY and seed 11),
+        the cell's one LU is the whole solve's, so its schur_rcond is solve_dense's rcond."""
         spec, misalign, sizes = oracle_device(device)
+        dots_only = all(b.role in ("d1", "d2") for b in spec.boxes)
         cells = [(dx, dy, None) for dx in misalign[0] for dy in misalign[1]]
         cells += [(0.0, 0.0, r) for r in sizes]
         r_default = spec.boxes[[b.role for b in spec.boxes].index("d1")].dims_nm[0]
@@ -726,10 +731,12 @@ class TestStaticBlockSweep:
             solved += 1
             assert got.conductor_names == want.conductor_names
             assert np.array_equal(got.entries, want.entries), (dx, dy, r)
+            if dots_only:
+                want.solver["schur_rcond"] = want.solver.pop("rcond")
             assert got.solver == want.solver
         assert solved >= 3
 
-    @pytest.mark.parametrize("device", ["reference", "dots_first", *ORACLE_SEEDS])
+    @pytest.mark.parametrize("device", ["reference", "dots_first", "dots_only", *ORACLE_SEEDS])
     def test_sweep_rows_equal_the_full_mesh_path(self, monkeypatch, device):
         """Both sweeps, at --jobs 1 and 2, write the rows of the full-mesh cell path."""
         spec, misalign, sizes = oracle_device(device)
@@ -748,10 +755,10 @@ class TestStaticBlockSweep:
     def test_sweep_meshes_static_boxes_and_groups_static_panels_once(self, monkeypatch):
         """Whatever the cell count, a dense sweep meshes each static box once and each cell
         its two dots once.  It groups the static source panels by frame per BLOCK_PANELS
-        chunk, to assemble the static block, and once as one mesh, for every cell's A_ds;
-        each cell groups its dot panels once, for the strip of A_sd above A_dd, and makes
-        those two kernel calls only.  A second sweep does all of it again: nothing is kept
-        between sweeps."""
+        chunk, to assemble the static block, and once as one mesh, for every cell's A_ds,
+        before any cell starts; each cell groups its dot panels once, for the strip of A_sd
+        above A_dd, and makes those two kernel calls only.  A second sweep does all of it
+        again: nothing is kept between sweeps."""
         meshed, grouped, blocks_of = [], [], []
         mesh_box, frame_groups = geometry._mesh_box, kernels._frame_groups
         solve_module = importlib.import_module("dqdcap.capsolve.solve")
@@ -786,6 +793,8 @@ class TestStaticBlockSweep:
             dots = [panel_count(transform_dots(spec, 0.0, 0.0, r), 16.0) - n_static
                     for r in sizes]
             assert sorted(grouped) == sorted(blocks + [n_static] + dots)
+            # the assembly's chunks, then the whole static mesh, then the cells' dots
+            assert sorted(grouped[:len(blocks)]) == sorted(blocks) and grouped[len(blocks)] == n_static
             assert sorted(blocks_of) == sorted([(n_static + d, d) for d in dots]
                                                + [(d, n_static) for d in dots])
 
@@ -793,8 +802,7 @@ class TestStaticBlockSweep:
     def test_dense_guard_applies_before_a_cell_meshes_its_dots(self, monkeypatch, device):
         """With the guard 60 panels above the static block, the R = 50 cell (two dots of 48
         panels at h = 16) fails before its dots are meshed, and the R = 20 cell (two of 16)
-        solves, whether the cells use the static block or, with nothing but dots, the
-        whole device."""
+        solves, whether the static block has panels or, with nothing but dots, none."""
         spec = (build_reference_device() if device == "reference"
                 else loads_device(json.dumps(DOTS_ONLY)))
         n_static = panel_count(replace(spec, boxes=tuple(

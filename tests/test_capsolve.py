@@ -1479,6 +1479,27 @@ class TestDenseFactor:
         for got, want in zip(threaded, serial):
             assert_bitwise(got, want)
 
+    def test_empty_static_side_is_the_plain_solve_of_the_moving_panels(self, monkeypatch):
+        """A factor of no static panels has no LU and never assembles: each moving mesh's
+        Maxwell matrix is bitwise solve_dense's, whose rcond is its Schur complement's, and
+        with no moving panels either it rejects the empty mesh."""
+        spec = build_reference_device()
+        dots = [only_dots(transform_dots(spec, dx, dy, r))
+                for dx, dy, r in ((-30.0, 20.0, 30.0), (0.0, 0.0, 40.0))]
+        wants = [solve_dense(mesh_device(d, 16.0), d.epsilon_r, roles=d.roles) for d in dots]
+        monkeypatch.setattr(solve_module, "assemble_system", None)
+        factor = DenseFactor(PanelMesh(np.zeros((0, 4, 3)), [], []), spec.epsilon_r)
+        assert not hasattr(factor, "lu") and not hasattr(factor, "rcond")
+        for d, want in zip(dots, wants):
+            got = factor.maxwell(mesh_device(d, 16.0), d.roles)
+            assert got.roles == want.roles
+            assert got.conductor_names == want.conductor_names
+            assert np.array_equal(got.entries, want.entries)
+            assert list(got.solver) == ["mode", "mac_ratio", "tol", "n_panels", "schur_rcond"]
+            assert got.solver["schur_rcond"] == want.solver["rcond"]
+        with pytest.raises(AssemblyError, match="^empty mesh$"):
+            factor.maxwell()
+
     def test_extract_builds_no_static_groups(self, monkeypatch):
         """A factor with no moving panels is the plain dense solve: it groups its panels
         only in the assembly, once per BLOCK_PANELS chunk, and never as one mesh."""

@@ -1,9 +1,14 @@
 import csv
 import importlib
 import json
+import os
 import random
 import shutil
+import signal
+import subprocess
+import sys
 import threading
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +19,7 @@ from dqdcap import _blas, analysis
 from dqdcap.charging import ModelCaps
 from dqdcap.cli import _fmt, parse_range, run
 from dqdcap.constants import AF
-from dqdcap.geometry import dumps_device
+from dqdcap.geometry import dumps_device, loads_device, panel_count
 from dqdcap.validation import pattern_shift_delta_q
 from test_analysis import DOTS_ONLY, run_fresh
 from test_charging import island_caps
@@ -216,14 +221,16 @@ def test_artifacts_do_not_depend_on_jobs(workdir, argv):
     assert (workdir / "jobs1.out").read_bytes() == (workdir / "jobs2.out").read_bytes()
 
 
-def test_dots_only_sweep_assembles_each_cell_on_one_thread(workdir, monkeypatch):
-    """With nothing but the dots, every cell assembles inside the cell pool, on one thread.
-
-    Only the cells' reads of worker_count are recorded: the sweep's own map
-    reads it too, before it pins, and sees every core."""
+def test_dots_only_dense_cell_runs_the_schur_step_alone(workdir, monkeypatch):
+    """With nothing but the dots, a dense cell goes through the factor of an empty static
+    side: it makes exactly two potential_block calls, the dots' strip (its A_dd) and an
+    A_ds with no columns, and no assemble_system call, so no map runs inside the cell
+    pool (no cell reads worker_count).  Its CSV is the same at --jobs 1 and 2."""
     (workdir / "dots.json").write_text(json.dumps(DOTS_ONLY))
-    counts = []
+    solve_module = importlib.import_module("dqdcap.capsolve.solve")
+    block, assemble = solve_module.potential_block, solve_module.assemble_system
     worker_count, cell_metrics = _blas.worker_count, analysis._cell_metrics
+    calls, counts = [], []
     in_cell = threading.local()
 
     def recorded():
@@ -241,11 +248,47 @@ def test_dots_only_sweep_assembles_each_cell_on_one_thread(workdir, monkeypatch)
 
     monkeypatch.setattr(_blas, "worker_count", recorded)
     monkeypatch.setattr(analysis, "_cell_metrics", flagged)
+    monkeypatch.setattr(solve_module, "potential_block", lambda mesh, targets, cols, *args:
+                        calls.append((len(targets), len(cols))) or block(mesh, targets, cols, *args))
+    monkeypatch.setattr(solve_module, "assemble_system",
+                        lambda *args: calls.append("assemble_system") or assemble(*args))
+    n_d = panel_count(loads_device(json.dumps(DOTS_ONLY)), 10.0)
+    assert n_d == 96
     for jobs in ("1", "2"):
+        calls.clear()
         assert run(["sweep-misalign", "--geometry", "dots.json", "--out", f"jobs{jobs}.csv",
                     "--dx", "-10:10:10", "--dy", "0", "--h-max", "10", "--jobs", jobs]) == 0
-    assert counts == [1] * 6
+        assert "assemble_system" not in calls
+        assert sorted(calls) == [(n_d, 0)] * 3 + [(n_d, n_d)] * 3, jobs
+    assert counts == []
     assert (workdir / "jobs1.csv").read_bytes() == (workdir / "jobs2.csv").read_bytes()
+
+
+def test_interrupt_is_one_error_line_and_leaves_no_file(workdir):
+    """A SIGINT about 2 s into the default 19x11 map at h = 10 (one child process, started
+    here) prints one `error: interrupted` line and exits 130, leaving no output, manifest
+    or temporary file."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    before = sorted(os.listdir(workdir))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dqdcap.cli", "sweep-misalign", "--geometry",
+         "reference_device.json", "--out", "map.csv", "--h-max", "10", "--jobs", "2"],
+        cwd=workdir, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    try:
+        time.sleep(2.0)
+        assert child.poll() is None, "the map ended before the interrupt"
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == 130
+    assert err.splitlines() == ["error: interrupted"]
+    assert out == ""
+    assert sorted(os.listdir(workdir)) == before
 
 
 def test_jobs_above_the_core_count_runs_one_thread_per_core(workdir, monkeypatch):
