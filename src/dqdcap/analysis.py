@@ -240,7 +240,6 @@ def coulomb_period(c_g: float) -> float:
 
 @dataclass
 class SweepMap:
-    kind: str                 # "misalign" | "dotsize"
     rows: list[dict] = field(default_factory=list)
 
     def ok_rows(self):
@@ -255,6 +254,7 @@ def _cell_solver(spec, mode, h_max_nm):
     A dense one hands its two dots, meshed alone, to the factor of the static
     side (assembled, factored and grouped by frame here; empty in a device of
     nothing but dots), which solves for the dot panels only (DenseFactor.maxwell).
+    Neither solve takes roles: _cell_metrics reduces by the moved device's.
     A static side that cannot be meshed or factored, or is over the dense guard
     (checked before it is meshed), would fail every cell for the one reason,
     so its error is raised here; a dense cell meets the guard before its dots
@@ -265,17 +265,15 @@ def _cell_solver(spec, mode, h_max_nm):
     if mode != "dense":
         if static.boxes:
             mesh_device(static, h_max_nm)  # a static box that cannot be meshed fails here
-        return lambda moved: solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r,
-                                   roles=moved.roles)
+        return lambda moved: solve(mesh_device(moved, h_max_nm), mode, spec.epsilon_r)
     check_dense_size(panel_count(static, h_max_nm))
     factor = DenseFactor(mesh_device(static, h_max_nm) if static.boxes
                          else PanelMesh(np.empty((0, 4, 3)), (), ()), spec.epsilon_r)
-    factor.groups  # grouped before the cells start: from Python 3.12 cached_property takes no lock
 
     def cell(moved):
         moving = replace(moved, boxes=tuple(b for b in moved.boxes if b.group in dots))
         check_dense_size(factor.mesh.n_panels + panel_count(moving, h_max_nm))
-        return factor.maxwell(mesh_device(moving, h_max_nm), moved.roles)
+        return factor.maxwell(mesh_device(moving, h_max_nm))
 
     return cell
 
@@ -311,7 +309,7 @@ def _cell_metrics(spec, dx, dy, r_nm, maxwell_of):
 _CELL_ERRORS = (DeviceError, ChargingError, SolverError, AssemblyError, AnalysisError)
 
 
-def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
+def _run_cells(spec, cells, place, mode, h_max_nm, jobs):
     """Solve spec at every cell, on a thread_map at most jobs wide.
 
     place(cell) gives the cell's dot placement (dx, dy, R).  Rows keep the
@@ -332,7 +330,7 @@ def _run_cells(kind, spec, cells, place, mode, h_max_nm, jobs):
         return row
 
     rows = thread_map(safe, cells, jobs)
-    sweep = SweepMap(kind)
+    sweep = SweepMap()
     for cell, row in zip(cells, rows):
         sweep.rows.append({**cell, **row})
     _fill_db(sweep)
@@ -358,7 +356,7 @@ def misalign_sweep(spec, dx_list, dy_list, mode="dense", h_max_nm=DEFAULT_H_MAX_
     cells = [{"dx_nm": float(dx), "dy_nm": float(dy)} for dx in dx_list for dy in dy_list]
     if not cells:
         raise AnalysisError("empty misalignment grid")
-    return _run_cells("misalign", spec, cells, lambda c: (c["dx_nm"], c["dy_nm"], r_nm),
+    return _run_cells(spec, cells, lambda c: (c["dx_nm"], c["dy_nm"], r_nm),
                       mode, h_max_nm, jobs)
 
 
@@ -367,7 +365,7 @@ def dotsize_sweep(spec, r_list, mode="dense", h_max_nm=DEFAULT_H_MAX_NM, jobs=1)
     if not r_list or any(r <= 0 for r in r_list):
         raise AnalysisError("dot sizes must be positive")
     cells = [{"R_nm": float(r)} for r in r_list]
-    return _run_cells("dotsize", spec, cells, lambda c: (0.0, 0.0, c["R_nm"]),
+    return _run_cells(spec, cells, lambda c: (0.0, 0.0, c["R_nm"]),
                       mode, h_max_nm, jobs)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,7 +80,7 @@ class MaxwellMatrix:
         )
 
 
-def _finalize(raw, names, solver_info, roles=None):
+def _finalize(raw, names, solver_info):
     # a NaN entry passes every comparison below
     if not np.isfinite(raw).all():
         raise SolverError("Maxwell matrix has a non-finite entry")
@@ -96,7 +95,7 @@ def _finalize(raw, names, solver_info, roles=None):
         raise SolverError(f"positive off-diagonal {off.max() / AF:.3g} aF beyond tolerance")
     if m.sum(axis=1).min() < -tol:
         raise SolverError("negative row sum: capacitance to infinity must be non-negative")
-    return MaxwellMatrix(tuple(names), m, asym, solver_info, roles)
+    return MaxwellMatrix(tuple(names), m, asym, solver_info)
 
 
 def _check_epsilon_r(epsilon_r):
@@ -174,7 +173,8 @@ class DenseFactor:
     Without moving panels it is the plain dense solve; without static ones
     there is no LU (nor rcond), Y and Z have no rows, and S = A_dd.  The
     static panels, the sources of A_ds, are grouped by frame once, as one
-    mesh, when first needed (groups).  maxwell may run on several threads at once.
+    mesh, when the factor is built (groups).  Nothing changes after __init__,
+    so maxwell may run on several threads at once.
     """
 
     def __init__(self, static_mesh, epsilon_r):
@@ -187,12 +187,9 @@ class DenseFactor:
             # the matrix is Fortran-ordered, so _lu factors it in place
             self.lu, self.piv, self.rcond = _lu(assemble_system(static_mesh, epsilon_r))
             self.z = _lu_solve(self.lu, self.piv, self.z)
+        self.groups = list(kernels._frame_groups(static_mesh.corners))
 
-    @functools.cached_property
-    def groups(self):
-        return list(kernels._frame_groups(self.mesh.corners))
-
-    def maxwell(self, moving=None, roles=None) -> MaxwellMatrix:
+    def maxwell(self, moving=None) -> MaxwellMatrix:
         static, k_s = self.mesh, self.mesh.n_cond
         names = static.conductor_names + (moving.conductor_names if moving is not None else [])
         both = [c for c in names[k_s:] if c in names[:k_s]]
@@ -225,11 +222,11 @@ class DenseFactor:
         x[:n_s] = z
         charges = np.zeros((n_cond, n_cond))
         np.add.at(charges, cond_ids, x)  # each conductor's panels summed in panel order
-        return _finalize(charges, names, info_d, roles)
+        return _finalize(charges, names, info_d)
 
 
-def solve_dense(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
-    return DenseFactor(mesh, epsilon_r).maxwell(roles=roles)
+def solve_dense(mesh, epsilon_r) -> MaxwellMatrix:
+    return DenseFactor(mesh, epsilon_r).maxwell()
 
 
 class _AcceleratedOperator:
@@ -420,7 +417,7 @@ def gmres(apply_a, apply_m, B, rtol, restart, max_cycles):
     return X, iters, res
 
 
-def solve_accelerated(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
+def solve_accelerated(mesh, epsilon_r) -> MaxwellMatrix:
     """One block GMRES over all conductors: a single Krylov space for every right-hand side."""
     _check_epsilon_r(epsilon_r)
     if mesh.n_panels == 0:
@@ -439,13 +436,13 @@ def solve_accelerated(mesh, epsilon_r, roles=None) -> MaxwellMatrix:
         )
     info_d = _solver_info("accelerated", mesh.n_panels,
                           gmres_iterations=iters.tolist(), n_leaves=op.n_leaves)
-    return _finalize(_conductor_charges(mesh, x), mesh.conductor_names, info_d, roles)
+    return _finalize(_conductor_charges(mesh, x), mesh.conductor_names, info_d)
 
 
-def solve(mesh, mode, epsilon_r, roles=None) -> MaxwellMatrix:
+def solve(mesh, mode, epsilon_r) -> MaxwellMatrix:
     """The Maxwell matrix of mesh in mode "dense" or "accelerated"."""
     if mode == "dense":
-        return solve_dense(mesh, epsilon_r, roles=roles)
+        return solve_dense(mesh, epsilon_r)
     if mode == "accelerated":
-        return solve_accelerated(mesh, epsilon_r, roles=roles)
+        return solve_accelerated(mesh, epsilon_r)
     raise ValueError(f"unknown solve mode {mode!r}")

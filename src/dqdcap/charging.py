@@ -154,14 +154,13 @@ def circuit_roles(roles) -> dict:
     return by_role
 
 
-def reduce_caps(maxwell, roles=None) -> ModelCaps:
-    """Map a Maxwell matrix onto the circuit-model capacitances.
+def reduce_caps(maxwell, roles) -> ModelCaps:
+    """Map a Maxwell matrix onto the circuit-model capacitances by roles, {conductor: role}.
 
     Csum_t = M[t][t]; couplings are the negated off-diagonals.  Small
     positive off-diagonals (numerical noise within OFFDIAG_TOL of the
     diagonal scale) clip to zero coupling; larger ones are an error.
     """
-    roles = roles if roles is not None else maxwell.roles
     if not roles:
         raise ChargingError("conductor roles are required to reduce a Maxwell matrix")
     by_role = circuit_roles(roles)

@@ -218,14 +218,14 @@ def _load_measured(path):
 
 
 def _load_caps(path):
-    """Accept either a MaxwellMatrix JSON (with roles) or a ModelCaps JSON."""
+    """The ModelCaps of a MaxwellMatrix JSON (reduced by its roles) or of a ModelCaps JSON."""
     obj = _read_json(path)
     if isinstance(obj, dict) and "entries_aF" in obj:
         maxwell = _load_maxwell(path, obj)
-        return reduce_caps(maxwell), maxwell
+        return reduce_caps(maxwell, maxwell.roles)
     if isinstance(obj, dict) and "Csum_d1" in obj:
         try:
-            return ModelCaps.from_json(obj), None
+            return ModelCaps.from_json(obj)
         except (KeyError, TypeError, ValueError) as e:
             raise CliError(f"{path} is not a valid ModelCaps JSON ({e!r})") from None
     raise CliError(f"{path} is neither a Maxwell JSON nor a ModelCaps JSON")
@@ -251,7 +251,7 @@ def _cmd_extract(args, argv):
     if args.mode == "dense":
         check_dense_size(panel_count(spec, args.h_max))
     mesh = mesh_device(spec, args.h_max)
-    maxwell = solve(mesh, args.mode, spec.epsilon_r, roles=spec.roles)
+    maxwell = replace(solve(mesh, args.mode, spec.epsilon_r), roles=spec.roles)
     _write_json(args.out, maxwell.to_json())
     print(f"wrote {args.out}: {maxwell.n_cond} conductors, {mesh.n_panels} panels, "
           f"asymmetry {maxwell.asymmetry:.2e}")
@@ -268,7 +268,7 @@ def _cmd_stability(args, argv):
     grid_path = f"{args.out_prefix}_grid.csv"
     lines_path = f"{args.out_prefix}_boundaries.json"
     _check_writable(grid_path, lines_path, _manifest_path(args.out_prefix))
-    caps, _ = _load_caps(args.caps)
+    caps = _load_caps(args.caps)
     ranges = None
     if args.window_mv is not None:
         w = args.window_mv * MV
@@ -298,7 +298,7 @@ def _cmd_induced_charge(args, argv):
     t0 = time.perf_counter()
     if args.out:
         _check_writable(args.out, _manifest_path(args.out))
-    caps, _ = _load_caps(args.caps)
+    caps = _load_caps(args.caps)
     dq = delta_q(caps)
     result = {"delta_q_e": dq, "oracle_delta_q_e": pattern_shift_delta_q(caps)}
     print(f"delta_q = {_fmt(dq)} e")

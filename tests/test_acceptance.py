@@ -48,17 +48,17 @@ def spec():
 
 @pytest.fixture(scope="module")
 def dense_ref(spec):
-    return solve_dense(mesh_device(spec, H_REF), spec.epsilon_r, roles=spec.roles)
+    return solve_dense(mesh_device(spec, H_REF), spec.epsilon_r)
 
 
 @pytest.fixture(scope="module")
 def accel_ref(spec):
-    return solve_accelerated(mesh_device(spec, H_REF), spec.epsilon_r, roles=spec.roles)
+    return solve_accelerated(mesh_device(spec, H_REF), spec.epsilon_r)
 
 
 @pytest.fixture(scope="module")
-def caps_ref(dense_ref):
-    return reduce_caps(dense_ref)
+def caps_ref(spec, dense_ref):
+    return reduce_caps(dense_ref, spec.roles)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +69,8 @@ def caps_at(spec):
         key = (dx, dy, r)
         if key not in cache:
             moved = transform_dots(spec, dx, dy, r)
-            m = solve_dense(mesh_device(moved, H_REF), spec.epsilon_r, roles=moved.roles)
-            cache[key] = reduce_caps(m)
+            m = solve_dense(mesh_device(moved, H_REF), spec.epsilon_r)
+            cache[key] = reduce_caps(m, moved.roles)
         return cache[key]
 
     return get
@@ -256,8 +256,8 @@ def test_criterion_10_convergence(spec):
     c = {}
     for g in gaps:
         moved = spec.with_air_gap(g)
-        m = solve_dense(mesh_device(moved, H_REF), spec.epsilon_r, roles=spec.roles)
-        caps = reduce_caps(m)
+        m = solve_dense(mesh_device(moved, H_REF), spec.epsilon_r)
+        caps = reduce_caps(m, spec.roles)
         c[g] = caps.gate("d1", "SL")
     dev = [abs(c[g] - c[0.001]) for g in gaps[:-1]]
     gap_ok = all(a > b for a, b in zip(dev, dev[1:])) and dev[-1] > 0

@@ -674,10 +674,9 @@ def full_mesh_solver(spec, h_max_nm):
     dots solves each cell in full, by solve_dense."""
     static = replace(spec, boxes=tuple(b for b in spec.boxes if b.role not in ("d1", "d2")))
     if not static.boxes:
-        return lambda moved: solve_dense(mesh_device(moved, h_max_nm), spec.epsilon_r,
-                                         roles=moved.roles)
+        return lambda moved: solve_dense(mesh_device(moved, h_max_nm), spec.epsilon_r)
     factor = DenseFactor(mesh_device(static, h_max_nm), spec.epsilon_r)
-    return lambda moved: full_mesh_maxwell(factor, mesh_device(moved, h_max_nm), moved.roles)
+    return lambda moved: full_mesh_maxwell(factor, mesh_device(moved, h_max_nm))
 
 
 class TestStaticBlockSweep:
@@ -695,7 +694,7 @@ class TestStaticBlockSweep:
             moved = transform_dots(spec, dx, dy, r)
             mesh = mesh_device(moved, h)
             got = maxwell_of(moved)
-            want = solve_dense(mesh, spec.epsilon_r, roles=moved.roles)
+            want = solve_dense(mesh, spec.epsilon_r)
             rel = np.abs(in_order(got, want.conductor_names) - want.entries) / np.abs(want.entries)
             assert rel.max() <= 1e-9, (dx, dy, r)
 
@@ -826,7 +825,7 @@ class TestStaticBlockSweep:
         moved = transform_dots(spec, 20.0, 0.0, 40.0)
         mesh = mesh_device(moved, 16.0)
         got = _cell_solver(spec, "accelerated", 16.0)(moved)
-        want = capsolve_solve(mesh, "accelerated", spec.epsilon_r, roles=moved.roles)
+        want = capsolve_solve(mesh, "accelerated", spec.epsilon_r)
         assert np.array_equal(got.entries, want.entries)
 
     def test_dots_only_device_sweeps(self):
@@ -944,7 +943,7 @@ def toy_caps_with_gates(c_gate_aF, zero_gate=None):
 def reference_caps():
     spec = build_reference_device()
     mesh = mesh_device(spec, 16.0)
-    return reduce_caps(solve_dense(mesh, spec.epsilon_r, roles=spec.roles))
+    return reduce_caps(solve_dense(mesh, spec.epsilon_r), spec.roles)
 
 
 # Worst relative gap over 2000 random_model_caps draws: 7.0e-14.

@@ -368,14 +368,14 @@ class TestSharedNodeKernel:
     def test_maxwell_matches_loop_assembled_solve(self, monkeypatch):
         spec = build_reference_device()
         mesh = mesh_device(spec, 16.0)
-        got = solve_dense(mesh, 6.0, roles=spec.roles)
+        got = solve_dense(mesh, 6.0)
 
         def loop_assemble(mesh, epsilon_r):
             c = mesh.centroids
             return loop_potential_block(mesh, c, np.arange(mesh.n_panels), epsilon_r)
 
         monkeypatch.setattr(solve_module, "assemble_system", loop_assemble)
-        want = solve_dense(mesh, 6.0, roles=spec.roles)
+        want = solve_dense(mesh, 6.0)
         assert np.all(np.abs(got.entries - want.entries) <= 1e-9 * np.abs(want.entries))
 
 
@@ -568,8 +568,8 @@ class TestFarSeriesRowsAndColumns:
         mesh = mesh_device(spec, 16.0)
         pairs = list(rows_and_columns_against_potential_block(mesh, 6.0))
         assert pairs and all(np.array_equal(got, want) for got, want in pairs)
-        md = solve_dense(mesh, 6.0, roles=spec.roles)
-        ma = solve_accelerated(mesh, 6.0, roles=spec.roles)
+        md = solve_dense(mesh, 6.0)
+        ma = solve_accelerated(mesh, 6.0)
         assert (np.abs(ma.entries - md.entries) / np.abs(md.entries)).max() <= 0.01
 
 
@@ -1371,7 +1371,7 @@ def only_dots(spec):
     return replace(spec, boxes=tuple(b for b in spec.boxes if b.group in dots))
 
 
-def full_mesh_maxwell(factor, mesh, roles=None):
+def full_mesh_maxwell(factor, mesh):
     """The reference for DenseFactor.maxwell: the Maxwell matrix of a whole mesh that holds
     factor's static panels, bitwise unchanged, among its moving ones (each conductor's
     panels wherever the mesh has them), by block elimination over the static and moving
@@ -1404,7 +1404,7 @@ def full_mesh_maxwell(factor, mesh, roles=None):
     x[s_idx] = z
     charges = np.zeros((len(names), len(names)))
     np.add.at(charges, cond_ids, x)
-    return _finalize(charges, names, info, roles)
+    return _finalize(charges, names, info)
 
 
 def in_order(maxwell, names):
@@ -1437,10 +1437,10 @@ class TestDenseFactor:
         assert spec.boxes[0].group in dots and spec.boxes[1].group in dots
         factor = DenseFactor(mesh_device(without_dots(spec), 16.0), spec.epsilon_r)
         moved = transform_dots(spec, -30.0, 20.0, 30.0)
-        got = factor.maxwell(mesh_device(only_dots(moved), 16.0), moved.roles)
+        got = factor.maxwell(mesh_device(only_dots(moved), 16.0))
         mesh = mesh_device(moved, 16.0)
-        assert_bitwise(got, full_mesh_maxwell(factor, mesh, moved.roles))
-        want = solve_dense(mesh, spec.epsilon_r, roles=moved.roles)
+        assert_bitwise(got, full_mesh_maxwell(factor, mesh))
+        want = solve_dense(mesh, spec.epsilon_r)
         assert want.conductor_names == moved.groups
         err = np.abs(in_order(got, want.conductor_names) - want.entries).max()
         assert err <= 1e-9 * np.abs(want.entries).min()
@@ -1459,19 +1459,18 @@ class TestDenseFactor:
 
     def test_concurrent_solves_equal_serial_bitwise(self):
         """One shared, fresh factor on 4 threads: each LU solve needs its own pivot vector,
-        and the first cells race to group the static panels."""
+        and the factor, whole once built, is read by every cell at once."""
         spec = build_reference_device()
         factor = DenseFactor(mesh_device(without_dots(spec), 16.0), spec.epsilon_r)
         cells = [transform_dots(spec, dx, dy, 40.0)
                  for dx in (-60.0, -30.0, 0.0, 30.0, 60.0, 90.0) for dy in (-40.0, 0.0, 40.0)]
-        serial = [full_mesh_maxwell(factor, mesh_device(moved, 16.0), moved.roles)
-                  for moved in cells]
+        serial = [full_mesh_maxwell(factor, mesh_device(moved, 16.0)) for moved in cells]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as ex:
-                futures = [ex.submit(factor.maxwell, mesh_device(only_dots(moved), 16.0),
-                                     moved.roles) for moved in cells]
+                futures = [ex.submit(factor.maxwell, mesh_device(only_dots(moved), 16.0))
+                           for moved in cells]
                 threaded = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -1486,12 +1485,12 @@ class TestDenseFactor:
         spec = build_reference_device()
         dots = [only_dots(transform_dots(spec, dx, dy, r))
                 for dx, dy, r in ((-30.0, 20.0, 30.0), (0.0, 0.0, 40.0))]
-        wants = [solve_dense(mesh_device(d, 16.0), d.epsilon_r, roles=d.roles) for d in dots]
+        wants = [solve_dense(mesh_device(d, 16.0), d.epsilon_r) for d in dots]
         monkeypatch.setattr(solve_module, "assemble_system", None)
         factor = DenseFactor(PanelMesh(np.zeros((0, 4, 3)), [], []), spec.epsilon_r)
         assert not hasattr(factor, "lu") and not hasattr(factor, "rcond")
         for d, want in zip(dots, wants):
-            got = factor.maxwell(mesh_device(d, 16.0), d.roles)
+            got = factor.maxwell(mesh_device(d, 16.0))
             assert got.roles == want.roles
             assert got.conductor_names == want.conductor_names
             assert np.array_equal(got.entries, want.entries)
@@ -1500,19 +1499,26 @@ class TestDenseFactor:
         with pytest.raises(AssemblyError, match="^empty mesh$"):
             factor.maxwell()
 
-    def test_extract_builds_no_static_groups(self, monkeypatch):
-        """A factor with no moving panels is the plain dense solve: it groups its panels
-        only in the assembly, once per BLOCK_PANELS chunk, and never as one mesh."""
+    def test_static_side_grouped_once_at_construction(self, monkeypatch):
+        """The assembly groups each BLOCK_PANELS chunk's own sources, and the factor then
+        groups its static panels once, as one mesh, when it is built: a solve without
+        moving panels groups nothing, and one with them groups only the moving panels."""
         calls = []
         frame_groups = kernels._frame_groups
         monkeypatch.setattr(kernels, "_frame_groups",
                             lambda quads: calls.append(len(quads)) or frame_groups(quads))
-        mesh = mesh_device(build_reference_device(), 16.0)
+        spec = build_reference_device()
+        mesh = mesh_device(without_dots(spec), 16.0)
         factor = DenseFactor(mesh, 6.0)
-        factor.maxwell()
         size = kernels.BLOCK_PANELS
-        assert calls == [min(size, mesh.n_panels - s) for s in range(0, mesh.n_panels, size)]
-        assert "groups" not in vars(factor)
+        built = [min(size, mesh.n_panels - s) for s in range(0, mesh.n_panels, size)]
+        assert calls == built + [mesh.n_panels]
+        assert "groups" in vars(factor)
+        factor.maxwell()
+        assert calls == built + [mesh.n_panels]
+        dots = mesh_device(only_dots(spec), 16.0)
+        factor.maxwell(dots)
+        assert calls == built + [mesh.n_panels, dots.n_panels]
 
 
 STATIC_GROUP_DEVICES = {
@@ -1599,7 +1605,7 @@ class TestSolveDense:
     def test_maxwell_invariants_on_reference(self):
         spec = build_reference_device()
         mesh = mesh_device(spec, 12.0)
-        m = solve_dense(mesh, 6.0, roles=spec.roles)
+        m = solve_dense(mesh, 6.0)
         diag = np.diag(m.entries)
         tol = 1e-3 * diag.max()
         assert np.all(diag > 0)
@@ -1789,8 +1795,8 @@ class TestSolveAccelerated:
     def test_reference_device_entries_within_1pct_of_dense(self):
         spec = build_reference_device()
         mesh = mesh_device(spec, 12.0)
-        md = solve_dense(mesh, 6.0, roles=spec.roles)
-        ma = solve_accelerated(mesh, 6.0, roles=spec.roles)
+        md = solve_dense(mesh, 6.0)
+        ma = solve_accelerated(mesh, 6.0)
         rel = np.abs(ma.entries - md.entries) / np.abs(md.entries)
         assert rel.max() <= 0.01
 
@@ -1993,7 +1999,7 @@ class TestMaxwellSerialization:
     def test_json_roundtrip(self):
         spec = build_reference_device()
         mesh = mesh_device(spec, 16.0)
-        m = solve_dense(mesh, 6.0, roles=spec.roles)
+        m = replace(solve_dense(mesh, 6.0), roles=spec.roles)
         again = MaxwellMatrix.from_json(m.to_json())
         assert again.conductor_names == m.conductor_names
         assert np.allclose(again.entries, m.entries, rtol=1e-15)

@@ -54,7 +54,7 @@ class TestReduceCaps:
         m = MaxwellMatrix(("A", "B", "C"),
                           np.array([[3.0, -1, -1], [-1, 3.0, -1], [-1, -1, 3.0]]) * AF,
                           0.0, roles={"A": "d1", "B": "d2", "C": "SL"})
-        caps = reduce_caps(m)
+        caps = reduce_caps(m, m.roles)
         assert caps.csum("d1") == 3.0 * AF
         assert caps.mutual("d1", "d2") == 1.0 * AF
         assert caps.gate("d1", "SL") == 1.0 * AF
@@ -63,7 +63,7 @@ class TestReduceCaps:
         e = np.array([[3.0, -1, 3e-3 * 2e-1], [-1, 3.0, -1], [3e-3 * 2e-1, -1, 3.0]]) * AF
         m = MaxwellMatrix(("A", "B", "C"), e, 0.0,
                           roles={"A": "d1", "B": "d2", "C": "SL"})
-        caps = reduce_caps(m)
+        caps = reduce_caps(m, m.roles)
         assert caps.gate("d1", "SL") == 0.0
 
     def test_large_positive_offdiagonal_rejected(self):
@@ -71,12 +71,12 @@ class TestReduceCaps:
         m = MaxwellMatrix(("A", "B", "C"), e, 0.0,
                           roles={"A": "d1", "B": "d2", "C": "SL"})
         with pytest.raises(ChargingError, match="negative"):
-            reduce_caps(m)
+            reduce_caps(m, m.roles)
 
     def test_missing_roles_rejected(self):
         m = MaxwellMatrix(("A", "B"), np.eye(2) * AF, 0.0, roles={"A": "d1", "B": "other"})
         with pytest.raises(ChargingError):
-            reduce_caps(m)
+            reduce_caps(m, m.roles)
 
     def test_invariant_validation(self):
         cmat = np.array([[1.0, -2.0], [-2.0, 1.0]]) * AF  # C_d1d2 > Csum

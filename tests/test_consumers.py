@@ -1,6 +1,7 @@
 """Every public function, class and method in the package has a consumer outside tests/,
-every defaulted parameter of a package function a caller outside tests/ that passes it, and
-every name a module of the package or of tests/ imports a use in that module."""
+every defaulted parameter of a package function a caller outside tests/ that passes it,
+every field a package class stores a reader outside tests/, and every name a module of the
+package or of tests/ imports a use in that module."""
 
 import ast
 import math
@@ -134,6 +135,35 @@ def test_every_defaulted_parameter_is_passed():
             unused.add((module, name, param))
     assert {(name, param) for _, name, param in unused} == set(ALLOWED_PARAMETERS), \
         sorted(unused)
+
+
+def stored_fields():
+    """(module, class, field) of each dataclass field and each self.<name> store in a
+    package class.  A store on another object (a ctypes function's argtypes, an array's
+    flags.writeable) sets that object's attribute, not a field of the class."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                   for d in cls.decorator_list):
+                yield from ((module, cls.name, node.target.id) for node in cls.body
+                            if isinstance(node, ast.AnnAssign)
+                            and isinstance(node.target, ast.Name))
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    yield module, cls.name, node.attr
+
+
+def test_every_field_is_read():
+    """A field that no attribute load in src/ or bench/ reads is dead data that every
+    instance carries: delete it, or read it."""
+    paths = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    read = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted({f for f in stored_fields() if f[2] not in read}) == []
 
 
 def unused_imports(path):

@@ -276,9 +276,9 @@ class TestGeneratedDevices:
             moving = replace(spec, boxes=tuple(b for b in spec.boxes if b.group in dots))
             mesh = mesh_device(spec, SOLVE_H_NM)
             factor = DenseFactor(mesh_device(static, SOLVE_H_NM), spec.epsilon_r)
-            got = factor.maxwell(mesh_device(moving, SOLVE_H_NM), spec.roles)
-            assert_bitwise(got, full_mesh_maxwell(factor, mesh, spec.roles))
-            want = solve_dense(mesh, spec.epsilon_r, roles=spec.roles)
+            got = factor.maxwell(mesh_device(moving, SOLVE_H_NM))
+            assert_bitwise(got, full_mesh_maxwell(factor, mesh))
+            want = solve_dense(mesh, spec.epsilon_r)
             scale = np.abs(np.diag(want.entries)).max()
             err = np.abs(in_order(got, want.conductor_names) - want.entries).max()
             assert err <= FACTOR_REL * scale, seed
